@@ -38,8 +38,9 @@ from repro.pipeline import Experiment, PopulationSpec, run_experiment
 
 def main(num_models: int = 150) -> None:
     dataset = NASBenchDataset.generate(num_models=num_models, seed=3)
-    networks = [record.build_network() for record in dataset.records]
-    table = LayerTable.from_networks(networks)
+    table = LayerTable.from_architectures(
+        [record.architecture for record in dataset], dataset.network_config
+    )
     simulator = BatchSimulator()
 
     pe_grids = [(4, 4), (4, 2), (2, 2), (2, 1)]

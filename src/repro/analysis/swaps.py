@@ -52,7 +52,7 @@ def swap_operations(cell: Cell, from_op: str, to_op: str) -> Cell | None:
     if cell.op_count(from_op) == 0:
         return None
     new_ops = [to_op if op == from_op else op for op in cell.ops]
-    return Cell(cell.numpy_matrix(), new_ops)
+    return Cell(cell.matrix, new_ops)
 
 
 @dataclass(frozen=True)
@@ -173,27 +173,27 @@ def _swap_matrix_vectorized(
 ) -> SwapMatrix:
     """One-sweep Figure 15: all baselines and swaps in a single LayerTable.
 
-    Each model contributes its baseline network plus one network per
-    applicable swap; the whole collection is flattened once and swept by the
+    Each model contributes its baseline cell plus one cell per applicable
+    swap; the whole collection is packed into one table and swept by the
     batch engine, and the per-pair deltas are computed as array arithmetic
     over index vectors into the resulting latency array.
     """
     pairs = [(a, b) for a in SWAP_OPERATIONS for b in SWAP_OPERATIONS if a != b]
-    networks = []
+    cells = []
     pair_indices: dict[tuple[str, str], list[tuple[int, int]]] = {pair: [] for pair in pairs}
     for record in records:
-        baseline_index = len(networks)
-        networks.append(build_network(record.cell, network_config))
+        baseline_index = len(cells)
+        cells.append(record.cell)
         for pair in pairs:
             swapped = swap_operations(record.cell, *pair)
             if swapped is None:
                 continue
-            pair_indices[pair].append((baseline_index, len(networks)))
-            networks.append(build_network(swapped, network_config))
+            pair_indices[pair].append((baseline_index, len(cells)))
+            cells.append(swapped)
 
     latencies = None
-    if networks:
-        latencies, _ = BatchSimulator().evaluate_networks(networks, config)
+    if cells:
+        latencies, _ = BatchSimulator().evaluate_cells(cells, config, network_config)
 
     impacts = {}
     for pair in pairs:

@@ -38,9 +38,8 @@ from ..errors import DatasetError, SearchError
 from ..nasbench.accuracy import SurrogateAccuracyModel
 from ..nasbench.cell import Cell
 from ..nasbench.generator import random_cell
-from ..nasbench.graph_metrics import compute_metrics
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import MacroSpec, expand_architecture, random_macro
+from ..nasbench.macro import MacroSpec, random_macro
 from ..nasbench.mutation import mutate_macro_unique, mutate_unique
 from ..nasbench.network import NetworkConfig
 from ..nasbench.ops import MAX_EDGES, MAX_VERTICES
@@ -378,8 +377,7 @@ class CoSearchEngine:
         :meth:`~BatchSimulator.evaluate_table_grid` pass yields every
         (config, cell) cost, from which each pair reads its own entry.
         """
-        networks = [expand_architecture(arch, self.network_config) for arch, _ in pairs]
-        table = LayerTable.from_networks(networks)
+        table = LayerTable.from_architectures([arch for arch, _ in pairs], self.network_config)
 
         distinct: dict[str, int] = {}
         config_rows: list[AcceleratorConfig] = []
@@ -406,20 +404,10 @@ class CoSearchEngine:
         :meth:`~repro.nasbench.dataset.NASBenchDataset.from_macros`.
         """
         cached = self._accuracy_cache.get(arch.fingerprint)
-        if cached is not None:
-            return cached
-        if isinstance(arch, MacroSpec):
-            representative = arch.representative_cell
-            accuracy = self.accuracy_model.mean_validation_accuracy(
-                representative,
-                fingerprint=arch.fingerprint,
-                metrics=compute_metrics(representative, prune=False),
-                trainable_parameters=arch.build_network().trainable_parameters,
-            )
-        else:
-            accuracy = oracle_accuracy(arch, self.network_config, self.accuracy_model)
-        self._accuracy_cache[arch.fingerprint] = accuracy
-        return accuracy
+        if cached is None:
+            cached = oracle_accuracy(arch, self.network_config, self.accuracy_model)
+            self._accuracy_cache[arch.fingerprint] = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     # Candidate proposal

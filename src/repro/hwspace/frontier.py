@@ -198,8 +198,9 @@ class HardwareFrontier:
         same accuracy-filtered models as :meth:`summarize`.
         """
         configs = list(configs)
-        networks = [record.build_network(self.dataset.network_config) for record in self.dataset]
-        table = LayerTable.from_networks(networks)
+        table = LayerTable.from_architectures(
+            [record.architecture for record in self.dataset], self.dataset.network_config
+        )
         result = compile_and_time_table(
             table,
             configs,

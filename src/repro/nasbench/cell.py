@@ -25,11 +25,12 @@ from . import ops as op_vocab
 from .ops import MAX_EDGES, MAX_VERTICES
 
 
-def _as_matrix(matrix: Iterable[Iterable[int]]) -> np.ndarray:
+def _as_rows(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Square adjacency rows of Python ints (``int8`` semantics, as numpy casts)."""
     array = np.asarray(matrix, dtype=np.int8)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise InvalidCellError(f"adjacency matrix must be square, got shape {array.shape}")
-    return array
+    return tuple(map(tuple, array.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,20 +55,31 @@ class Cell:
     compare equal iff their pruned, operation-labelled graphs are isomorphic
     (the :attr:`fingerprint` of each is computed once and cached), so sets and
     dicts of cells de-duplicate by model identity without callers maintaining
-    fingerprint maps.
+    fingerprint maps.  The pruned form is cached the same way, and every
+    structural query runs over the ``matrix`` tuples.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     ops: tuple[str, ...]
-    _np_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _fingerprint: str | None = field(init=False, repr=False, compare=False)
+    #: The pruned form once computed; ``True`` when the cell is its own.
+    _pruned: "Cell | bool | None" = field(init=False, repr=False, compare=False)
 
     def __init__(self, matrix: Iterable[Iterable[int]], ops: Sequence[str]):
-        array = _as_matrix(matrix)
-        object.__setattr__(self, "matrix", tuple(tuple(int(v) for v in row) for row in array))
-        object.__setattr__(self, "ops", tuple(ops))
-        object.__setattr__(self, "_np_matrix", array)
+        self._assign(_as_rows(matrix), tuple(ops))
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], ops: Sequence[str]) -> "Cell":
+        """Construct from rows that are already square tuples of Python ints."""
+        cell = cls.__new__(cls)
+        cell._assign(rows, tuple(ops))
+        return cell
+
+    def _assign(self, rows: tuple[tuple[int, ...], ...], ops: tuple[str, ...]) -> None:
+        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "_fingerprint", None)
+        object.__setattr__(self, "_pruned", None)
         self._validate()
 
     # ------------------------------------------------------------------ #
@@ -106,8 +118,8 @@ class Cell:
     # Validation
     # ------------------------------------------------------------------ #
     def _validate(self) -> None:
-        array = self._np_matrix
-        num_vertices = array.shape[0]
+        matrix = self.matrix
+        num_vertices = len(matrix)
         if num_vertices != len(self.ops):
             raise InvalidCellError(
                 f"matrix has {num_vertices} vertices but {len(self.ops)} ops were given"
@@ -118,15 +130,16 @@ class Cell:
             raise InvalidCellError(
                 f"cell has {num_vertices} vertices, the maximum is {MAX_VERTICES}"
             )
-        if not np.isin(array, (0, 1)).all():
+        if not {value for row in matrix for value in row} <= {0, 1}:
             raise InvalidCellError("adjacency matrix entries must be 0 or 1")
-        if np.any(np.tril(array) != 0):
+        if any(any(row[: index + 1]) for index, row in enumerate(matrix)):
             raise InvalidCellError(
                 "adjacency matrix must be strictly upper triangular "
                 "(vertices in topological order)"
             )
-        if int(array.sum()) > MAX_EDGES:
-            raise InvalidCellError(f"cell has {int(array.sum())} edges, the maximum is {MAX_EDGES}")
+        num_edges = sum(map(sum, matrix))
+        if num_edges > MAX_EDGES:
+            raise InvalidCellError(f"cell has {num_edges} edges, the maximum is {MAX_EDGES}")
         try:
             op_vocab.validate_ops(self.ops)
         except ValueError as exc:
@@ -143,7 +156,7 @@ class Cell:
     @property
     def num_edges(self) -> int:
         """Number of directed edges."""
-        return int(self._np_matrix.sum())
+        return sum(map(sum, self.matrix))
 
     @property
     def interior_ops(self) -> tuple[str, ...]:
@@ -152,12 +165,12 @@ class Cell:
 
     def numpy_matrix(self) -> np.ndarray:
         """Return a copy of the adjacency matrix as a numpy ``int8`` array."""
-        return self._np_matrix.copy()
+        return np.array(self.matrix, dtype=np.int8)
 
     def edges(self) -> list[tuple[int, int]]:
         """Return the directed edges as ``(src, dst)`` vertex-index pairs."""
-        src, dst = np.nonzero(self._np_matrix)
-        return list(zip(src.tolist(), dst.tolist()))
+        matrix = self.matrix
+        return [(src, dst) for src, row in enumerate(matrix) for dst in range(len(row)) if row[dst]]
 
     def op_count(self, op: str) -> int:
         """Return how many interior vertices carry operation *op*."""
@@ -165,46 +178,53 @@ class Cell:
 
     def in_degree(self, vertex: int) -> int:
         """Number of incoming edges of *vertex*."""
-        return int(self._np_matrix[:, vertex].sum())
+        return sum(row[vertex] for row in self.matrix)
 
     def out_degree(self, vertex: int) -> int:
         """Number of outgoing edges of *vertex*."""
-        return int(self._np_matrix[vertex, :].sum())
+        return sum(self.matrix[vertex])
 
     # ------------------------------------------------------------------ #
     # Connectivity and pruning
     # ------------------------------------------------------------------ #
     def is_connected(self) -> bool:
         """Return ``True`` if there is a directed path from input to output."""
-        return bool(self._reachable_from_input()[-1])
+        return self._reachable_from_input()[-1]
 
-    def _reachable_from_input(self) -> np.ndarray:
-        """Boolean vector: vertex reachable from the input vertex."""
-        n = self.num_vertices
-        reach = np.zeros(n, dtype=bool)
+    def _reachable_from_input(self) -> list[bool]:
+        """Per vertex: reachable from the input vertex."""
+        matrix = self.matrix
+        n = len(matrix)
+        reach = [False] * n
         reach[0] = True
         # Vertices are topologically ordered, so one forward sweep suffices.
         for v in range(n):
             if reach[v]:
-                reach |= self._np_matrix[v, :].astype(bool)
+                row = matrix[v]
+                for w in range(v + 1, n):
+                    if row[w]:
+                        reach[w] = True
         return reach
 
-    def _reaches_output(self) -> np.ndarray:
-        """Boolean vector: output vertex reachable from each vertex."""
-        n = self.num_vertices
-        reach = np.zeros(n, dtype=bool)
+    def _reaches_output(self) -> list[bool]:
+        """Per vertex: the output vertex is reachable from it."""
+        matrix = self.matrix
+        n = len(matrix)
+        reach = [False] * n
         reach[n - 1] = True
-        for v in range(n - 1, -1, -1):
-            if reach[v]:
-                reach |= self._np_matrix[:, v].astype(bool)
+        for v in range(n - 2, -1, -1):
+            row = matrix[v]
+            reach[v] = any(row[w] and reach[w] for w in range(v + 1, n))
         return reach
 
     def prune(self) -> "Cell":
-        """Return a cell with all extraneous vertices removed.
+        """Return a cell with all extraneous vertices removed (cached).
 
         A vertex is *extraneous* if it is not on any directed path from the
         input vertex to the output vertex; such vertices cannot influence the
         cell's output and NASBench-101 removes them before de-duplication.
+        The result is computed once per cell, and a pruned cell is its own
+        pruned form, so ``cell.prune() is cell.prune()``.
 
         Raises
         ------
@@ -213,15 +233,21 @@ class Cell:
             would be disconnected and the cell does not represent a valid
             network).
         """
-        keep = self._reachable_from_input() & self._reaches_output()
+        cached = self._pruned
+        if cached is not None:
+            return self if cached is True else cached
+        keep = [f and b for f, b in zip(self._reachable_from_input(), self._reaches_output())]
         if not keep[0] or not keep[-1]:
             raise InvalidCellError("cell has no path from input to output")
-        if keep.all():
+        if all(keep):
+            object.__setattr__(self, "_pruned", True)
             return self
-        indices = np.nonzero(keep)[0]
-        sub_matrix = self._np_matrix[np.ix_(indices, indices)]
-        sub_ops = [self.ops[i] for i in indices]
-        return Cell(sub_matrix, sub_ops)
+        indices = [i for i, kept in enumerate(keep) if kept]
+        rows = tuple(tuple(self.matrix[i][j] for j in indices) for i in indices)
+        pruned = Cell._from_rows(rows, [self.ops[i] for i in indices])
+        object.__setattr__(pruned, "_pruned", True)
+        object.__setattr__(self, "_pruned", pruned)
+        return pruned
 
     def is_valid(self) -> bool:
         """Return ``True`` if the cell is connected (input reaches output)."""
@@ -241,18 +267,21 @@ class Cell:
         NASBench-101: the number of edges on the longest directed path from
         the input vertex to the output vertex.
         """
-        n = self.num_vertices
-        dist = np.full(n, -np.inf)
+        matrix = self.matrix
+        n = len(matrix)
+        dist: list[int | None] = [None] * n
         dist[0] = 0
         for v in range(n):
-            if dist[v] == -np.inf:
+            if dist[v] is None:
                 continue
+            step = dist[v] + 1
+            row = matrix[v]
             for w in range(v + 1, n):
-                if self._np_matrix[v, w]:
-                    dist[w] = max(dist[w], dist[v] + 1)
-        if dist[n - 1] == -np.inf:
+                if row[w] and (dist[w] is None or dist[w] < step):
+                    dist[w] = step
+        if dist[n - 1] is None:
             raise InvalidCellError("cell has no path from input to output")
-        return int(dist[n - 1])
+        return dist[n - 1]
 
     def width(self) -> int:
         """Maximum directed cut of the graph ("graph width" in the paper).
@@ -260,12 +289,12 @@ class Cell:
         Vertices are topologically ordered, so every directed cut corresponds
         to a split position ``k`` separating vertices ``0..k`` from
         ``k+1..n-1``; the width is the maximum number of edges crossing any
-        such split.
+        such split.  Moving vertex ``k`` across the split adds its out-edges
+        and removes its in-edges, so the crossings are a running sum.
         """
-        n = self.num_vertices
-        best = 0
-        for split in range(n - 1):
-            crossing = int(self._np_matrix[: split + 1, split + 1 :].sum())
+        best = crossing = 0
+        for vertex in range(len(self.matrix) - 1):
+            crossing += self.out_degree(vertex) - self.in_degree(vertex)
             best = max(best, crossing)
         return best
 

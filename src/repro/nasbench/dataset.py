@@ -23,6 +23,7 @@ from .graph_metrics import CellMetrics, compute_metrics
 from .hashing import cell_fingerprint
 from .macro import MacroSpec
 from .network import NetworkConfig, NetworkSpec, build_network
+from .params import count_parameters
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,47 @@ class ModelRecord:
         if self.macro is not None:
             return self.macro.build_network()
         return build_network(self.cell, config)
+
+
+def model_record(
+    arch: Cell | MacroSpec,
+    index: int,
+    network_config: NetworkConfig,
+    accuracy_model: SurrogateAccuracyModel,
+) -> ModelRecord:
+    """The record of one architecture: metrics, parameters and accuracy.
+
+    The one record constructor, shared by the dataset builders, search
+    histories and the search oracles, so all of them agree.  A cell is
+    pruned first and expands through *network_config*.  A macro spec keys
+    the surrogate on the *macro* fingerprint (so two macros sharing a cell
+    still draw independent training noise), reads its structural terms from
+    the representative first-stage cell, and counts the parameters of the
+    true staged expansion.  Parameters are summed over the layer rows, so no
+    network is built.
+    """
+    if isinstance(arch, MacroSpec):
+        cell, macro, fingerprint = arch.representative_cell, arch, arch.fingerprint
+    else:
+        cell, macro = arch.prune(), None
+        fingerprint = cell.fingerprint
+    metrics = compute_metrics(cell, prune=False)
+    parameters = count_parameters(arch, network_config)
+    accuracy = accuracy_model.mean_validation_accuracy(
+        cell,
+        fingerprint=fingerprint,
+        metrics=metrics,
+        trainable_parameters=parameters,
+    )
+    return ModelRecord(
+        index=index,
+        cell=cell,
+        fingerprint=fingerprint,
+        metrics=metrics,
+        trainable_parameters=parameters,
+        mean_validation_accuracy=accuracy,
+        macro=macro,
+    )
 
 
 class NASBenchDataset:
@@ -120,29 +162,10 @@ class NASBenchDataset:
         seen: set[str] = set()
         for cell in cells:
             pruned = cell.prune()
-            fingerprint = pruned.fingerprint
-            if fingerprint in seen:
+            if pruned.fingerprint in seen:
                 continue
-            seen.add(fingerprint)
-            metrics = compute_metrics(pruned, prune=False)
-            network = build_network(pruned, network_config)
-            parameters = network.trainable_parameters
-            accuracy = accuracy_model.mean_validation_accuracy(
-                pruned,
-                fingerprint=fingerprint,
-                metrics=metrics,
-                trainable_parameters=parameters,
-            )
-            records.append(
-                ModelRecord(
-                    index=len(records),
-                    cell=pruned,
-                    fingerprint=fingerprint,
-                    metrics=metrics,
-                    trainable_parameters=parameters,
-                    mean_validation_accuracy=accuracy,
-                )
-            )
+            seen.add(pruned.fingerprint)
+            records.append(model_record(pruned, len(records), network_config, accuracy_model))
         if not records:
             raise DatasetError("no valid cells were provided")
         return cls(records, network_config)
@@ -156,12 +179,9 @@ class NASBenchDataset:
     ) -> "NASBenchDataset":
         """Build a dataset from macro specs (de-duplicated by fingerprint).
 
-        The surrogate accuracy keys on the *macro* fingerprint (so two
-        macros sharing a cell still draw independent training noise) and its
-        structural terms read the representative first-stage cell; the
-        parameter term sees the true staged expansion.  *network_config*
-        only fills the dataset attribute legacy consumers read — macro
-        records expand through their own schedule.
+        Records come from :func:`model_record`.  *network_config* only fills
+        the dataset attribute legacy consumers read — macro records expand
+        through their own schedule.
         """
         network_config = network_config or NetworkConfig()
         accuracy_model = accuracy_model or SurrogateAccuracyModel()
@@ -169,31 +189,10 @@ class NASBenchDataset:
         records: list[ModelRecord] = []
         seen: set[str] = set()
         for macro in macros:
-            fingerprint = macro.fingerprint
-            if fingerprint in seen:
+            if macro.fingerprint in seen:
                 continue
-            seen.add(fingerprint)
-            representative = macro.representative_cell
-            metrics = compute_metrics(representative, prune=False)
-            network = macro.build_network()
-            parameters = network.trainable_parameters
-            accuracy = accuracy_model.mean_validation_accuracy(
-                representative,
-                fingerprint=fingerprint,
-                metrics=metrics,
-                trainable_parameters=parameters,
-            )
-            records.append(
-                ModelRecord(
-                    index=len(records),
-                    cell=representative,
-                    fingerprint=fingerprint,
-                    metrics=metrics,
-                    trainable_parameters=parameters,
-                    mean_validation_accuracy=accuracy,
-                    macro=macro,
-                )
-            )
+            seen.add(macro.fingerprint)
+            records.append(model_record(macro, len(records), network_config, accuracy_model))
         if not records:
             raise DatasetError("no valid macro specs were provided")
         return cls(records, network_config)

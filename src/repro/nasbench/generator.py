@@ -15,6 +15,7 @@ Two entry points are provided:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -113,14 +114,25 @@ def random_cell(
     Vertex counts are biased towards the maximum because the overwhelming
     majority of unique NASBench cells use all seven vertices; the edge count
     is drawn uniformly between a spanning path and the edge budget.
+
+    The draws consume the generator exactly as ``rng.choice(vertex_choices,
+    p=weights)`` and ``rng.choice(interior_ops)`` do (one uniform double
+    against the normalized CDF; one bounded integer per label), at a
+    fraction of their per-call cost, so a seed always yields the same cells.
     """
     vertex_choices = list(range(3, max_vertices + 1))
+    if not vertex_choices:
+        raise DatasetError(f"max_vertices must be at least 3 to draw a cell, got {max_vertices}")
     # Weight ~ 4^(n) so most samples use many vertices, as in the real space.
     weights = np.array([4.0**n for n in vertex_choices])
     weights /= weights.sum()
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    num_ops = len(interior_ops)
 
     for _ in range(max_attempts):
-        num_vertices = int(rng.choice(vertex_choices, p=weights))
+        num_vertices = vertex_choices[bisect.bisect_right(cdf, rng.random())]
         num_slots = num_vertices * (num_vertices - 1) // 2
         max_usable_edges = min(max_edges, num_slots)
         min_edges = num_vertices - 1
@@ -129,22 +141,19 @@ def random_cell(
         num_edges = int(rng.integers(min_edges, max_usable_edges + 1))
         slots = list(itertools.combinations(range(num_vertices), 2))
         chosen = rng.choice(len(slots), size=num_edges, replace=False)
-        matrix = np.zeros((num_vertices, num_vertices), dtype=np.int8)
-        for index in chosen:
-            i, j = slots[int(index)]
-            matrix[i, j] = 1
+        rows = [[0] * num_vertices for _ in range(num_vertices)]
+        for index in chosen.tolist():
+            i, j = slots[index]
+            rows[i][j] = 1
         ops = (
             INPUT,
-            *(str(rng.choice(interior_ops)) for _ in range(num_vertices - 2)),
+            *(str(interior_ops[int(rng.integers(num_ops))]) for _ in range(num_vertices - 2)),
             OUTPUT,
         )
-        cell = Cell(matrix, ops)
+        cell = Cell._from_rows(tuple(map(tuple, rows)), ops)
         if not cell.is_valid():
             continue
-        pruned = cell.prune()
-        if pruned.num_vertices < 2:
-            continue
-        return pruned
+        return cell.prune()
 
     raise DatasetError(f"failed to draw a valid random cell after {max_attempts} attempts")
 
@@ -170,18 +179,31 @@ def sample_unique_cells(
         Cells that must be part of the sample (for example the paper's named
         Figure 7/8 cells); they count towards *count* and are de-duplicated
         against the random draws.
+
+    Notes
+    -----
+    Most duplicate draws repeat a pruned ``(matrix, ops)`` form already
+    drawn, and equal forms have equal fingerprints, so such a draw is
+    rejected without hashing it; only a new form is fingerprinted.
     """
     if count <= 0:
         raise DatasetError("count must be positive")
     rng = np.random.default_rng(seed)
     cells: list[Cell] = []
     seen: set[str] = set()
+    forms: set[tuple] = set()
 
-    for cell in extra_cells:
-        pruned = cell.prune()
+    def admit(pruned: Cell) -> None:
+        form = (pruned.matrix, pruned.ops)
+        if form in forms:
+            return
+        forms.add(form)
         if pruned.fingerprint not in seen:
             seen.add(pruned.fingerprint)
             cells.append(pruned)
+
+    for cell in extra_cells:
+        admit(cell.prune())
 
     attempts = 0
     max_total_attempts = max(10_000, count * 60)
@@ -193,10 +215,6 @@ def sample_unique_cells(
                 f"{count} after {attempts} attempts; the requested sample may be "
                 "larger than the sub-space"
             )
-        cell = random_cell(rng, max_vertices, max_edges, interior_ops)
-        if cell.fingerprint in seen:
-            continue
-        seen.add(cell.fingerprint)
-        cells.append(cell)
+        admit(random_cell(rng, max_vertices, max_edges, interior_ops))
 
     return cells[:count]

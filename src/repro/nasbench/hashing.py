@@ -23,14 +23,14 @@ def _md5(text: str) -> str:
     return hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
-def hash_graph(matrix: np.ndarray, labels: Sequence[int]) -> str:
+def hash_graph(matrix: np.ndarray | Sequence[Sequence[int]], labels: Sequence[int]) -> str:
     """Return an isomorphism-invariant hash of a labelled DAG.
 
     Parameters
     ----------
     matrix:
-        Square 0/1 adjacency matrix (``matrix[i, j] == 1`` for an edge
-        ``i -> j``).
+        Square 0/1 adjacency matrix (``matrix[i][j] == 1`` for an edge
+        ``i -> j``), as an array or as nested sequences (rows).
     labels:
         One integer label per vertex (operation code).
 
@@ -40,30 +40,33 @@ def hash_graph(matrix: np.ndarray, labels: Sequence[int]) -> str:
         Hex digest.  Two graphs that differ only by a relabelling of vertices
         (with matching operation labels) hash to the same value.
     """
-    matrix = np.asarray(matrix)
-    num_vertices = matrix.shape[0]
+    rows = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+    num_vertices = len(rows)
     if len(labels) != num_vertices:
         raise ValueError(f"matrix has {num_vertices} vertices but {len(labels)} labels were given")
 
-    in_degrees = matrix.sum(axis=0).tolist()
-    out_degrees = matrix.sum(axis=1).tolist()
+    vertices = range(num_vertices)
+    in_neighbors = [[w for w in vertices if rows[w][v]] for v in vertices]
+    out_neighbors = [[w for w in vertices if rows[v][w]] for v in vertices]
     hashes = [
-        _md5(str((int(out_degrees[v]), int(in_degrees[v]), int(labels[v]))))
-        for v in range(num_vertices)
+        _md5(str((int(sum(rows[v])), int(sum(row[v] for row in rows)), int(labels[v]))))
+        for v in vertices
     ]
 
     # Iterative refinement: each round folds the sorted hashes of the in- and
     # out-neighbourhoods into every vertex hash.  ``num_vertices`` rounds are
     # enough for information to traverse the longest possible path.
-    for _ in range(num_vertices):
-        new_hashes = []
-        for v in range(num_vertices):
-            in_neighbors = sorted(hashes[w] for w in range(num_vertices) if matrix[w, v])
-            out_neighbors = sorted(hashes[w] for w in range(num_vertices) if matrix[v, w])
-            new_hashes.append(
-                _md5("".join(in_neighbors) + "|" + "".join(out_neighbors) + "|" + hashes[v])
+    for _ in vertices:
+        hashes = [
+            _md5(
+                "".join(sorted([hashes[w] for w in in_neighbors[v]]))
+                + "|"
+                + "".join(sorted([hashes[w] for w in out_neighbors[v]]))
+                + "|"
+                + hashes[v]
             )
-        hashes = new_hashes
+            for v in vertices
+        ]
 
     return _md5(str(sorted(hashes)))
 
@@ -78,7 +81,7 @@ def cell_fingerprint(cell: Cell, prune: bool = True) -> str:
     """
     canonical = cell.prune() if prune else cell
     labels = [HASH_ENCODING[op] for op in canonical.ops]
-    return hash_graph(canonical.numpy_matrix(), labels)
+    return hash_graph(canonical.matrix, labels)
 
 
 def permute_cell(cell: Cell, permutation: Sequence[int]) -> Cell:

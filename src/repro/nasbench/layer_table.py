@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import CompilationError, DatasetError
+from .cell import Cell
+from .macro import MacroSpec, architecture_blocks
 from .network import (
     KIND_ADD,
     KIND_CONCAT,
@@ -35,7 +37,9 @@ from .network import (
     KIND_MAXPOOL,
     KIND_PROJECTION,
     LayerSpec,
+    NetworkConfig,
     NetworkSpec,
+    layer_specs,
 )
 
 #: Integer codes of the layer kinds (stable, used by the array kernels).
@@ -75,8 +79,9 @@ class LayerTable:
 
     All arrays share the layer axis; ``model_offsets`` (length
     ``num_models + 1``) marks the segment of rows belonging to each model.
-    Instances are built with :meth:`from_networks` / :meth:`from_specs` (or
-    :meth:`NetworkSpec.to_layer_table`), which also compute the derived
+    Instances are built with :meth:`from_architectures` (rows packed straight
+    from cells and macro specs), :meth:`from_networks` / :meth:`from_specs`
+    (or :meth:`NetworkSpec.to_layer_table`), which also compute the derived
     quantities vectorized.
     """
 
@@ -161,6 +166,40 @@ class LayerTable:
         if len(offsets) == 1:
             raise DatasetError("cannot build a LayerTable from zero networks")
         return cls.from_specs(specs, model_offsets=offsets)
+
+    @classmethod
+    def from_architectures(
+        cls,
+        archs: Iterable[Cell | MacroSpec],
+        network_config: NetworkConfig | None = None,
+    ) -> "LayerTable":
+        """Pack architectures' layer rows straight into one table.
+
+        Equal, column for column, to :meth:`from_networks` over
+        :func:`~repro.nasbench.macro.expand_architecture` of each entry (bare
+        cells expand through *network_config*, macro specs through their own
+        stages), without building a :class:`LayerSpec` per layer: every
+        block of :func:`~repro.nasbench.macro.architecture_blocks` is packed
+        once per occurrence, straight from its rows.
+        """
+        archs = list(archs)
+        if not archs:
+            raise DatasetError("cannot build a LayerTable from zero architectures")
+        codes = KIND_CODES
+        values: list[int] = []
+        offsets = [0]
+        for arch in archs:
+            for _prefix, height, width, rows in architecture_blocks(arch, network_config):
+                for _suffix, kind, cin, cout, kernel, stride in rows:
+                    values += (codes[kind], height, width, cin, cout, kernel, stride)
+            offsets.append(len(values) // 7)
+        table = np.array(values, dtype=np.int64).reshape(-1, 7)
+        invalid = (table[:, 3] <= 0) | (table[:, 4] <= 0)
+        if invalid.any():
+            # Raise from_specs' error, naming the offending layer.
+            model = int(np.searchsorted(offsets, np.argmax(invalid), side="right")) - 1
+            cls.from_specs(layer_specs(architecture_blocks(archs[model], network_config)))
+        return cls._finalize(table, np.asarray(offsets, dtype=np.int64))
 
     @classmethod
     def _finalize(cls, rows: np.ndarray, offsets: np.ndarray) -> "LayerTable":

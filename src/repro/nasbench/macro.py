@@ -21,11 +21,13 @@ stage-0 multiplier 1, multiplier 2 after every downsample) and
 :func:`~repro.nasbench.network.build_network` stays a thin wrapper producing
 bit-for-bit identical layer lists.
 
-The expanded layer list remains the single source of truth: everything
-downstream (:class:`~repro.nasbench.layer_table.LayerTable`, the compiler,
-the fused grid kernel) consumes :class:`~repro.nasbench.network.LayerSpec`
-rows and needs no macro awareness beyond plumbing fingerprints through
-dataset records, store keys and sweep manifests.
+The expanded layer rows (:meth:`MacroSpec.layer_blocks`) remain the single
+source of truth: :class:`~repro.nasbench.layer_table.LayerTable` packs them
+for the compiler and the fused grid kernel, parameter counts sum over them,
+and :meth:`MacroSpec.build_layers` is their named
+:class:`~repro.nasbench.network.LayerSpec` view for the scalar oracle.
+Nothing downstream needs macro awareness beyond plumbing fingerprints
+through dataset records, store keys and sweep manifests.
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ from .network import (
     KIND_DENSE,
     KIND_DOWNSAMPLE,
     KIND_GLOBAL_POOL,
+    LayerBlock,
     LayerSpec,
     NetworkConfig,
     NetworkSpec,
-    build_cell_layers,
+    cell_rows,
+    layer_specs,
 )
 
 #: Most stages a macro spec may have (each stage past the first downsamples,
@@ -246,85 +250,50 @@ class MacroSpec:
     # ------------------------------------------------------------------ #
     # Expansion
     # ------------------------------------------------------------------ #
-    def build_layers(self) -> tuple[LayerSpec, ...]:
-        """Expand the macro spec into its flat, topologically ordered layers.
+    def layer_blocks(self) -> list[LayerBlock]:
+        """Expand the macro spec into its layer rows, in topological order.
 
         The loop is the legacy :func:`~repro.nasbench.network.build_network`
         expansion generalized per stage: a stem convolution, then each stage
         (downsample-on-entry except stage 0, width rescale, ``depth`` cell
-        expansions), then the global-pool + dense head.  Layer naming is kept
-        identical (``stack{i}/cell{j}``, ``stack{i}/downsample``) so single
-        -cell specs reproduce the legacy layer lists bit for bit.
+        expansions), then the global-pool + dense head.  Each block carries
+        its layer-name prefix (``stack{i}/cell{j}``, ``stack{i}`` for the
+        downsample) and spatial size; the cells of a stage that see the same
+        input width share one row list, so a stage expands its cell at most
+        twice.
         """
-        pruned = [stage.cell.prune() for stage in self.stages]
-
-        layers: list[LayerSpec] = []
         height = width = self.image_size
         channels = self.stem_channels
-
-        layers.append(
-            LayerSpec(
-                name="stem/conv3x3",
-                kind=KIND_CONV,
-                input_height=height,
-                input_width=width,
-                in_channels=self.image_channels,
-                out_channels=channels,
-                kernel_size=3,
-                stride=1,
-                has_batch_norm=True,
-            )
-        )
+        blocks: list[LayerBlock] = [
+            ("stem", height, width, [("conv3x3", KIND_CONV, self.image_channels, channels, 3, 1)])
+        ]
 
         in_channels = channels
         for stack_index, stage in enumerate(self.stages):
             if stack_index > 0:
-                layers.append(
-                    LayerSpec(
-                        name=f"stack{stack_index}/downsample",
-                        kind=KIND_DOWNSAMPLE,
-                        input_height=height,
-                        input_width=width,
-                        in_channels=in_channels,
-                        out_channels=in_channels,
-                        kernel_size=2,
-                        stride=2,
-                    )
-                )
+                downsample = ("downsample", KIND_DOWNSAMPLE, in_channels, in_channels, 2, 2)
+                blocks.append((f"stack{stack_index}", height, width, [downsample]))
                 height = math.ceil(height / 2)
                 width = math.ceil(width / 2)
             channels = max(1, int(round(channels * stage.width_multiplier)))
 
+            cell = stage.cell.prune()
+            rows = cell_rows(cell, in_channels, channels)
             for cell_index in range(stage.depth):
-                prefix = f"stack{stack_index}/cell{cell_index}"
-                layers.extend(
-                    build_cell_layers(
-                        pruned[stack_index], in_channels, channels, height, width, prefix
-                    )
-                )
-                in_channels = channels
+                if cell_index == 1 and in_channels != channels:
+                    rows = cell_rows(cell, channels, channels)
+                blocks.append((f"stack{stack_index}/cell{cell_index}", height, width, rows))
+            in_channels = channels
 
-        layers.append(
-            LayerSpec(
-                name="head/global_pool",
-                kind=KIND_GLOBAL_POOL,
-                input_height=height,
-                input_width=width,
-                in_channels=in_channels,
-                out_channels=in_channels,
-            )
-        )
-        layers.append(
-            LayerSpec(
-                name="head/dense",
-                kind=KIND_DENSE,
-                input_height=1,
-                input_width=1,
-                in_channels=in_channels,
-                out_channels=self.num_classes,
-            )
-        )
-        return tuple(layers)
+        pool = ("global_pool", KIND_GLOBAL_POOL, in_channels, in_channels, 1, 1)
+        blocks.append(("head", height, width, [pool]))
+        blocks.append(("head", 1, 1, [("dense", KIND_DENSE, in_channels, self.num_classes, 1, 1)]))
+        return blocks
+
+    def build_layers(self) -> tuple[LayerSpec, ...]:
+        """The named :class:`~repro.nasbench.network.LayerSpec` view of
+        :meth:`layer_blocks` (what the scalar simulator walks)."""
+        return tuple(layer_specs(self.layer_blocks()))
 
     def build_network(self) -> NetworkSpec:
         """Expand into a :class:`~repro.nasbench.network.NetworkSpec`.
@@ -436,6 +405,16 @@ def expand_architecture(
     from .network import build_network  # deferred: network imports us lazily
 
     return build_network(arch, network_config)
+
+
+def architecture_blocks(
+    arch: Cell | MacroSpec, network_config: NetworkConfig | None = None
+) -> list[LayerBlock]:
+    """Layer rows of either architecture form (the rows
+    :func:`expand_architecture` names), with the same dispatch."""
+    if isinstance(arch, MacroSpec):
+        return arch.layer_blocks()
+    return MacroSpec.from_network_config(arch, network_config).layer_blocks()
 
 
 def architecture_to_dict(arch: Cell | MacroSpec) -> dict:

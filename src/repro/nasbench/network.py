@@ -8,17 +8,20 @@ global-average-pool plus dense classifier head.  Channel counts inside a cell
 follow NASBench's ``compute_vertex_channels`` rule, and every edge leaving the
 cell-input vertex passes through a 1x1 projection convolution.
 
-This module reproduces that expansion and emits a flat, topologically ordered
-list of :class:`LayerSpec` records.  The layer list is the single source of
-truth for both the parameter counting in :mod:`repro.nasbench.params` and the
-Edge TPU compiler/simulator in :mod:`repro.compiler` / :mod:`repro.simulator`.
+This module holds the one expansion rule of a cell instance,
+:func:`cell_rows`, which emits plain layer rows.  The rows are the single
+source of truth: :class:`~repro.nasbench.layer_table.LayerTable` packs them
+straight into its columns for the batch kernels, parameter counts are summed
+over them with :func:`layer_trainable_parameters`, and :func:`layer_specs`
+turns them into the named :class:`LayerSpec` records the scalar simulator
+(the oracle) walks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +41,35 @@ KIND_DENSE = "dense"
 
 #: Layer kinds that carry trainable weights.
 WEIGHTED_KINDS = frozenset({KIND_CONV, KIND_PROJECTION, KIND_DENSE})
+
+#: Layer kinds the expansion follows with batch normalization.
+BATCH_NORM_KINDS = frozenset({KIND_CONV, KIND_PROJECTION})
+
+#: One emitted layer: ``(name suffix, kind, in_channels, out_channels,
+#: kernel_size, stride)``.  Its spatial input size is its block's.
+LayerRow = tuple[str, str, int, int, int, int]
+
+#: Consecutive layers at one spatial input size: ``(name prefix, height,
+#: width, rows)``.  Repeated cells of a stage share one row list.
+LayerBlock = tuple[str, int, int, Sequence[LayerRow]]
+
+
+def layer_trainable_parameters(
+    kind: str, in_channels: int, out_channels: int, kernel_size: int, has_batch_norm: bool
+) -> int:
+    """Trainable parameters of one layer, matching the training-time model.
+
+    Convolutions carry ``k*k*in*out`` kernel weights plus 2 batch-norm
+    parameters per output channel (scale and offset); the dense classifier
+    carries weights plus biases; pooling and element-wise layers have no
+    parameters.
+    """
+    if kind in (KIND_CONV, KIND_PROJECTION):
+        kernel = kernel_size * kernel_size * in_channels * out_channels
+        return kernel + (2 * out_channels if has_batch_norm else 0)
+    if kind == KIND_DENSE:
+        return in_channels * out_channels + out_channels
+    return 0
 
 
 @dataclass(frozen=True)
@@ -98,20 +130,10 @@ class LayerSpec:
 
     @property
     def trainable_parameters(self) -> int:
-        """Trainable parameters, matching the training-time model.
-
-        Convolutions carry ``k*k*in*out`` kernel weights plus 2 batch-norm
-        parameters per output channel (scale and offset); the dense classifier
-        carries weights plus biases; pooling and element-wise layers have no
-        parameters.
-        """
-        if self.kind in (KIND_CONV, KIND_PROJECTION):
-            kernel = self.kernel_size * self.kernel_size * self.in_channels * self.out_channels
-            norm = 2 * self.out_channels if self.has_batch_norm else 0
-            return kernel + norm
-        if self.kind == KIND_DENSE:
-            return self.in_channels * self.out_channels + self.out_channels
-        return 0
+        """Trainable parameters (see :func:`layer_trainable_parameters`)."""
+        return layer_trainable_parameters(
+            self.kind, self.in_channels, self.out_channels, self.kernel_size, self.has_batch_norm
+        )
 
     @property
     def weight_bytes(self) -> int:
@@ -226,7 +248,7 @@ class NetworkSpec:
 # Channel inference (NASBench-101 ``compute_vertex_channels``)
 # ---------------------------------------------------------------------- #
 def compute_vertex_channels(
-    input_channels: int, output_channels: int, matrix: np.ndarray
+    input_channels: int, output_channels: int, matrix: np.ndarray | Sequence[Sequence[int]]
 ) -> list[int]:
     """Compute per-vertex channel counts for a pruned cell.
 
@@ -236,34 +258,34 @@ def compute_vertex_channels(
     its successors, which allows channel truncation (never padding) along
     interior edges.
     """
-    matrix = np.asarray(matrix)
-    num_vertices = matrix.shape[0]
+    rows = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+    num_vertices = len(rows)
+    output = num_vertices - 1
     vertex_channels = [0] * num_vertices
     vertex_channels[0] = input_channels
     vertex_channels[-1] = output_channels
     if num_vertices == 2:
         return vertex_channels
 
-    # In-degree of each vertex counting only edges from interior vertices.
-    in_degree = matrix[1:].sum(axis=0)
-    output_fan_in = int(in_degree[num_vertices - 1])
+    # Fan-in of the output counting only edges from interior vertices.
+    output_fan_in = sum(row[output] for row in rows[1:])
     if output_fan_in == 0:
         raise InvalidCellError("pruned cell output is fed only by the input vertex")
 
     interior_channels = output_channels // output_fan_in
     correction = output_channels % output_fan_in
 
-    for v in range(1, num_vertices - 1):
-        if matrix[v, num_vertices - 1]:
+    for v in range(1, output):
+        if rows[v][output]:
             vertex_channels[v] = interior_channels
             if correction:
                 vertex_channels[v] += 1
                 correction -= 1
 
     for v in range(num_vertices - 3, 0, -1):
-        if not matrix[v, num_vertices - 1]:
-            for dst in range(v + 1, num_vertices - 1):
-                if matrix[v, dst]:
+        if not rows[v][output]:
+            for dst in range(v + 1, output):
+                if rows[v][dst]:
                     vertex_channels[v] = max(vertex_channels[v], vertex_channels[dst])
 
     return vertex_channels
@@ -272,7 +294,103 @@ def compute_vertex_channels(
 # ---------------------------------------------------------------------- #
 # Cell and network expansion
 # ---------------------------------------------------------------------- #
-_OP_KERNELS = {CONV3X3: 3, CONV1X1: 1}
+_OP_LAYERS = {
+    CONV3X3: ("conv3x3", KIND_CONV, 3),
+    CONV1X1: ("conv1x1", KIND_CONV, 1),
+    MAXPOOL3X3: ("maxpool3x3", KIND_MAXPOOL, 3),
+}
+
+
+def cell_rows(cell: Cell, input_channels: int, output_channels: int) -> list[LayerRow]:
+    """Expand one (pruned) cell instance into its layer rows.
+
+    This is the expansion rule every consumer shares.  Every row keeps the
+    spatial size of the tensor entering the cell and has stride 1.
+
+    Parameters
+    ----------
+    cell:
+        The pruned cell to expand.
+    input_channels / output_channels:
+        Channel count of the tensor entering / leaving the cell.
+    """
+    matrix = cell.matrix
+    num_vertices = len(matrix)
+    output = num_vertices - 1
+    if num_vertices == 2:
+        # Degenerate input->output cell: a single projection carries the
+        # tensor (and adapts the channel count when the stack doubles it).
+        return [("output_projection", KIND_PROJECTION, input_channels, output_channels, 1, 1)]
+
+    channels = compute_vertex_channels(input_channels, output_channels, matrix)
+    rows: list[LayerRow] = []
+    for v in range(1, output):
+        op = cell.ops[v]
+        if op not in _OP_LAYERS:  # pragma: no cover - guarded by Cell validation
+            raise InvalidCellError(f"unknown interior operation {op!r}")
+        width = channels[v]
+        takes_cell_input = matrix[0][v]
+
+        # Edges from the cell input pass through a 1x1 projection so the
+        # channel counts line up with the vertex.
+        if takes_cell_input:
+            rows.append(
+                (f"vertex{v}/input_projection", KIND_PROJECTION, input_channels, width, 1, 1)
+            )
+
+        # Element-wise sum of all incoming tensors (projected input plus
+        # truncated interior tensors).  Emitted only when there is more than
+        # one producer, as a zero-weight data-movement layer.
+        num_inputs = sum(matrix[src][v] for src in range(1, v)) + takes_cell_input
+        if num_inputs > 1:
+            rows.append((f"vertex{v}/add", KIND_ADD, width * num_inputs, width, 1, 1))
+
+        # The vertex operation itself.
+        name, kind, kernel = _OP_LAYERS[op]
+        rows.append((f"vertex{v}/{name}", kind, width, width, kernel, 1))
+
+    # Output vertex: concatenate every interior vertex feeding the output.
+    concat_sources = [v for v in range(1, output) if matrix[v][output]]
+    if len(concat_sources) > 1:
+        concat_channels = sum(channels[v] for v in concat_sources)
+        rows.append(("output_concat", KIND_CONCAT, concat_channels, output_channels, 1, 1))
+
+    # An edge from the cell input directly to the output adds a projected
+    # copy of the input to the concatenated result.
+    if matrix[0][output]:
+        rows.append(("output_projection", KIND_PROJECTION, input_channels, output_channels, 1, 1))
+        rows.append(("output_add", KIND_ADD, 2 * output_channels, output_channels, 1, 1))
+    return rows
+
+
+def layer_specs(blocks: Iterable[LayerBlock]) -> list[LayerSpec]:
+    """Named :class:`LayerSpec` records of layer blocks (the scalar view)."""
+    return [
+        LayerSpec(
+            name=f"{prefix}/{suffix}",
+            kind=kind,
+            input_height=height,
+            input_width=width,
+            in_channels=in_channels,
+            out_channels=out_channels,
+            kernel_size=kernel_size,
+            stride=stride,
+            has_batch_norm=kind in BATCH_NORM_KINDS,
+        )
+        for prefix, height, width, rows in blocks
+        for suffix, kind, in_channels, out_channels, kernel_size, stride in rows
+    ]
+
+
+def blocks_trainable_parameters(blocks: Iterable[LayerBlock]) -> int:
+    """Trainable parameters of layer blocks, summed row by row."""
+    return sum(
+        layer_trainable_parameters(
+            kind, in_channels, out_channels, kernel_size, kind in BATCH_NORM_KINDS
+        )
+        for _prefix, _height, _width, rows in blocks
+        for _suffix, kind, in_channels, out_channels, kernel_size, _stride in rows
+    )
 
 
 def build_cell_layers(
@@ -283,162 +401,14 @@ def build_cell_layers(
     width: int,
     name_prefix: str,
 ) -> list[LayerSpec]:
-    """Expand one (pruned) cell instance into its layer list.
+    """Expand one (pruned) cell instance into its :class:`LayerSpec` list.
 
-    Parameters
-    ----------
-    cell:
-        The pruned cell to expand.
-    input_channels / output_channels:
-        Channel count of the tensor entering / leaving the cell.
-    height / width:
-        Spatial size of the tensor entering the cell (cells are spatial-size
-        preserving).
-    name_prefix:
-        Prefix such as ``"stack0/cell1"`` used to build layer names.
+    The named view of :func:`cell_rows`; *height* / *width* are the spatial
+    size of the tensor entering the cell and *name_prefix* (such as
+    ``"stack0/cell1"``) prefixes every layer name.
     """
-    matrix = cell.numpy_matrix()
-    num_vertices = cell.num_vertices
-    layers: list[LayerSpec] = []
-
-    if num_vertices == 2:
-        # Degenerate input->output cell: a single projection carries the
-        # tensor (and adapts the channel count when the stack doubles it).
-        layers.append(
-            LayerSpec(
-                name=f"{name_prefix}/output_projection",
-                kind=KIND_PROJECTION,
-                input_height=height,
-                input_width=width,
-                in_channels=input_channels,
-                out_channels=output_channels,
-                kernel_size=1,
-                stride=1,
-                has_batch_norm=True,
-            )
-        )
-        return layers
-
-    channels = compute_vertex_channels(input_channels, output_channels, matrix)
-
-    for v in range(1, num_vertices - 1):
-        op = cell.ops[v]
-        vertex_name = f"{name_prefix}/vertex{v}"
-        fan_in_sources = [src for src in range(1, v) if matrix[src, v]]
-        takes_cell_input = bool(matrix[0, v])
-
-        # Edges from the cell input pass through a 1x1 projection so the
-        # channel counts line up with the vertex.
-        if takes_cell_input:
-            layers.append(
-                LayerSpec(
-                    name=f"{vertex_name}/input_projection",
-                    kind=KIND_PROJECTION,
-                    input_height=height,
-                    input_width=width,
-                    in_channels=input_channels,
-                    out_channels=channels[v],
-                    kernel_size=1,
-                    stride=1,
-                    has_batch_norm=True,
-                )
-            )
-
-        # Element-wise sum of all incoming tensors (projected input plus
-        # truncated interior tensors).  Emitted only when there is more than
-        # one producer, as a zero-weight data-movement layer.
-        num_inputs = len(fan_in_sources) + (1 if takes_cell_input else 0)
-        if num_inputs > 1:
-            layers.append(
-                LayerSpec(
-                    name=f"{vertex_name}/add",
-                    kind=KIND_ADD,
-                    input_height=height,
-                    input_width=width,
-                    in_channels=channels[v] * num_inputs,
-                    out_channels=channels[v],
-                    kernel_size=1,
-                    stride=1,
-                )
-            )
-
-        # The vertex operation itself.
-        if op in _OP_KERNELS:
-            layers.append(
-                LayerSpec(
-                    name=f"{vertex_name}/{'conv3x3' if op == CONV3X3 else 'conv1x1'}",
-                    kind=KIND_CONV,
-                    input_height=height,
-                    input_width=width,
-                    in_channels=channels[v],
-                    out_channels=channels[v],
-                    kernel_size=_OP_KERNELS[op],
-                    stride=1,
-                    has_batch_norm=True,
-                )
-            )
-        elif op == MAXPOOL3X3:
-            layers.append(
-                LayerSpec(
-                    name=f"{vertex_name}/maxpool3x3",
-                    kind=KIND_MAXPOOL,
-                    input_height=height,
-                    input_width=width,
-                    in_channels=channels[v],
-                    out_channels=channels[v],
-                    kernel_size=3,
-                    stride=1,
-                )
-            )
-        else:  # pragma: no cover - guarded by Cell validation
-            raise InvalidCellError(f"unknown interior operation {op!r}")
-
-    # Output vertex: concatenate every interior vertex feeding the output.
-    concat_sources = [v for v in range(1, num_vertices - 1) if matrix[v, num_vertices - 1]]
-    if len(concat_sources) > 1:
-        layers.append(
-            LayerSpec(
-                name=f"{name_prefix}/output_concat",
-                kind=KIND_CONCAT,
-                input_height=height,
-                input_width=width,
-                in_channels=sum(channels[v] for v in concat_sources),
-                out_channels=output_channels,
-                kernel_size=1,
-                stride=1,
-            )
-        )
-
-    # An edge from the cell input directly to the output adds a projected
-    # copy of the input to the concatenated result.
-    if matrix[0, num_vertices - 1]:
-        layers.append(
-            LayerSpec(
-                name=f"{name_prefix}/output_projection",
-                kind=KIND_PROJECTION,
-                input_height=height,
-                input_width=width,
-                in_channels=input_channels,
-                out_channels=output_channels,
-                kernel_size=1,
-                stride=1,
-                has_batch_norm=True,
-            )
-        )
-        layers.append(
-            LayerSpec(
-                name=f"{name_prefix}/output_add",
-                kind=KIND_ADD,
-                input_height=height,
-                input_width=width,
-                in_channels=2 * output_channels,
-                out_channels=output_channels,
-                kernel_size=1,
-                stride=1,
-            )
-        )
-
-    return layers
+    rows = cell_rows(cell, input_channels, output_channels)
+    return layer_specs([(name_prefix, height, width, rows)])
 
 
 def build_network(cell: Cell, config: NetworkConfig | None = None) -> NetworkSpec:
@@ -459,9 +429,3 @@ def build_network(cell: Cell, config: NetworkConfig | None = None) -> NetworkSpe
     # The derived config of the trivial macro round-trips the input exactly;
     # return the caller's instance so identity-based callers see their own.
     return NetworkSpec(cell=network.cell, config=config, layers=network.layers)
-
-
-def iter_layer_names(spec: NetworkSpec) -> Iterable[str]:
-    """Yield the names of all layers of *spec* (mainly for debugging/tests)."""
-    for layer in spec.layers:
-        yield layer.name

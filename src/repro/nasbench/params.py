@@ -1,10 +1,11 @@
 """Trainable-parameter counting for NASBench networks.
 
 The paper uses the number of trainable parameters as its primary proxy for
-model size (Table 1, Table 6, Table 7, Figure 14).  Counting is delegated to
-the expanded :class:`~repro.nasbench.network.NetworkSpec`, so the number can
-never disagree with what the simulator sees; this module adds convenience
-wrappers and the interval-histogram helper used to regenerate Table 1.
+model size (Table 1, Table 6, Table 7, Figure 14).  Counting sums the
+per-layer formula over the expansion's layer rows — the rows the simulator's
+tables are packed from — so the number can never disagree with what the
+simulator sees; this module adds convenience wrappers and the
+interval-histogram helper used to regenerate Table 1.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cell import Cell
-from .network import NetworkConfig, NetworkSpec, build_network
+from .macro import MacroSpec, architecture_blocks
+from .network import NetworkConfig, blocks_trainable_parameters
 
 
-def count_parameters(cell: Cell, config: NetworkConfig | None = None) -> int:
-    """Return the number of trainable parameters of the network built from *cell*."""
-    return build_network(cell, config).trainable_parameters
+def count_parameters(arch: Cell | MacroSpec, config: NetworkConfig | None = None) -> int:
+    """Return the number of trainable parameters of the network built from *arch*.
 
-
-def count_parameters_from_spec(spec: NetworkSpec) -> int:
-    """Return the number of trainable parameters of an already-expanded network."""
-    return spec.trainable_parameters
+    A bare cell expands through *config* (the paper's backbone by default);
+    a macro spec through its own stages.
+    """
+    return blocks_trainable_parameters(architecture_blocks(arch, config))
 
 
 @dataclass(frozen=True)

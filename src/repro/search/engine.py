@@ -34,12 +34,11 @@ from ..arch.energy import energy_parameters_for
 from ..errors import DatasetError, SearchError
 from ..nasbench.accuracy import SurrogateAccuracyModel
 from ..nasbench.cell import Cell
-from ..nasbench.dataset import ModelRecord, NASBenchDataset
+from ..nasbench.dataset import ModelRecord, NASBenchDataset, model_record
 from ..nasbench.generator import random_cell
-from ..nasbench.graph_metrics import compute_metrics
 from ..nasbench.macro import MacroSpec, random_macro
 from ..nasbench.mutation import mutate_macro_unique, mutate_unique
-from ..nasbench.network import NetworkConfig, build_network
+from ..nasbench.network import NetworkConfig
 from ..service.query import SweepService
 from ..service.store import MeasurementStore
 from .result import GenerationStats, SearchResult
@@ -61,24 +60,19 @@ _INFEASIBLE_OFFSET = 1e6
 
 
 def oracle_accuracy(
-    cell: Cell,
+    arch: Cell | MacroSpec,
     network_config: NetworkConfig,
     accuracy_model: SurrogateAccuracyModel,
 ) -> float:
-    """Oracle accuracy of *cell* expanded with *network_config*.
+    """Oracle accuracy of *arch* (a cell expanded with *network_config*).
 
     The single accuracy lookup shared by the cell-only engine and the
     hardware co-search (the surrogate's parameter term depends on the
-    macro-architecture, so the expansion must be part of the oracle).
+    macro-architecture, so the expansion must be part of the oracle).  It
+    is the accuracy of the architecture's :func:`model_record`, so it
+    always agrees with the recorded histories.
     """
-    metrics = compute_metrics(cell, prune=False)
-    network = build_network(cell, network_config)
-    return accuracy_model.mean_validation_accuracy(
-        cell,
-        fingerprint=cell.fingerprint,
-        metrics=metrics,
-        trainable_parameters=network.trainable_parameters,
-    )
+    return model_record(arch, 0, network_config, accuracy_model).mean_validation_accuracy
 
 
 def selection_scores(
@@ -429,46 +423,9 @@ class SearchEngine:
         return oracle_accuracy(cell, self.network_config, self.accuracy_model)
 
     def _record(self, arch: Cell | MacroSpec, index: int) -> ModelRecord:
-        """Build one history record incrementally.
-
-        Matches ``NASBenchDataset.from_cells`` for cells and ``from_macros``
-        for macro specs, so engine histories and bulk-built datasets agree.
-        """
-        if isinstance(arch, MacroSpec):
-            representative = arch.representative_cell
-            metrics = compute_metrics(representative, prune=False)
-            network = arch.build_network()
-            accuracy = self.accuracy_model.mean_validation_accuracy(
-                representative,
-                fingerprint=arch.fingerprint,
-                metrics=metrics,
-                trainable_parameters=network.trainable_parameters,
-            )
-            return ModelRecord(
-                index=index,
-                cell=representative,
-                fingerprint=arch.fingerprint,
-                metrics=metrics,
-                trainable_parameters=network.trainable_parameters,
-                mean_validation_accuracy=accuracy,
-                macro=arch,
-            )
-        metrics = compute_metrics(arch, prune=False)
-        network = build_network(arch, self.network_config)
-        accuracy = self.accuracy_model.mean_validation_accuracy(
-            arch,
-            fingerprint=arch.fingerprint,
-            metrics=metrics,
-            trainable_parameters=network.trainable_parameters,
-        )
-        return ModelRecord(
-            index=index,
-            cell=arch,
-            fingerprint=arch.fingerprint,
-            metrics=metrics,
-            trainable_parameters=network.trainable_parameters,
-            mean_validation_accuracy=accuracy,
-        )
+        """Build one history record incrementally (see :func:`model_record`),
+        so engine histories and bulk-built datasets agree."""
+        return model_record(arch, index, self.network_config, self.accuracy_model)
 
     def _make_archive(self, first_costs: np.ndarray) -> ParetoArchive:
         """Fix the hypervolume reference at the first generation's worst cost.

@@ -340,11 +340,10 @@ class MeasurementStore:
                     with obs.span(
                         "store.simulate_shard", models=stop - start, configs=len(missing)
                     ):
-                        networks = [
-                            dataset[index].build_network(dataset.network_config)
-                            for index in range(start, stop)
-                        ]
-                        table = LayerTable.from_networks(networks)
+                        table = LayerTable.from_architectures(
+                            [record.architecture for record in dataset.records[start:stop]],
+                            dataset.network_config,
+                        )
                         grid_latency, grid_energy = self._simulator.evaluate_table_grid(
                             table, missing
                         )

@@ -39,7 +39,6 @@ import numpy as np
 from .. import obs
 from ..errors import ServiceError
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import expand_architecture
 from ..simulator.batch import GRID_STRATEGIES, BatchSimulator
 from .queue import (
     DEFAULT_LEASE_EXPIRY,
@@ -237,15 +236,12 @@ class SweepWorker:
 
     def _shard_table(self, shard_index: int) -> LayerTable:
         """LayerTable of one shard, cached so consecutive configurations of
-        the same shard skip the network rebuild."""
+        the same shard skip re-packing it."""
         if self._table_cache is not None and self._table_cache[0] == shard_index:
             return self._table_cache[1]
-        network_config = self.manifest.network_config()
-        networks = [
-            expand_architecture(arch, network_config)
-            for arch in self.manifest.shard_archs(shard_index)
-        ]
-        table = LayerTable.from_networks(networks)
+        table = LayerTable.from_architectures(
+            self.manifest.shard_archs(shard_index), self.manifest.network_config()
+        )
         self._table_cache = (shard_index, table)
         return table
 

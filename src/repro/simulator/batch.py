@@ -41,8 +41,8 @@ from ..errors import SimulationError
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import NASBenchDataset
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import MacroSpec, expand_architecture
-from ..nasbench.network import NetworkConfig, NetworkSpec, build_network
+from ..nasbench.macro import MacroSpec
+from ..nasbench.network import NetworkConfig, NetworkSpec
 from .energy import layer_energy_table, static_energy_mj
 from .fused import compile_and_time_table
 from .latency import cycles_to_milliseconds, model_latency_cycles_table, time_layer_table
@@ -156,8 +156,9 @@ class BatchSimulator:
                     dataset, config_list, n_jobs, progress_callback
                 )
             else:
-                networks = [record.build_network(dataset.network_config) for record in dataset]
-                table = LayerTable.from_networks(networks)
+                table = LayerTable.from_architectures(
+                    [record.architecture for record in dataset], dataset.network_config
+                )
                 grid_latency, grid_energy = self.evaluate_table_grid(table, config_list)
                 latencies, energies = {}, {}
                 for index, config in enumerate(config_list):
@@ -182,11 +183,10 @@ class BatchSimulator:
         """Latency/energy arrays of bare *cells* on one configuration.
 
         Convenience for callers that have cells rather than a dataset (the
-        learned-model examples, operation-swap analysis): the cells are
-        expanded, flattened into one table and swept in a single pass.
+        learned-model examples, operation-swap analysis): the cells' layer
+        rows are packed into one table and swept in a single pass.
         """
-        networks = [build_network(cell, network_config) for cell in cells]
-        return self.evaluate_networks(networks, config)
+        return self.evaluate_table(LayerTable.from_architectures(cells, network_config), config)
 
     def evaluate_table(
         self, table: LayerTable, config: AcceleratorConfig
@@ -339,14 +339,10 @@ def simulate_shard(
     bytes no matter which executor ran it.  Entries may be bare cells
     (expanded through *network_config*) or self-contained macro specs.
     """
-    networks = [expand_architecture(arch, network_config) for arch in cells]
-    table = LayerTable.from_networks(networks)
+    table = LayerTable.from_architectures(cells, network_config)
     simulator = BatchSimulator(
         enable_parameter_caching=enable_parameter_caching, strategy=strategy
     )
     latency, energy = simulator.evaluate_table_grid(table, configs)
     return {config.name: (latency[index], energy[index]) for index, config in enumerate(configs)}
 
-
-#: Backwards-compatible private alias (pre-distributed-sweep name).
-_sweep_shard = simulate_shard

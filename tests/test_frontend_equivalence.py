@@ -1,0 +1,280 @@
+"""Differential and property tests of the nasbench front-end's fast paths.
+
+Each fast path is checked against a reference kept here: the numpy cell
+predicate and pruning, ``rng.choice`` sampling, and the ``LayerSpec``-based
+network expansion that :meth:`LayerTable.from_networks` flattens.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import CompilationError, DatasetError, InvalidCellError
+from repro.nasbench import (
+    ALL_OPS,
+    FAMOUS_CELLS,
+    INPUT,
+    INTERIOR_OPS,
+    MAX_EDGES,
+    MAX_VERTICES,
+    OUTPUT,
+    Cell,
+    LayerTable,
+    NASBenchDataset,
+    NetworkConfig,
+    build_network,
+    count_parameters,
+    expand_architecture,
+    hash_graph,
+    random_cell,
+    random_macro,
+    sample_unique_cells,
+)
+from repro.nasbench.ops import HASH_ENCODING, validate_ops
+
+CONFIGS = (
+    NetworkConfig(),
+    NetworkConfig(stem_channels=24, num_stacks=2, cells_per_stack=2, image_size=16),
+)
+
+
+# --------------------------------------------------------------------------- #
+# References: the numpy cell predicate, pruning and metrics, and sampling
+# through ``rng.choice``.
+# --------------------------------------------------------------------------- #
+def reference_invalid(matrix, ops) -> bool:
+    """True when the numpy predicate rejects ``Cell(matrix, ops)``."""
+    array = np.asarray(matrix, dtype=np.int8)
+    if array.ndim != 2 or array.shape[0] != array.shape[1]:
+        return True
+    num_vertices = array.shape[0]
+    if num_vertices != len(ops) or not 2 <= num_vertices <= MAX_VERTICES:
+        return True
+    if not np.isin(array, (0, 1)).all() or np.any(np.tril(array) != 0):
+        return True
+    if int(array.sum()) > MAX_EDGES:
+        return True
+    try:
+        validate_ops(ops)
+    except ValueError:
+        return True
+    return False
+
+
+def reference_prune(matrix, ops):
+    """Pruned ``(rows, ops)`` of a valid cell, or ``None`` if disconnected."""
+    array = np.asarray(matrix, dtype=np.int8)
+    n = array.shape[0]
+    forward = np.zeros(n, dtype=bool)
+    forward[0] = True
+    for v in range(n):
+        if forward[v]:
+            forward |= array[v, :].astype(bool)
+    backward = np.zeros(n, dtype=bool)
+    backward[n - 1] = True
+    for v in range(n - 1, -1, -1):
+        if backward[v]:
+            backward |= array[:, v].astype(bool)
+    keep = forward & backward
+    if not keep[0] or not keep[-1]:
+        return None
+    indices = np.nonzero(keep)[0]
+    rows = tuple(map(tuple, array[np.ix_(indices, indices)].tolist()))
+    return rows, tuple(ops[i] for i in indices)
+
+
+def reference_depth_width(rows) -> tuple[int, int]:
+    array = np.asarray(rows)
+    n = array.shape[0]
+    dist = np.full(n, -np.inf)
+    dist[0] = 0
+    for v in range(n):
+        if dist[v] == -np.inf:
+            continue
+        for w in range(v + 1, n):
+            if array[v, w]:
+                dist[w] = max(dist[w], dist[v] + 1)
+    width = max(int(array[: k + 1, k + 1 :].sum()) for k in range(n - 1))
+    return int(dist[n - 1]), width
+
+
+def reference_random_cell(rng, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
+    """``random_cell`` drawing through ``rng.choice`` for vertices and labels."""
+    vertex_choices = list(range(3, max_vertices + 1))
+    weights = np.array([4.0**n for n in vertex_choices])
+    weights /= weights.sum()
+    while True:
+        num_vertices = int(rng.choice(vertex_choices, p=weights))
+        num_slots = num_vertices * (num_vertices - 1) // 2
+        max_usable_edges = min(max_edges, num_slots)
+        if num_vertices - 1 > max_usable_edges:
+            continue
+        num_edges = int(rng.integers(num_vertices - 1, max_usable_edges + 1))
+        slots = list(itertools.combinations(range(num_vertices), 2))
+        matrix = np.zeros((num_vertices, num_vertices), dtype=np.int8)
+        for index in rng.choice(len(slots), size=num_edges, replace=False):
+            matrix[slots[int(index)]] = 1
+        labels = [str(rng.choice(INTERIOR_OPS)) for _ in range(num_vertices - 2)]
+        cell = Cell(matrix, (INPUT, *labels, OUTPUT))
+        if cell.is_valid():
+            return cell.prune()
+
+
+@st.composite
+def cell_inputs(draw):
+    """Square matrices of 2-8 vertices with entries in {-1, 0, 1, 2}, plus op lists."""
+    n = draw(st.integers(2, 8))
+    slots = n * (n - 1) // 2
+    bits = iter(draw(st.lists(st.integers(0, 1), min_size=slots, max_size=slots)))
+    matrix = [[next(bits) if j > i else 0 for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix[i][j] = draw(st.sampled_from([-1, 0, 1, 2]))
+    if draw(st.booleans()):
+        interior = draw(st.lists(st.sampled_from(INTERIOR_OPS), min_size=n - 2, max_size=n - 2))
+        ops = [INPUT, *interior, OUTPUT]
+    else:
+        ops = draw(st.lists(st.sampled_from([*ALL_OPS, "conv5x5"]), max_size=9))
+    if draw(st.booleans()):
+        matrix = np.array(matrix)
+    return matrix, ops
+
+
+# --------------------------------------------------------------------------- #
+# Cell validation, pruning and metrics
+# --------------------------------------------------------------------------- #
+@settings(max_examples=200, deadline=None)
+@given(cell_inputs())
+def test_cell_matches_numpy_reference(inputs):
+    matrix, ops = inputs
+    if reference_invalid(matrix, ops):
+        with pytest.raises(InvalidCellError):
+            Cell(matrix, ops)
+        return
+    cell = Cell(matrix, ops)
+    assert cell.num_edges == int(np.asarray(matrix).sum())
+    expected = reference_prune(matrix, ops)
+    if expected is None:
+        assert not cell.is_valid()
+        with pytest.raises(InvalidCellError):
+            cell.prune()
+        return
+    pruned = cell.prune()
+    assert (pruned.matrix, pruned.ops) == expected
+    assert pruned is cell.prune()
+    assert pruned.prune() is pruned
+    assert (pruned.depth(), pruned.width()) == reference_depth_width(expected[0])
+
+
+def test_prune_is_cached_and_idempotent():
+    dangling = Cell(
+        [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [INPUT, INTERIOR_OPS[0], INTERIOR_OPS[1], OUTPUT],
+    )
+    pruned = dangling.prune()
+    assert pruned is not dangling and pruned.num_vertices == 3
+    assert dangling.prune() is pruned and pruned.prune() is pruned
+    assert dangling.fingerprint == pruned.fingerprint
+
+
+def test_hash_graph_list_and_array_inputs_agree():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        cell = random_cell(rng)
+        labels = [HASH_ENCODING[op] for op in cell.ops]
+        as_list = hash_graph([list(row) for row in cell.matrix], labels)
+        assert as_list == hash_graph(cell.numpy_matrix(), labels)
+        assert as_list == hash_graph(cell.matrix, labels) == cell.fingerprint
+
+
+# --------------------------------------------------------------------------- #
+# Sampling streams
+# --------------------------------------------------------------------------- #
+def test_random_cell_draws_the_rng_choice_stream():
+    for seed in range(50):
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            cell, expected = random_cell(fast), reference_random_cell(reference)
+            assert (cell.matrix, cell.ops) == (expected.matrix, expected.ops)
+        assert fast.random() == reference.random()
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sample_unique_cells_matches_fingerprint_dedupe(seed):
+    rng = np.random.default_rng(seed)
+    extra = list(FAMOUS_CELLS.values())
+    expected, seen = [], set()
+    for cell in extra:
+        if cell.prune().fingerprint not in seen:
+            seen.add(cell.prune().fingerprint)
+            expected.append(cell.prune())
+    while len(expected) < 120:
+        cell = reference_random_cell(rng)
+        if cell.fingerprint not in seen:
+            seen.add(cell.fingerprint)
+            expected.append(cell)
+    cells = sample_unique_cells(120, seed=seed, extra_cells=extra)
+    assert [(c.matrix, c.ops) for c in cells] == [(c.matrix, c.ops) for c in expected]
+
+
+# --------------------------------------------------------------------------- #
+# Layer rows: tables and parameter counts
+# --------------------------------------------------------------------------- #
+def _architectures():
+    rng = np.random.default_rng(2022)
+    cells = [random_cell(rng) for _ in range(30)]
+    cells += list(FAMOUS_CELLS.values())
+    cells.append(Cell([[0, 1], [0, 0]], [INPUT, OUTPUT]))
+    macros = [random_macro(rng) for _ in range(10)]
+    return cells, macros
+
+
+def _assert_tables_equal(packed: LayerTable, flattened: LayerTable) -> None:
+    for column in dataclasses.fields(LayerTable):
+        left, right = getattr(packed, column.name), getattr(flattened, column.name)
+        assert left.dtype == right.dtype, column.name
+        np.testing.assert_array_equal(left, right, err_msg=column.name)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_from_architectures_equals_from_networks(config):
+    cells, macros = _architectures()
+    archs = [*cells, *macros, cells[0], macros[0]]
+    packed = LayerTable.from_architectures(archs, config)
+    flattened = LayerTable.from_networks([expand_architecture(a, config) for a in archs])
+    _assert_tables_equal(packed, flattened)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_parameters_from_rows_equal_the_built_network(config):
+    cells, macros = _architectures()
+    for cell in cells:
+        assert count_parameters(cell, config) == build_network(cell, config).trainable_parameters
+    for macro in macros:
+        assert count_parameters(macro, config) == macro.build_network().trainable_parameters
+    dataset = NASBenchDataset.from_cells(cells, network_config=config)
+    for record in dataset:
+        network = record.build_network(config)
+        assert record.trainable_parameters == network.trainable_parameters
+
+
+def test_from_architectures_errors_match_from_networks():
+    # Two interior vertices feed the output, so one of them gets 1 // 2 = 0
+    # channels when the stem is a single channel wide.
+    config = NetworkConfig(stem_channels=1)
+    cell = Cell(
+        [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]],
+        [INPUT, INTERIOR_OPS[0], INTERIOR_OPS[1], OUTPUT],
+    )
+    with pytest.raises(CompilationError) as flattened:
+        LayerTable.from_networks([build_network(cell, config)])
+    with pytest.raises(CompilationError) as packed:
+        LayerTable.from_architectures([cell], config)
+    assert str(packed.value) == str(flattened.value)
+    with pytest.raises(DatasetError):
+        LayerTable.from_architectures([])
