@@ -11,13 +11,15 @@ the sharded :class:`~repro.service.MeasurementStore`:
   regime :class:`~repro.service.SweepService` serves queries from);
 * **compacted** — the finished sweep merged into one memory-mapped file
   (:meth:`~repro.service.MeasurementStore.compact`), turning the warm load
-  from O(files) npz inflations into O(open) plus mmap slices.
+  from O(files) npz opens into O(open) plus mmap slices.
 
 The tracked pytest-benchmark metric is the fully-warm load; the table
-reports elapsed time, the simulated/loaded pair split from the store stats,
-and effective models/sec for all regimes.  ``test_store_compaction`` below
-repeats the loose-vs-compacted comparison at a ≥1000-pair scale where the
-per-file cost dominates (set ``REPRO_BENCH_COMPACT_MODELS=0`` to skip it).
+reports elapsed time, the simulated/loaded pair split from the store stats
+and effective models/sec for all regimes, plus the disk bytes per pair of
+the loose (uncompressed npz) and compacted (npy + JSON index) layouts.
+``test_store_compaction`` below repeats the loose-vs-compacted comparison at
+a ≥1000-pair scale where the per-file cost dominates (set
+``REPRO_BENCH_COMPACT_MODELS=0`` to skip it).
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ def _timed_sweep(root, dataset, configs, shard_size=None):
     start = time.perf_counter()
     store.sweep(dataset, configs=configs)
     return store, time.perf_counter() - start
+
+
+def _bytes_per_pair(paths, n_pairs):
+    """Disk bytes of *paths* per (shard, config) pair."""
+    return sum(path.stat().st_size for path in paths) / n_pairs
 
 
 def _best_load_seconds(root, dataset, configs, shard_size, rounds=3):
@@ -104,7 +111,11 @@ def test_resumable_sweep(benchmark, tmp_path):
 
     # --- compacted: one memory-mapped file instead of one npz per pair ----- #
     loose_load = _best_load_seconds(tmp_path / "cold", dataset, configs, STORE_SHARD)
-    MeasurementStore(tmp_path / "cold", shard_size=STORE_SHARD).compact(dataset, configs=configs)
+    loose_bytes = _bytes_per_pair((tmp_path / "cold").glob("shard-*.npz"), n_pairs)
+    compaction = MeasurementStore(tmp_path / "cold", shard_size=STORE_SHARD).compact(
+        dataset, configs=configs
+    )
+    compacted_bytes = _bytes_per_pair([compaction.data_path, compaction.index_path], n_pairs)
     compact_load = _best_load_seconds(tmp_path / "cold", dataset, configs, STORE_SHARD)
     compact_store = MeasurementStore(tmp_path / "cold", shard_size=STORE_SHARD)
     compact_store.load(dataset, configs=configs)
@@ -136,6 +147,10 @@ def test_resumable_sweep(benchmark, tmp_path):
             f"{label:<30}{stats.pairs_simulated:>10}{stats.pairs_loaded:>8}"
             f"{elapsed:>13.3f}{total / elapsed:>12.1f}"
         )
+    lines.append(
+        f"bytes per pair: loose {loose_bytes:.0f} (npz), compacted {compacted_bytes:.0f} "
+        "(npy + index)"
+    )
     report("resumable_sweep", lines)
     report_json(
         "resumable_sweep",
@@ -155,6 +170,8 @@ def test_resumable_sweep(benchmark, tmp_path):
             "warm_models_per_sec": total / warm_elapsed,
             "loose_load_seconds": loose_load,
             "compacted_load_seconds": compact_load,
+            "loose_bytes_per_pair": loose_bytes,
+            "compacted_bytes_per_pair": compacted_bytes,
         },
     )
 
@@ -164,7 +181,7 @@ def test_store_compaction(benchmark, tmp_path):
     """Compacted vs loose warm ``load()`` at ≥1000 (shard, config) pairs.
 
     Tiny shards make the loose store pathological on purpose — every pair is
-    one npz open + inflate — which is exactly what a million-pair paper-scale
+    one npz open — which is exactly what a million-pair paper-scale
     sweep looks like to the filesystem.  The acceptance headline is the
     compacted/loose load ratio at this scale.
     """
@@ -175,11 +192,13 @@ def test_store_compaction(benchmark, tmp_path):
     assert n_pairs >= 1000, f"only {n_pairs} pairs; shrink COMPACT_SHARD or grow COMPACT_MODELS"
 
     loose_load = _best_load_seconds(tmp_path, dataset, configs, COMPACT_SHARD)
+    loose_bytes = _bytes_per_pair(tmp_path.glob("shard-*.npz"), n_pairs)
     reference = MeasurementStore(tmp_path, shard_size=COMPACT_SHARD).load(dataset, configs=configs)
     compaction = MeasurementStore(tmp_path, shard_size=COMPACT_SHARD).compact(
         dataset, configs=configs
     )
     assert compaction.pairs == n_pairs
+    compacted_bytes = _bytes_per_pair([compaction.data_path, compaction.index_path], n_pairs)
     compact_load = _best_load_seconds(tmp_path, dataset, configs, COMPACT_SHARD)
 
     # The tracked metric is the compacted load; correctness is byte-identity.
@@ -210,6 +229,8 @@ def test_store_compaction(benchmark, tmp_path):
             f"{'compacted (mmap)':<28}{1:>8}{compact_load:>11.3f}"
             f"{n_pairs / compact_load:>12.0f}",
             f"speedup: {speedup:.1f}x",
+            f"bytes per pair: loose {loose_bytes:.0f} (npz), compacted {compacted_bytes:.0f} "
+            "(npy + index)",
         ],
     )
     report_json(
@@ -226,5 +247,7 @@ def test_store_compaction(benchmark, tmp_path):
             "compacted_load_seconds": compact_load,
             "loose_pairs_per_sec": n_pairs / loose_load,
             "compacted_pairs_per_sec": n_pairs / compact_load,
+            "loose_bytes_per_pair": loose_bytes,
+            "compacted_bytes_per_pair": compacted_bytes,
         },
     )

@@ -21,6 +21,12 @@ contiguous slice of the population:
   exactly ``n - k`` shard simulations (:class:`StoreStats` reports the
   split).
 
+Pair files are stored uncompressed: a pair is written once and, after
+:meth:`compact`, deleted, so deflating it costs more than the disk it saves.
+A store object also keeps its own copy of every pair it wrote until a
+compaction merges it, so its later reads of those pairs (and the compaction
+itself) never re-open the files it just wrote.
+
 :meth:`extend` is the single write path (the drjit-style "record once,
 replay over shards" discipline): it loads what exists, simulates what does
 not through a :class:`~repro.simulator.batch.BatchSimulator`, and returns
@@ -109,21 +115,38 @@ def read_npz(path: Path) -> dict[str, np.ndarray] | None:
 
 
 def write_npz(path: Path, payload: dict[str, np.ndarray]) -> Path:
-    """Atomically persist *payload* as a compressed npz at *path*.
+    """Atomically persist *payload* as an uncompressed npz at *path*.
 
     Written via a unique temporary name plus ``replace()``, so concurrent
     writers race only on the atomic rename, never on the bytes.
+    :func:`read_npz` loads compressed and uncompressed archives alike.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}.npz")
     try:
-        np.savez_compressed(tmp, **payload)
+        np.savez(tmp, **payload)
         tmp.replace(path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise ServiceError(f"failed to write artifact {path}: {exc}") from exc
     return path
+
+
+def _pair_payload(
+    fingerprints: Sequence[str], latency: np.ndarray, energy: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The arrays one (shard, configuration) pair file holds.
+
+    Shared by every writer of pair files (:class:`MeasurementStore` and the
+    sweep worker); the latency and energy arrays are fresh copies, so the
+    payload never aliases a caller's arrays.
+    """
+    return {
+        "fingerprints": np.asarray(fingerprints),
+        "latency": np.array(latency, dtype=float),
+        "energy": np.array(energy, dtype=float),
+    }
 
 
 @dataclass
@@ -211,6 +234,11 @@ class MeasurementStore:
         self._compact_entries: dict[tuple[str, str], tuple[Path, int, int, list[str]]] | None = None
         #: Memory-mapped compacted data arrays, one per data file.
         self._compact_data: dict[Path, np.ndarray] = {}
+        #: (config, key) → (fingerprints, latency, energy) of every pair this
+        #: object wrote since a compaction last merged it: read back from
+        #: memory instead of from its file.  At most one copy of the values
+        #: not yet compacted.
+        self._written: dict[tuple[str, str], tuple[list[str], np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     # Bookkeeping
@@ -311,21 +339,25 @@ class MeasurementStore:
             [record.fingerprint for record in dataset.records[start:stop]]
             for start, stop in ranges
         ]
+        keys = [
+            {config.name: self.shard_key(shard_prints, config.name) for config in config_list}
+            for shard_prints in prints
+        ]
         with obs.span(
             "store.extend", configs=len(config_list), models=total, n_jobs=n_jobs
         ):
             if n_jobs > 1:
                 self._extend_parallel(
-                    dataset, config_list, ranges, prints, latencies, energies,
+                    dataset, config_list, ranges, prints, keys, latencies, energies,
                     n_jobs, progress_callback,
                 )
                 return MeasurementSet(dataset, latencies, energies)
 
             done = {c.name: 0 for c in config_list}
-            for (start, stop), shard_prints in zip(ranges, prints):
+            for (start, stop), shard_prints, shard_keys in zip(ranges, prints, keys):
                 missing: list[AcceleratorConfig] = []
                 for config in config_list:
-                    pair = self._load_pair(shard_prints, config.name)
+                    pair = self._load_pair(shard_prints, config.name, shard_keys[config.name])
                     if pair is None:
                         missing.append(config)
                         obs.count("store.pair_misses")
@@ -349,7 +381,9 @@ class MeasurementStore:
                         )
                     for index, config in enumerate(missing):
                         latency, energy = grid_latency[index], grid_energy[index]
-                        self._save_pair(shard_prints, config.name, latency, energy)
+                        self._save_pair(
+                            shard_prints, config.name, shard_keys[config.name], latency, energy
+                        )
                         latencies[config.name][start:stop] = latency
                         energies[config.name][start:stop] = energy
                         self._tally(pairs_simulated=1, models_simulated=stop - start)
@@ -391,6 +425,7 @@ class MeasurementStore:
                 self._save_pair(
                     shard_prints,
                     name,
+                    self.shard_key(shard_prints, name),
                     measurements.latencies(name)[start:stop],
                     measurements.energies(name)[start:stop],
                 )
@@ -420,7 +455,7 @@ class MeasurementStore:
         for shard_index, (start, stop) in enumerate(ranges):
             shard_prints = [record.fingerprint for record in dataset.records[start:stop]]
             for name in config_names:
-                pair = self._load_pair(shard_prints, name)
+                pair = self._load_pair(shard_prints, name, self.shard_key(shard_prints, name))
                 if pair is None:
                     missing.append((shard_index, name))
                     continue
@@ -451,7 +486,8 @@ class MeasurementStore:
         for shard_index, (start, stop) in enumerate(self.shard_ranges(len(dataset))):
             shard_prints = [record.fingerprint for record in dataset.records[start:stop]]
             for name in config_names:
-                if self._load_pair(shard_prints, name, count_stats=False) is None:
+                key = self.shard_key(shard_prints, name)
+                if self._load_pair(shard_prints, name, key, count_stats=False) is None:
                     missing.append((shard_index, name))
         return missing
 
@@ -467,18 +503,19 @@ class MeasurementStore:
     ) -> CompactionResult:
         """Merge a *finished* sweep into one memory-mapped consolidated file.
 
-        A warm million-pair store costs O(files) opens (and npz inflations)
-        before the first query; compaction rewrites it as a single
-        uncompressed ``.npy`` data file — row 0 latency, row 1 energy, pairs
-        concatenated column-wise — plus a JSON index header mapping
-        ``(config name, shard key)`` to its column range and fingerprints.
-        :meth:`load` then serves every pair as a slice of one ``mmap``.
+        A warm million-pair store costs O(files) opens before the first
+        query; compaction rewrites it as a single uncompressed ``.npy`` data
+        file — row 0 latency, row 1 energy, pairs concatenated column-wise —
+        plus a JSON index header mapping ``(config name, shard key)`` to its
+        column range and fingerprints.  :meth:`load` then serves every pair
+        as a slice of one ``mmap``.
 
         The sweep must be complete for the requested grid (compaction of a
         half-drained sweep would freeze the missing pairs out of the fast
         path); :meth:`extend` afterwards appends new pairs as loose files
         that the *next* compaction folds in.  Re-compacting reads through
-        the existing compacted file, so it is cheap and idempotent.
+        the existing compacted file, so it is cheap and idempotent, and the
+        pairs this object wrote itself are merged from memory, not re-read.
 
         With *remove_loose* (the default) the merged per-pair files — and
         any superseded earlier compacted generation — are deleted once the
@@ -494,7 +531,8 @@ class MeasurementStore:
         for shard_index, (start, stop) in enumerate(ranges):
             prints = [record.fingerprint for record in dataset.records[start:stop]]
             for name in config_names:
-                pair = self._load_pair(prints, name, count_stats=False)
+                key = self.shard_key(prints, name)
+                pair = self._load_pair(prints, name, key, count_stats=False)
                 if pair is None:
                     missing.append((shard_index, name))
                     continue
@@ -502,7 +540,7 @@ class MeasurementStore:
                 entries.append(
                     {
                         "config": name,
-                        "key": self.shard_key(prints, name),
+                        "key": key,
                         "offset": offset,
                         "length": length,
                         "fingerprints": prints,
@@ -527,9 +565,9 @@ class MeasurementStore:
                 "pairs": [(entry["config"], entry["key"]) for entry in entries],
             }
         )
-        data = np.vstack(
-            [np.concatenate(latency_parts), np.concatenate(energy_parts)]
-        ).astype(float)
+        data = np.empty((2, offset), dtype=float)
+        np.concatenate(latency_parts, out=data[0])
+        np.concatenate(energy_parts, out=data[1])
         data_path = self.root / f"{self.prefix}-compact-{digest}.npy"
         index_path = self.root / f"{self.prefix}-compact-{digest}.json"
         self.root.mkdir(parents=True, exist_ok=True)
@@ -569,6 +607,8 @@ class MeasurementStore:
                     stale.unlink(missing_ok=True)
         self._compact_entries = None
         self._compact_data = {}
+        for entry in entries:
+            self._written.pop((entry["config"], entry["key"]), None)
         obs.count("store.compactions")
         obs.log(
             "store.compacted",
@@ -658,6 +698,7 @@ class MeasurementStore:
         config_list: Sequence[AcceleratorConfig],
         ranges: Sequence[tuple[int, int]],
         prints: Sequence[list[str]],
+        keys: Sequence[dict[str, str]],
         latencies: dict[str, np.ndarray],
         energies: dict[str, np.ndarray],
         n_jobs: int,
@@ -673,7 +714,7 @@ class MeasurementStore:
         missing_by_shard: dict[int, list[AcceleratorConfig]] = {}
         for shard_index, ((start, stop), shard_prints) in enumerate(zip(ranges, prints)):
             for config in config_list:
-                pair = self._load_pair(shard_prints, config.name)
+                pair = self._load_pair(shard_prints, config.name, keys[shard_index][config.name])
                 if pair is None:
                     missing_by_shard.setdefault(shard_index, []).append(config)
                     obs.count("store.pair_misses")
@@ -707,7 +748,9 @@ class MeasurementStore:
                 shard_index = futures[future]
                 start, stop = ranges[shard_index]
                 for name, (latency, energy) in future.result().items():
-                    self._save_pair(prints[shard_index], name, latency, energy)
+                    self._save_pair(
+                        prints[shard_index], name, keys[shard_index][name], latency, energy
+                    )
                     latencies[name][start:stop] = latency
                     energies[name][start:stop] = energy
                     self._tally(pairs_simulated=1, models_simulated=stop - start)
@@ -716,15 +759,22 @@ class MeasurementStore:
                         progress_callback(name, done[name], total)
 
     def _load_pair(
-        self, fingerprints: Sequence[str], config_name: str, count_stats: bool = True
+        self,
+        fingerprints: Sequence[str],
+        config_name: str,
+        key: str,
+        count_stats: bool = True,
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Load one verified (shard, configuration) pair, or ``None``.
 
-        Prefers the compacted consolidated file (one mmap slice, no file
-        open) and falls back to the loose per-pair npz; *count_stats*
+        *key* is the pair's :meth:`shard_key`.  Prefers the compacted
+        consolidated file (one mmap slice, no file open), then the copy of a
+        pair this object wrote itself, and falls back to the loose per-pair
+        npz; every source must hold exactly *fingerprints*.  *count_stats*
         suppresses the ``pairs_compacted`` bookkeeping for pure queries.
+        The arrays of a written pair are returned as they are held: callers
+        copy them into their own arrays and never write to them.
         """
-        key = self.shard_key(fingerprints, config_name)
         compacted = self._compaction_entries().get((config_name, key))
         if compacted is not None:
             data_path, offset, length, stored_prints = compacted
@@ -738,6 +788,9 @@ class MeasurementStore:
                         np.array(rows[0], dtype=float),
                         np.array(rows[1], dtype=float),
                     )
+        written = self._written.get((config_name, key))
+        if written is not None and list(fingerprints) == written[0]:
+            return written[1], written[2]
         stored = read_npz(self.shard_path(config_name, key))
         if stored is None:
             return None
@@ -756,23 +809,21 @@ class MeasurementStore:
         self,
         fingerprints: Sequence[str],
         config_name: str,
+        key: str,
         latency: np.ndarray,
         energy: np.ndarray,
     ) -> Path:
-        key = self.shard_key(fingerprints, config_name)
+        """Persist one pair under its :meth:`shard_key` *key* and keep its copy."""
+        payload = _pair_payload(fingerprints, latency, energy)
         with obs.span(
             "store.save_pair", config=config_name, models=len(fingerprints)
         ) as span:
-            path = write_npz(
-                self.shard_path(config_name, key),
-                {
-                    "fingerprints": np.asarray(fingerprints),
-                    "latency": np.asarray(latency, dtype=float),
-                    "energy": np.asarray(energy, dtype=float),
-                },
-            )
+            path = write_npz(self.shard_path(config_name, key), payload)
             if obs.enabled():
                 span.set(bytes=path.stat().st_size)
+        self._written[(config_name, key)] = (
+            list(fingerprints), payload["latency"], payload["energy"]
+        )
         return path
 
     @staticmethod

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .. import obs
 from ..errors import ServiceError
 from ..nasbench.layer_table import LayerTable
@@ -47,7 +45,7 @@ from .queue import (
     WorkQueue,
     iter_pairs_rotated,
 )
-from .store import write_npz
+from .store import _pair_payload, write_npz
 
 
 @dataclass
@@ -204,11 +202,7 @@ class SweepWorker:
                 latency, energy = self._simulator.evaluate_table_grid(table, [config])
             write_npz(
                 self.manifest.pair_path(self.store_dir, pair),
-                {
-                    "fingerprints": np.asarray(fingerprints),
-                    "latency": np.asarray(latency[0], dtype=float),
-                    "energy": np.asarray(energy[0], dtype=float),
-                },
+                _pair_payload(fingerprints, latency[0], energy[0]),
             )
         obs.observe("worker.pair_ms", (time.perf_counter() - pair_start) * 1e3)
         result.pairs_simulated += 1

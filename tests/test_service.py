@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TrainingSettings
 from repro.errors import DatasetError, ServiceError, SimulationError
 from repro.nasbench import NASBenchDataset, sample_unique_cells
 from repro.service import MeasurementStore, SweepService
+from repro.service import store as store_module
 from repro.simulator import BatchSimulator, evaluate_dataset
 
 SHARD = 16
@@ -39,6 +46,14 @@ def assert_matches_reference(measurements, reference, configs=CONFIGS):
             measurements.latencies(name), reference.latencies(name), rtol=1e-9
         )
         np.testing.assert_allclose(measurements.energies(name), reference.energies(name), rtol=1e-9)
+
+
+def assert_identical(measurements, reference, configs=CONFIGS):
+    """Bit-identical latencies and energies (aligned NaNs count as equal)."""
+    assert measurements.config_names == list(configs)
+    for name in configs:
+        np.testing.assert_array_equal(measurements.latencies(name), reference.latencies(name))
+        np.testing.assert_array_equal(measurements.energies(name), reference.energies(name))
 
 
 class TestMeasurementStore:
@@ -182,6 +197,26 @@ class TestMeasurementStore:
         clean.sweep(store_dataset, configs=("V1",))
         assert clean.stats.pairs_simulated == 0
 
+    def test_colliding_keys_never_mislabel(
+        self, tmp_path, store_dataset, direct_measurements, monkeypatch
+    ):
+        # Every read path re-checks the stored fingerprints, the copy a store
+        # keeps of its own writes included: with every shard of a config
+        # forced onto one key, each shard must miss and be simulated afresh.
+        monkeypatch.setattr(
+            MeasurementStore, "shard_key", lambda self, fingerprints, config_name: "0" * 16
+        )
+        store = make_store(tmp_path)
+        assert_identical(store.extend(store_dataset, configs=CONFIGS), direct_measurements)
+        assert store.stats.pairs_simulated == 4 * len(CONFIGS)
+        assert store.stats.pairs_loaded == 0
+
+    def test_pair_files_are_stored_uncompressed(self, tmp_path, store_dataset):
+        make_store(tmp_path).sweep(store_dataset, configs=("V1",))
+        for path in tmp_path.glob("shard-V1-*.npz"):
+            with zipfile.ZipFile(path) as archive:
+                assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+
     def test_parameter_caching_mode_is_part_of_the_key(self, tmp_path, store_dataset):
         make_store(tmp_path).sweep(store_dataset, configs=("V1",))
         other_mode = make_store(tmp_path, enable_parameter_caching=False)
@@ -296,6 +331,83 @@ class TestCompaction:
         other_mode = make_store(tmp_path, enable_parameter_caching=False)
         assert other_mode.missing_pairs(store_dataset, configs=("V1",)) != []
 
+    def test_compaction_from_memory_matches_compaction_from_files(
+        self, tmp_path, store_dataset, monkeypatch
+    ):
+        # The object that wrote the pairs compacts them from memory; a fresh
+        # object compacts the same loose files from disk.  The bytes match.
+        writer_root, reader_root = tmp_path / "writer", tmp_path / "reader"
+        writer = make_store(writer_root)
+        swept = writer.extend(store_dataset, configs=CONFIGS)
+        shutil.copytree(writer_root, reader_root)
+        files_read = []
+        read_npz = store_module.read_npz
+
+        def counting_read(path):
+            stored = read_npz(path)
+            if stored is not None:
+                files_read.append(path)
+            return stored
+
+        monkeypatch.setattr(store_module, "read_npz", counting_read)
+        from_memory = writer.compact(store_dataset, configs=CONFIGS)
+        assert files_read == []  # no read-back of the writer's own files
+        from_files = make_store(reader_root).compact(store_dataset, configs=CONFIGS)
+        assert len(files_read) == 4 * len(CONFIGS)
+        assert from_memory.data_path.name == from_files.data_path.name
+        assert from_memory.data_path.read_bytes() == from_files.data_path.read_bytes()
+        assert from_memory.index_path.read_bytes() == from_files.index_path.read_bytes()
+        for root in (writer_root, reader_root):
+            assert_identical(make_store(root).load(store_dataset, configs=CONFIGS), swept)
+
+    def test_compressed_pair_files_load_and_compact(
+        self, tmp_path, store_dataset, direct_measurements
+    ):
+        # Pair files used to be deflated (np.savez_compressed); stores
+        # written that way keep loading as hits and compact as before.
+        store = make_store(tmp_path)
+        for start, stop in store.shard_ranges(len(store_dataset)):
+            prints = [record.fingerprint for record in store_dataset.records[start:stop]]
+            for name in CONFIGS:
+                path = store.shard_path(name, store.shard_key(prints, name))
+                np.savez_compressed(
+                    path,
+                    fingerprints=np.asarray(prints),
+                    latency=direct_measurements.latencies(name)[start:stop],
+                    energy=direct_measurements.energies(name)[start:stop],
+                )
+                with zipfile.ZipFile(path) as archive:
+                    assert archive.infolist()[0].compress_type == zipfile.ZIP_DEFLATED
+        loaded = make_store(tmp_path)
+        assert_identical(loaded.extend(store_dataset, configs=CONFIGS), direct_measurements)
+        assert loaded.stats.pairs_simulated == 0
+        assert loaded.stats.pairs_loaded == 4 * len(CONFIGS)
+        assert loaded.compact(store_dataset, configs=CONFIGS).pairs == 4 * len(CONFIGS)
+        compacted = make_store(tmp_path)
+        assert_identical(compacted.load(store_dataset, configs=CONFIGS), direct_measurements)
+        assert compacted.stats.pairs_compacted == 4 * len(CONFIGS)
+
+    def test_caller_mutation_does_not_reach_compaction(
+        self, tmp_path, store_dataset, direct_measurements
+    ):
+        # The store holds its own copy of each pair it wrote: the arrays that
+        # extend() returns and those ingest() is given belong to the caller.
+        extended_root, ingested_root = tmp_path / "extend", tmp_path / "ingest"
+        extender = make_store(extended_root)
+        swept = extender.extend(store_dataset, configs=CONFIGS)
+        ingested = BatchSimulator().evaluate(store_dataset)
+        ingester = make_store(ingested_root)
+        ingester.ingest(ingested)
+        for measurements in (swept, ingested):
+            for name in CONFIGS:
+                measurements.latencies(name)[:] = -1.0
+                measurements.energies(name)[:] = -1.0
+        extender.compact(store_dataset, configs=CONFIGS)
+        ingester.compact(store_dataset, configs=CONFIGS)
+        for root in (extended_root, ingested_root):
+            reloaded = make_store(root).load(store_dataset, configs=CONFIGS)
+            assert_identical(reloaded, direct_measurements)
+
     def test_compacted_rows_are_copies_not_mmap_views(self, tmp_path, store_dataset):
         # Callers mutate measurement arrays (analysis normalizes in place);
         # handing out read-only mmap slices would crash them.
@@ -306,6 +418,40 @@ class TestCompaction:
         latencies[0] = -1.0  # must not raise (and must not touch the file)
         again = make_store(tmp_path).load(store_dataset, configs=("V1",))
         assert again.latencies("V1")[0] != -1.0
+
+
+class TestStoreRoundTrip:
+    """write → load → compact → load reproduces the in-memory sweep exactly."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        models=st.integers(min_value=1, max_value=40),
+        shard_size=st.integers(min_value=1, max_value=16),
+        configs=st.lists(st.sampled_from(CONFIGS), min_size=1, max_size=3, unique=True),
+        writer_compacts=st.booleans(),
+    )
+    def test_round_trip_is_bit_identical(
+        self, store_dataset, models, shard_size, configs, writer_compacts
+    ):
+        dataset = NASBenchDataset(store_dataset.records[:models], store_dataset.network_config)
+        with tempfile.TemporaryDirectory() as root:
+            writer = make_store(root, shard_size=shard_size)
+            swept = writer.extend(dataset, configs=configs)
+            pairs = len(writer.shard_ranges(models)) * len(configs)
+            assert writer.stats.pairs_simulated == pairs
+            loose = make_store(root, shard_size=shard_size).load(dataset, configs=configs)
+            assert_identical(loose, swept, configs)
+
+            compactor = writer if writer_compacts else make_store(root, shard_size=shard_size)
+            assert compactor.compact(dataset, configs=configs).pairs == pairs
+            reader = make_store(root, shard_size=shard_size)
+            assert_identical(reader.load(dataset, configs=configs), swept, configs)
+            assert reader.stats.pairs_compacted == pairs
+
+            fresh = make_store(root, shard_size=shard_size)
+            assert fresh.missing_pairs(dataset, configs=configs) == []
+            assert_identical(fresh.extend(dataset, configs=configs), swept, configs)
+            assert fresh.stats.pairs_simulated == 0
 
 
 class TestSweepService:
