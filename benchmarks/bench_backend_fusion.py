@@ -1,23 +1,21 @@
-"""Fused compile-and-time kernel vs the staged per-stage grid pipeline.
+"""Fused compile-and-time kernel: throughput and the cost of its sensitivities.
 
-The staged grid path (`BatchSimulator(strategy="staged")`) runs
-mapping → cache planning → timing → energy as four config-axis vectorized
-stages, materializing ``(num_configs, num_layers)`` intermediates between
-them.  The fused kernel (:func:`repro.simulator.fused.compile_and_time_table`)
-keeps the mapping/cache results at their unique-sub-configuration resolution
-and streams the config axis in cache-sized chunks through preallocated
-scratch buffers, producing latency and energy in one pass — bit-for-bit equal
-to the staged oracle (asserted here on the staged subset).
+The fused kernel (:func:`repro.simulator.fused.compile_and_time_table`) is the
+one table implementation of the cost model: it keeps the mapping/cache
+results at their unique-sub-configuration resolution and streams the config
+axis in cache-sized chunks through preallocated scratch buffers, producing
+latency and energy in one pass.  This benchmark times it on a hardware grid,
+with and without the forward-mode clock/SRAM sensitivities, after checking a
+seeded sample of (model, config) pairs against the scalar
+:class:`~repro.simulator.PerformanceSimulator` oracle at 1e-9 relative.
 
-Both paths run the full grid by default: at the headline scale (10k models x
-~120 configs, ~85M layer evaluations) the staged intermediates are ~785 MB
-*each* and its cost per configuration grows superlinearly with grid width —
-which is exactly the effect being measured, so extrapolating from a small
-subset would flatter it.  On memory-constrained machines
-``REPRO_BENCH_FUSION_STAGED_CONFIGS`` caps the staged grid to a subset (its
-rate is then an upper bound: narrower grids are cheaper per config).  The
-fused pass with forward-mode sensitivities enabled is reported as a context
-row.
+The gated headline is ``sensitivity_throughput_ratio``: sensitivity-run
+evals/sec over plain evals/sec (higher is better, at most about 1).  Both
+rates come from the same kernel on the same host, so the ratio tracks the
+cost of the dual pass and not the speed of the machine.  The absolute fused
+rate, raw and multiplied by the calibration constant, is recorded under
+``metrics`` but not gated: on this kernel the calibration workload does not
+cancel the host out.
 
 Smoke mode (``REPRO_BENCH_FUSION_SMOKE=1``) shrinks the population for CI and
 writes its JSON under the ``backend_fusion_smoke`` experiment so the
@@ -35,9 +33,9 @@ import numpy as np
 from repro.hwspace import AcceleratorSpace
 from repro.nasbench import NASBenchDataset
 from repro.nasbench.layer_table import LayerTable
-from repro.simulator import BatchSimulator, compile_and_time_table
+from repro.simulator import PerformanceSimulator, compile_and_time_table
 
-from _reporting import report, report_json
+from _reporting import machine_calibration, report, report_json
 
 #: CI smoke mode: small population, separate experiment name.
 SMOKE = os.environ.get("REPRO_BENCH_FUSION_SMOKE", "") == "1"
@@ -46,13 +44,10 @@ SMOKE = os.environ.get("REPRO_BENCH_FUSION_SMOKE", "") == "1"
 FUSION_MODELS = int(os.environ.get("REPRO_BENCH_FUSION_MODELS", "160" if SMOKE else "10000"))
 #: Hardware grid size for the fused kernel (headline scale: >= 100).
 FUSION_CONFIGS = int(os.environ.get("REPRO_BENCH_FUSION_CONFIGS", "12" if SMOKE else "120"))
-#: Configurations the staged oracle is timed on; 0 means the full grid
-#: (the honest comparison — staged cost per config grows with grid width).
-FUSION_STAGED_CONFIGS = int(
-    os.environ.get("REPRO_BENCH_FUSION_STAGED_CONFIGS", "4" if SMOKE else "0")
-)
-#: Timed repetitions (best-of).
-FUSION_ROUNDS = int(os.environ.get("REPRO_BENCH_FUSION_ROUNDS", "2"))
+#: Timed repetitions (best-of); the plain and sensitivity runs alternate.
+FUSION_ROUNDS = int(os.environ.get("REPRO_BENCH_FUSION_ROUNDS", "3"))
+#: (model, config) pairs checked against the scalar oracle.
+ORACLE_PAIRS = 16
 
 EXPERIMENT = "backend_fusion_smoke" if SMOKE else "backend_fusion"
 
@@ -68,14 +63,16 @@ SPACE = AcceleratorSpace(
 )
 
 
-def _best_of(rounds, run):
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _check_against_oracle(networks, configs, result):
+    """A seeded sample of (model, config) pairs must match the scalar engine."""
+    rng = np.random.default_rng(2022)
+    models = rng.integers(len(networks), size=ORACLE_PAIRS)
+    rows = rng.integers(len(configs), size=ORACLE_PAIRS)
+    for model, row in zip(models, rows):
+        scalar = PerformanceSimulator(configs[row]).simulate(networks[model])
+        np.testing.assert_allclose(result.latency_ms[row, model], scalar.latency_ms, rtol=1e-9)
+        energy = np.nan if scalar.energy_mj is None else scalar.energy_mj
+        np.testing.assert_allclose(result.energy_mj[row, model], energy, rtol=1e-9)
 
 
 def test_backend_fusion(benchmark):
@@ -83,70 +80,49 @@ def test_backend_fusion(benchmark):
     networks = [record.build_network(dataset.network_config) for record in dataset]
     table = LayerTable.from_networks(networks)
     configs = list(itertools.islice(SPACE.enumerate(), FUSION_CONFIGS))
-    staged_configs = configs[:FUSION_STAGED_CONFIGS] if FUSION_STAGED_CONFIGS else configs
-    staged = BatchSimulator(strategy="staged")
 
-    # Equivalence guard (and warm-up): fused must match the staged oracle
-    # bit-for-bit on the subset both paths run.
-    staged_latency, staged_energy = staged.evaluate_table_grid(table, staged_configs)
-    oracle_check = compile_and_time_table(table, staged_configs)
-    np.testing.assert_array_equal(oracle_check.latency_ms, staged_latency)
-    np.testing.assert_array_equal(oracle_check.energy_mj, staged_energy)
+    # Oracle check (and warm-up).
+    _check_against_oracle(networks, configs, compile_and_time_table(table, configs))
 
-    staged_elapsed, _ = _best_of(
-        FUSION_ROUNDS, lambda: staged.evaluate_table_grid(table, staged_configs)
-    )
-    fused_elapsed, _ = _best_of(FUSION_ROUNDS, lambda: compile_and_time_table(table, configs))
-    dual_elapsed, _ = _best_of(
-        FUSION_ROUNDS, lambda: compile_and_time_table(table, configs, sensitivities=True)
-    )
+    fused_elapsed = dual_elapsed = float("inf")
+    for _ in range(FUSION_ROUNDS):
+        start = time.perf_counter()
+        compile_and_time_table(table, configs)
+        fused_elapsed = min(fused_elapsed, time.perf_counter() - start)
+        start = time.perf_counter()
+        compile_and_time_table(table, configs, sensitivities=True)
+        dual_elapsed = min(dual_elapsed, time.perf_counter() - start)
     benchmark.pedantic(lambda: compile_and_time_table(table, configs), rounds=1, iterations=1)
 
-    staged_rate = len(dataset) * len(staged_configs) / staged_elapsed
-    fused_rate = len(dataset) * len(configs) / fused_elapsed
-    dual_rate = len(dataset) * len(configs) / dual_elapsed
-    speedup = fused_rate / staged_rate
-    dual_overhead = fused_rate / dual_rate
+    evaluations = len(dataset) * len(configs)
+    fused_rate = evaluations / fused_elapsed
+    dual_rate = evaluations / dual_elapsed
+    ratio = dual_rate / fused_rate
 
     benchmark.extra_info["models"] = len(dataset)
     benchmark.extra_info["configs"] = len(configs)
-    benchmark.extra_info["fused_speedup_vs_staged"] = round(speedup, 1)
     benchmark.extra_info["fused_evals_per_sec"] = round(fused_rate, 1)
+    benchmark.extra_info["sensitivity_throughput_ratio"] = round(ratio, 3)
 
     lines = [
-        "Backend fusion — (model, config) evaluations/sec, "
+        "Fused kernel — (model, config) evaluations/sec, "
         f"{len(dataset)} models x {len(configs)} configs ({table.macs.size} layer rows)",
-        f"{'engine':<42}{'evals/sec':>12}{'elapsed (s)':>13}{'speedup':>10}",
-        f"{f'staged pipeline ({len(staged_configs)} configs)':<42}"
-        f"{staged_rate:>12.1f}{staged_elapsed:>13.3f}{1.0:>10.1f}",
-        f"{f'fused kernel ({len(configs)} configs)':<42}"
-        f"{fused_rate:>12.1f}{fused_elapsed:>13.3f}{speedup:>10.1f}",
-        f"{f'fused + sensitivities ({len(configs)} configs)':<42}"
-        f"{dual_rate:>12.1f}{dual_elapsed:>13.3f}{fused_rate / staged_rate / dual_overhead:>10.1f}",
+        f"{'run':<42}{'evals/sec':>12}{'elapsed (s)':>13}{'ratio':>10}",
+        f"{'fused kernel':<42}{fused_rate:>12.1f}{fused_elapsed:>13.3f}{1.0:>10.3f}",
+        f"{'fused + sensitivities':<42}{dual_rate:>12.1f}{dual_elapsed:>13.3f}{ratio:>10.3f}",
     ]
     report(EXPERIMENT, lines)
     report_json(
         EXPERIMENT,
-        headline={"fused_speedup_vs_staged": speedup},
+        headline={"sensitivity_throughput_ratio": ratio},
         population={
             "models": len(dataset),
             "configs": len(configs),
-            "staged_configs": len(staged_configs),
             "layer_rows": int(table.macs.size),
         },
         metrics={
-            "staged_evals_per_sec": staged_rate,
             "fused_evals_per_sec": fused_rate,
+            "fused_evals_per_calibration": fused_rate * machine_calibration(),
             "dual_evals_per_sec": dual_rate,
-            "sensitivity_overhead_x": dual_overhead,
         },
-    )
-
-    # The >= 2x bound is the headline-scale acceptance criterion; at smoke
-    # scale the staged intermediates still fit in cache and the honest gap is
-    # smaller, so smoke only requires the fused kernel to never be slower
-    # (the comparator gates the smoke speedup against its own baseline).
-    floor = 1.0 if SMOKE else 2.0
-    assert speedup >= floor, (
-        f"fused kernel only {speedup:.2f}x the staged pipeline (floor {floor}x)"
     )

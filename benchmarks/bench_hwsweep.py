@@ -1,19 +1,20 @@
 """Hardware design-space sweep throughput: config-axis grid vs per-config loop.
 
 A design-space study multiplies the sweep cost by the size of the hardware
-grid: the same population is re-simulated on every configuration.  The
-per-config loop re-runs the mapping/cache/timing/energy kernels once per
-configuration; the config-axis vectorized path
-(:meth:`BatchSimulator.evaluate_table_grid`) broadcasts the configuration
-scalars as :class:`~repro.arch.ConfigTable` columns, runs every kernel once
-over ``(num_configs, num_layers)`` arrays, and factorizes the mapping/cache
-kernels over the distinct sub-configurations they read (a clock axis is
-free).  This benchmark measures both on the same grid (and asserts
-bit-identical results); the grid path must be at least 3x faster on a
->= 16-configuration grid.  Smaller (smoke-sized) grids only require 2x: the
-fused grid kernel carries ~1 ms of fixed per-call setup (unique-level array
-assembly + scratch buffers), which is a visible fraction of a
-few-millisecond sweep but vanishes at every real scale.
+grid: the same population is re-simulated on every configuration.  Both arms
+run the one fused kernel.  The per-config loop calls
+:meth:`BatchSimulator.evaluate_table` once per configuration, so it pays the
+kernel's fixed per-call setup (unique-level array assembly, scratch buffers)
+and re-runs the mapping/cache kernels for every configuration.  The
+config-axis path (:meth:`BatchSimulator.evaluate_table_grid`) broadcasts the
+configuration scalars as :class:`~repro.arch.ConfigTable` columns, makes one
+call over the whole grid, and factorizes the mapping/cache kernels over the
+distinct sub-configurations they read (a clock axis is free).  This
+benchmark measures both on the same grid (and asserts bit-identical
+results); the grid path must be at least 3x faster on a >= 16-configuration
+grid.  Smaller (smoke-sized) grids only require 2x: the kernel's ~1 ms of
+fixed setup is a visible fraction of a few-millisecond grid call but
+vanishes at every real scale.
 
 The primary population is generation-scale (tens of models) — the shape the
 grid path actually serves in the co-search inner loop, predictor pools and

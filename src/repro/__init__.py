@@ -35,17 +35,8 @@ from .hwspace import (
     SensitivityPoint,
 )
 from .analysis import ParetoArchive
-from .core import (
-    ArrayBackend,
-    GraphTable,
-    LearnedPerformanceModel,
-    TrainingSettings,
-    available_backends,
-    get_backend,
-    use_backend,
-)
+from .core import GraphTable, LearnedPerformanceModel, TrainingSettings
 from .errors import (
-    BackendError,
     CompilationError,
     DatasetError,
     InvalidCellError,
@@ -104,8 +95,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AcceleratorConfig",
     "AcceleratorSpace",
-    "ArrayBackend",
-    "BackendError",
     "BatchSimulator",
     "Cell",
     "CoSearchEngine",
@@ -162,12 +151,10 @@ __all__ = [
     "SweepWorker",
     "TopKRequest",
     "TrainingSettings",
-    "available_backends",
     "build_network",
     "cell_fingerprint",
     "compile_and_time_table",
     "evaluate_dataset",
-    "get_backend",
     "get_config",
     "mutate_cell",
     "obs",
@@ -176,7 +163,6 @@ __all__ = [
     "run_search_experiment",
     "sample_unique_cells",
     "trace_summary",
-    "use_backend",
     "__version__",
 ]
 

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from ..arch.config import AcceleratorConfig, scaled_bytes
-from ..arch.config_table import ConfigTable
 from ..nasbench.layer_table import LayerTable
 from ..nasbench.network import NetworkSpec
 from .lowering import SUPPORTED_KINDS, lower_network, max_activation_bytes
 from .param_cache import (
-    CACHE_CONFIG_FIELDS,
     CachePlan,
     CacheTable,
     effective_cache_capacity,
@@ -16,87 +14,13 @@ from .param_cache import (
     plan_cache_table,
     plan_parameter_cache,
 )
-from .schedule import CompiledLayer, CompiledModel, CompiledTable
+from .schedule import CompiledLayer, CompiledModel
 from .tiling import (
-    MAPPING_CONFIG_FIELDS,
     LayerMapping,
     MappingTable,
     map_layer,
     map_layer_table,
 )
-
-
-def _grid_mapping(table: LayerTable, configs: ConfigTable) -> MappingTable:
-    """Map the grid, factorized over the distinct mapping sub-configurations.
-
-    The mapping kernel is the integer-division-heavy hot spot of a grid
-    sweep, and whole grid axes (clock, I/O bandwidth, PE/cache memory sizes)
-    do not enter it: the kernel runs once per distinct
-    :data:`MAPPING_CONFIG_FIELDS` row and the results gather back to the
-    full configuration axis — bit-identical, since equal inputs give equal
-    rows.
-    """
-    unique, inverse = configs.factor(MAPPING_CONFIG_FIELDS)
-    mapping = map_layer_table(table, unique)
-    if unique is configs:
-        return mapping
-    return MappingTable(
-        spatial_tiles=mapping.spatial_tiles[inverse],
-        channel_tiles=mapping.channel_tiles[inverse],
-        reduction_steps=mapping.reduction_steps[inverse],
-        compute_cycles=mapping.compute_cycles[inverse],
-        utilization=mapping.utilization[inverse],
-        weight_passes=mapping.weight_passes[inverse],
-    )
-
-
-def _grid_cache(
-    table: LayerTable, configs: ConfigTable, enable_caching: bool
-) -> CacheTable:
-    """Plan the grid's parameter caches, factorized like :func:`_grid_mapping`.
-
-    Only the capacity and bit-width formulas read the configuration
-    (:data:`CACHE_CONFIG_FIELDS`), so a lane or clock axis re-plans nothing.
-    """
-    unique, inverse = configs.factor(CACHE_CONFIG_FIELDS)
-    cache = plan_cache_table(table, unique, enable_caching=enable_caching)
-    if unique is configs:
-        return cache
-    return CacheTable(
-        capacity_bytes=cache.capacity_bytes[inverse],
-        effective_capacity_bytes=cache.effective_capacity_bytes[inverse],
-        total_weight_bytes=cache.total_weight_bytes[inverse],
-        cached_bytes=cache.cached_bytes[inverse],
-        cached_mask=cache.cached_mask[inverse],
-        streamed_bytes=cache.streamed_bytes[inverse],
-    )
-
-
-def compile_layer_table(
-    table: LayerTable,
-    config: AcceleratorConfig | ConfigTable,
-    enable_parameter_caching: bool = True,
-) -> CompiledTable:
-    """Compile every model of *table* for *config* in one vectorized pass.
-
-    This is the batch analogue of :func:`compile_model`: the tiling/mapping
-    kernel and the parameter-cache planner run once over the whole
-    structure-of-arrays table (the table itself is built once per dataset and
-    shared across configurations — compile-once, simulate wide).  Passing a
-    :class:`~repro.arch.config_table.ConfigTable` compiles every model for
-    every configuration in the same pass: the config scalars become
-    broadcastable ``(num_configs, 1)`` columns and all result arrays carry a
-    leading configuration axis; the mapping and cache kernels additionally
-    run factorized over the distinct sub-configurations they actually read
-    (:func:`_grid_mapping` / :func:`_grid_cache`).
-    """
-    if isinstance(config, ConfigTable):
-        mapping = _grid_mapping(table, config)
-        cache = _grid_cache(table, config, enable_parameter_caching)
-    else:
-        mapping = map_layer_table(table, config)
-        cache = plan_cache_table(table, config, enable_caching=enable_parameter_caching)
-    return CompiledTable(config=config, table=table, mapping=mapping, cache=cache)
 
 
 def compile_model(
@@ -144,11 +68,9 @@ __all__ = [
     "CacheTable",
     "CompiledLayer",
     "CompiledModel",
-    "CompiledTable",
     "LayerMapping",
     "MappingTable",
     "SUPPORTED_KINDS",
-    "compile_layer_table",
     "compile_model",
     "effective_cache_capacity",
     "greedy_cache_assign",

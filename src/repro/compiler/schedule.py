@@ -1,24 +1,19 @@
-"""Compiled-model representations: per-layer mappings plus the cache plan.
+"""Compiled-model representation: per-layer mappings plus the cache plan.
 
-Two isomorphic forms exist: :class:`CompiledModel` holds scalar per-layer
-objects for one network (detailed inspection, layer breakdowns), while
-:class:`CompiledTable` holds the structure-of-arrays result of compiling a
-whole :class:`~repro.nasbench.layer_table.LayerTable` — one or many models —
-in a single vectorized pass (population sweeps).
+:class:`CompiledModel` holds scalar per-layer objects for one network
+(detailed inspection, layer breakdowns).  The table sweeps never build it:
+the fused kernel of :mod:`repro.simulator.fused` keeps the mapping and cache
+results of a whole :class:`~repro.nasbench.layer_table.LayerTable` as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..arch.config import AcceleratorConfig, scaled_bytes
-from ..arch.config_table import ConfigTable
-from ..nasbench.layer_table import LayerTable
+from ..arch.config import AcceleratorConfig
 from ..nasbench.network import LayerSpec, NetworkSpec
-from .param_cache import CachePlan, CacheTable
-from .tiling import LayerMapping, MappingTable
+from .param_cache import CachePlan
+from .tiling import LayerMapping
 
 
 @dataclass(frozen=True)
@@ -73,41 +68,3 @@ class CompiledModel:
         )
         return total_macs / issued if issued else 0.0
 
-
-@dataclass(frozen=True)
-class CompiledTable:
-    """Vectorized compilation result for every model of a layer table.
-
-    The per-layer arrays of ``mapping`` and ``cache`` are aligned with the
-    rows of ``table``; per-model quantities use the table's segment offsets.
-    When compiled against a :class:`~repro.arch.config_table.ConfigTable`,
-    every array additionally carries a leading configuration axis
-    (``(num_configs, num_layers)`` / ``(num_configs, num_models)``).
-    """
-
-    config: AcceleratorConfig | ConfigTable
-    table: LayerTable
-    mapping: MappingTable
-    cache: CacheTable
-
-    @property
-    def num_models(self) -> int:
-        """Number of compiled model segments."""
-        return self.table.num_models
-
-    @property
-    def streamed_weight_bytes(self) -> np.ndarray:
-        """Per-layer weight bytes fetched from DRAM each steady-state inference."""
-        return self.cache.streamed_bytes
-
-    @property
-    def cached_weight_bytes(self) -> np.ndarray:
-        """Per-layer stored weight bytes resident on-chip across inferences."""
-        return scaled_bytes(self.table.weight_bytes, self.config.weight_bits) - (
-            self.cache.streamed_bytes
-        )
-
-    @property
-    def total_compute_cycles(self) -> np.ndarray:
-        """Per-model sum of datapath cycles (no memory stalls or overheads)."""
-        return np.add.reduceat(self.mapping.compute_cycles, self.table.segment_starts, axis=-1)

@@ -1,14 +1,6 @@
 """Learned performance model: numpy autodiff, graph network, training, metrics."""
 
 from .autodiff import Tensor, mse_loss
-from .backend import (
-    ArrayBackend,
-    active_backend,
-    available_backends,
-    get_backend,
-    set_active_backend,
-    use_backend,
-)
 from .features import GraphTuple, cell_to_graph, featurize_cells
 from .graph_net import BatchedGraphs, GraphNetBlock, IndependentBlock, batch_graphs
 from .graph_table import GraphTable, as_graph_table
@@ -41,7 +33,6 @@ from .trainer import (
 
 __all__ = [
     "Adam",
-    "ArrayBackend",
     "BatchedGraphs",
     "DatasetSplit",
     "EncodeProcessDecode",
@@ -60,9 +51,7 @@ __all__ = [
     "Tensor",
     "TrainingHistory",
     "TrainingSettings",
-    "active_backend",
     "as_graph_table",
-    "available_backends",
     "batch_graphs",
     "batched_loss",
     "cell_to_graph",
@@ -70,14 +59,11 @@ __all__ = [
     "evaluate_loss",
     "evaluate_predictions",
     "featurize_cells",
-    "get_backend",
     "metric_targets",
     "mse_loss",
     "pearson_correlation",
-    "set_active_backend",
     "spearman_correlation",
     "split_dataset",
-    "use_backend",
     "table_digest",
     "train_model",
 ]

@@ -164,8 +164,8 @@ class GraphNetBlock(Module):
         # --- Global update -----------------------------------------------
         # Graph ids are non-decreasing by construction of the packed batch
         # (models are concatenated in order), so the per-graph aggregations
-        # take the backend's sorted segment-sum fast path; the receiver
-        # aggregation above cannot (receivers follow edge topology).
+        # take the sorted segment-sum fast path; the receiver aggregation
+        # above cannot (receivers follow edge topology).
         edge_aggregate = segment_sum(
             updated_edges, graphs.edge_graph_ids, num_graphs, sorted_ids=True
         )

@@ -29,16 +29,6 @@ class InvalidConfigError(ReproError):
     """
 
 
-class BackendError(ReproError):
-    """Raised when an explicitly requested array backend cannot be used.
-
-    Only *explicit* requests raise — ``get_backend("numba")`` with no usable
-    numba installation, or ``use_backend("cupy")`` without a GPU stack.  The
-    ``REPRO_BACKEND`` environment variable never raises: an unset or garbage
-    value falls back to the numpy backend with a single warning.
-    """
-
-
 class CompilationError(ReproError):
     """Raised when a network cannot be lowered or mapped onto an accelerator."""
 

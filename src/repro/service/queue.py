@@ -160,7 +160,6 @@ class SweepManifest:
         shard_size: int,
         enable_parameter_caching: bool = True,
         prefix: str = "shard",
-        strategy: str = "fused",
     ) -> "SweepManifest":
         """Describe the sweep of *dataset* × *configs* as claimable pairs."""
         from .store import MeasurementStore  # deferred: store imports us lazily
@@ -200,7 +199,6 @@ class SweepManifest:
             "prefix": prefix,
             "shard_size": int(shard_size),
             "parameter_caching": bool(enable_parameter_caching),
-            "strategy": strategy,
             "network_config": {
                 "stem_channels": dataset.network_config.stem_channels,
                 "num_stacks": dataset.network_config.num_stacks,
@@ -277,10 +275,6 @@ class SweepManifest:
     @property
     def enable_parameter_caching(self) -> bool:
         return self._payload["parameter_caching"]
-
-    @property
-    def strategy(self) -> str:
-        return self._payload.get("strategy", "fused")
 
     @property
     def num_shards(self) -> int:

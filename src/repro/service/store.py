@@ -625,7 +625,7 @@ class MeasurementStore:
             loose_removed=loose_removed,
         )
 
-    def publish_manifest(self, dataset, configs=None, strategy: str = "fused"):
+    def publish_manifest(self, dataset, configs=None):
         """Persist a :class:`~repro.service.queue.SweepManifest` for this sweep.
 
         The manifest makes the store directory drainable by independent
@@ -641,7 +641,6 @@ class MeasurementStore:
             shard_size=self.shard_size,
             enable_parameter_caching=self.enable_parameter_caching,
             prefix=self.prefix,
-            strategy=strategy,
         )
         self.root.mkdir(parents=True, exist_ok=True)
         manifest.save(self.root)

@@ -35,9 +35,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .. import obs
-from ..errors import ServiceError
 from ..nasbench.layer_table import LayerTable
-from ..simulator.batch import GRID_STRATEGIES, BatchSimulator
+from ..simulator.batch import BatchSimulator
 from .queue import (
     DEFAULT_LEASE_EXPIRY,
     SweepManifest,
@@ -116,7 +115,6 @@ class SweepWorker:
         expiry_seconds: float = DEFAULT_LEASE_EXPIRY,
         poll_seconds: float = 0.5,
         throttle_seconds: float = 0.0,
-        strategy: str | None = None,
     ):
         self.store_dir = Path(store_dir)
         self.manifest = manifest or SweepManifest.find(self.store_dir)
@@ -124,14 +122,8 @@ class SweepWorker:
         self.queue = WorkQueue(self.store_dir, self.manifest, expiry_seconds=expiry_seconds)
         self.poll_seconds = float(poll_seconds)
         self.throttle_seconds = float(throttle_seconds)
-        strategy = strategy or self.manifest.strategy
-        if strategy not in GRID_STRATEGIES:
-            raise ServiceError(
-                f"unknown grid strategy {strategy!r}; expected one of {GRID_STRATEGIES}"
-            )
         self._simulator = BatchSimulator(
-            enable_parameter_caching=self.manifest.enable_parameter_caching,
-            strategy=strategy,
+            enable_parameter_caching=self.manifest.enable_parameter_caching
         )
         self._table_cache: tuple[int, LayerTable] | None = None
         self._started_at = time.time()
@@ -293,10 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--max-pairs", type=int, default=None,
         help="exit after simulating this many pairs (default: run to completion)",
     )
-    parser.add_argument(
-        "--strategy", choices=GRID_STRATEGIES, default=None,
-        help="grid kernel strategy (default: the manifest's)",
-    )
     args = parser.parse_args(argv)
     manifest = SweepManifest.find(args.store_dir, digest=args.manifest)
     worker = SweepWorker(
@@ -306,7 +294,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         expiry_seconds=args.expiry,
         poll_seconds=args.poll_interval,
         throttle_seconds=args.throttle,
-        strategy=args.strategy,
     )
     result = worker.run(max_pairs=args.max_pairs)
     obs.log(

@@ -1,17 +1,14 @@
 """Cycle-level Edge TPU performance and energy simulator."""
 
-from .batch import GRID_STRATEGIES, BatchSimulator
+from .batch import BatchSimulator
 from .engine import PerformanceSimulator
 from .fused import FusedGridResult, compile_and_time_table
 from .latency import (
     LayerTiming,
-    TimingTable,
     activation_spill_bytes,
     cycles_to_milliseconds,
     model_latency_cycles,
-    model_latency_cycles_table,
     time_layer,
-    time_layer_table,
 )
 from .results import LayerResult, SimulationResult
 from .runner import (
@@ -25,7 +22,6 @@ from .runner import (
 __all__ = [
     "BatchSimulator",
     "FusedGridResult",
-    "GRID_STRATEGIES",
     "LayerResult",
     "LayerTiming",
     "MeasurementSet",
@@ -33,14 +29,11 @@ __all__ = [
     "ModelMeasurement",
     "PerformanceSimulator",
     "SimulationResult",
-    "TimingTable",
     "activation_spill_bytes",
     "compile_and_time_table",
     "cycles_to_milliseconds",
     "evaluate_dataset",
     "model_latency_cycles",
-    "model_latency_cycles_table",
     "simulate_records",
     "time_layer",
-    "time_layer_table",
 ]

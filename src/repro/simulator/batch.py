@@ -15,7 +15,9 @@ instead of once per configuration.
 
 The results are bit-for-bit the scalar engine's (both paths run the same
 kernels; only the reduction order of float sums differs, within 1e-9
-relative).  :meth:`BatchSimulator.evaluate` returns the same
+relative).  The table path has one implementation, the fused kernel of
+:func:`~repro.simulator.fused.compile_and_time_table`; the scalar engine is
+its reference.  :meth:`BatchSimulator.evaluate` returns the same
 :class:`~repro.simulator.runner.MeasurementSet` as
 :func:`~repro.simulator.runner.evaluate_dataset`, so all analysis and
 benchmark consumers are unchanged.
@@ -35,24 +37,16 @@ import numpy as np
 from .. import obs
 from ..arch.config import STUDIED_CONFIGS, AcceleratorConfig
 from ..arch.config_table import ConfigTable
-from ..arch.energy import energy_parameters_for, energy_parameters_table
-from ..compiler import compile_layer_table
 from ..errors import SimulationError
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import NASBenchDataset
 from ..nasbench.layer_table import LayerTable
 from ..nasbench.macro import MacroSpec
 from ..nasbench.network import NetworkConfig, NetworkSpec
-from .energy import layer_energy_table, static_energy_mj
 from .fused import compile_and_time_table
-from .latency import cycles_to_milliseconds, model_latency_cycles_table, time_layer_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..service.store import MeasurementStore
-
-
-#: Grid-evaluation strategies accepted by :class:`BatchSimulator`.
-GRID_STRATEGIES: tuple[str, ...] = ("fused", "staged")
 
 
 class BatchSimulator:
@@ -63,31 +57,10 @@ class BatchSimulator:
     enable_parameter_caching:
         Forwarded to the compiler; the paper's results have it enabled and
         the ablation benchmarks switch it off.
-    strategy:
-        How :meth:`evaluate_table_grid` runs the config-axis sweep.
-        ``"fused"`` (the default) threads scratch buffers through the single
-        :func:`~repro.simulator.fused.compile_and_time_table` kernel;
-        ``"staged"`` runs the original per-stage array passes.  Both produce
-        bit-for-bit identical results — the staged path is kept as the
-        equivalence oracle.
-    backend:
-        Array backend for the fused path (name, instance, or ``None`` for
-        the process-wide active backend, usually numpy).
     """
 
-    def __init__(
-        self,
-        enable_parameter_caching: bool = True,
-        strategy: str = "fused",
-        backend: str | None = None,
-    ):
-        if strategy not in GRID_STRATEGIES:
-            raise SimulationError(
-                f"unknown grid strategy {strategy!r}; expected one of {GRID_STRATEGIES}"
-            )
+    def __init__(self, enable_parameter_caching: bool = True):
         self.enable_parameter_caching = enable_parameter_caching
-        self.strategy = strategy
-        self.backend = backend
 
     # ------------------------------------------------------------------ #
     # Entry points
@@ -191,27 +164,14 @@ class BatchSimulator:
     def evaluate_table(
         self, table: LayerTable, config: AcceleratorConfig
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Core kernel: latency (ms) and energy (mJ) per model of *table*.
+        """Latency (ms) and energy (mJ) per model of *table* on one config.
 
-        Energy is NaN for configurations without a published energy model
-        (V3), matching the scalar sweep's convention.
+        The one-row view of :meth:`evaluate_table_grid`.  Energy is NaN for
+        configurations without a published energy model (V3), matching the
+        scalar sweep's convention.
         """
-        compiled = compile_layer_table(
-            table, config, enable_parameter_caching=self.enable_parameter_caching
-        )
-        timing = time_layer_table(compiled)
-        total_cycles = model_latency_cycles_table(timing, table.model_offsets, config)
-        latency_ms = cycles_to_milliseconds(total_cycles, config)
-
-        params = energy_parameters_for(config)
-        if params.available:
-            dynamic = np.add.reduceat(
-                layer_energy_table(compiled, timing, params), table.segment_starts
-            )
-            energy_mj = dynamic + static_energy_mj(latency_ms, params)
-        else:
-            energy_mj = np.full(latency_ms.shape, np.nan)
-        return latency_ms, energy_mj
+        latency_ms, energy_mj = self.evaluate_table_grid(table, [config])
+        return latency_ms[0], energy_mj[0]
 
     def evaluate_table_grid(
         self,
@@ -222,56 +182,28 @@ class BatchSimulator:
 
         Returns ``(latency_ms, energy_mj)`` arrays of shape
         ``(num_configs, num_models)``, row ``i`` belonging to ``configs[i]``.
-        Instead of re-running the mapping/cache/timing/energy kernels once
-        per configuration (:meth:`evaluate_table`, kept as the equivalence
-        oracle), the configuration scalars become broadcastable
-        ``(num_configs, 1)`` columns of a
-        :class:`~repro.arch.config_table.ConfigTable` and every kernel runs
-        once over ``(num_configs, num_layers)`` arrays — bit-for-bit the
-        per-config loop's results.  Energy rows of configurations without a
-        published energy model are NaN, as in the scalar sweep.
-
-        With the default ``strategy="fused"`` the whole chain additionally
-        runs as the single scratch-threaded kernel of
-        :func:`~repro.simulator.fused.compile_and_time_table` instead of the
-        per-stage passes below — same results, a fraction of the memory
-        traffic.
+        The configuration scalars become broadcastable ``(num_configs, 1)``
+        columns of a :class:`~repro.arch.config_table.ConfigTable` and the
+        whole mapping/cache/timing/energy chain runs as the single
+        scratch-threaded kernel of
+        :func:`~repro.simulator.fused.compile_and_time_table`.  A row does not
+        depend on the other configurations of the grid, so the results equal
+        a loop over :meth:`evaluate_table` bit for bit.  Energy rows of
+        configurations without a published energy model are NaN, as in the
+        scalar sweep.
         """
         config_table = ConfigTable.from_configs(configs)
         with obs.span(
             "sim.grid",
-            strategy=self.strategy,
             configs=len(config_table),
             models=table.num_models,
             layers=table.num_layers,
         ):
             obs.count("sim.rows_processed", len(config_table) * table.num_layers)
-            if self.strategy == "fused":
-                result = compile_and_time_table(
-                    table,
-                    config_table,
-                    enable_parameter_caching=self.enable_parameter_caching,
-                    backend=self.backend,
-                )
-                return result.latency_ms, result.energy_mj
-            with obs.span("sim.mapping_cache"):
-                compiled = compile_layer_table(
-                    table, config_table, enable_parameter_caching=self.enable_parameter_caching
-                )
-            with obs.span("sim.timing"):
-                timing = time_layer_table(compiled)
-                total_cycles = model_latency_cycles_table(
-                    timing, table.model_offsets, config_table
-                )
-                latency_ms = cycles_to_milliseconds(total_cycles, config_table)
-            with obs.span("sim.energy"):
-                params = energy_parameters_table(config_table)
-                dynamic = np.add.reduceat(
-                    layer_energy_table(compiled, timing, params), table.segment_starts, axis=-1
-                )
-                energy_mj = dynamic + static_energy_mj(latency_ms, params)
-                energy_mj[~params.available] = np.nan
-            return latency_ms, energy_mj
+            result = compile_and_time_table(
+                table, config_table, enable_parameter_caching=self.enable_parameter_caching
+            )
+            return result.latency_ms, result.energy_mj
 
     # ------------------------------------------------------------------ #
     # Process-based sharding
@@ -305,7 +237,6 @@ class BatchSimulator:
                     dataset.network_config,
                     tuple(config_list),
                     self.enable_parameter_caching,
-                    self.strategy,
                 ): chunk
                 for chunk in shards
             }
@@ -327,22 +258,21 @@ def simulate_shard(
     network_config: NetworkConfig,
     configs: tuple[AcceleratorConfig, ...],
     enable_parameter_caching: bool,
-    strategy: str = "fused",
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Build and evaluate one model-range shard on every configuration.
 
-    The shared shard kernel of every sweep executor: the in-process pool
-    workers of :meth:`BatchSimulator.evaluate`, the store's parallel
-    :meth:`~repro.service.store.MeasurementStore.extend`, and the
-    distributed :class:`~repro.service.worker.SweepWorker` all route one
-    claimed shard through this function, so a shard simulates to identical
-    bytes no matter which executor ran it.  Entries may be bare cells
-    (expanded through *network_config*) or self-contained macro specs.
+    The task the process pools run: the pool workers of
+    :meth:`BatchSimulator.evaluate` with ``n_jobs > 1`` and of the store's
+    parallel :meth:`~repro.service.store.MeasurementStore.extend`.  The
+    serial ``extend`` and the distributed
+    :class:`~repro.service.worker.SweepWorker` build their tables themselves
+    and call :meth:`BatchSimulator.evaluate_table_grid` directly; every
+    route ends in that one kernel, so a shard simulates to identical bytes
+    no matter which executor ran it.  Entries may be bare cells (expanded
+    through *network_config*) or self-contained macro specs.
     """
     table = LayerTable.from_architectures(cells, network_config)
-    simulator = BatchSimulator(
-        enable_parameter_caching=enable_parameter_caching, strategy=strategy
-    )
+    simulator = BatchSimulator(enable_parameter_caching=enable_parameter_caching)
     latency, energy = simulator.evaluate_table_grid(table, configs)
     return {config.name: (latency[index], energy[index]) for index, config in enumerate(configs)}
 

@@ -9,12 +9,10 @@ the whole-model energy adds static power integrated over the latency.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..arch.config import AcceleratorConfig, scaled_bytes
 from ..arch.energy import EnergyParameters
-from ..compiler.schedule import CompiledLayer, CompiledTable
-from .latency import LayerTiming, TimingTable
+from ..compiler.schedule import CompiledLayer
+from .latency import LayerTiming
 
 _PJ_TO_MJ = 1e-9
 
@@ -53,39 +51,6 @@ def layer_energy_mj(
     return (mac_energy + idle_energy + sram_energy + dram_energy) * _PJ_TO_MJ
 
 
-def layer_energy_table(
-    compiled: CompiledTable,
-    timing: TimingTable,
-    params: EnergyParameters,
-) -> np.ndarray:
-    """Vectorized :func:`layer_energy_mj`: per-layer dynamic energy in mJ."""
-    table = compiled.table
-    config = compiled.config
-    macs = config.batch_size * table.macs
-    mac_energy = params.mac_energy_pj * macs
-
-    issued_slots = timing.compute_cycles * config.macs_per_cycle
-    idle_energy = np.where(
-        macs > 0,
-        params.idle_lane_energy_pj * np.maximum(0, issued_slots - macs),
-        0.0,
-    )
-
-    sram_bytes = scaled_bytes(table.weight_bytes, config.weight_bits) + config.batch_size * (
-        scaled_bytes(
-            table.input_activation_bytes + table.output_activation_bytes,
-            config.activation_bits,
-        )
-    )
-    sram_energy = params.sram_byte_energy_pj * sram_bytes
-    dram_energy = params.dram_byte_energy_pj * timing.dram_bytes
-
-    return (mac_energy + idle_energy + sram_energy + dram_energy) * _PJ_TO_MJ
-
-
 def static_energy_mj(latency_ms: float, params: EnergyParameters) -> float:
-    """Static (leakage + always-on clock) energy over the inference, in mJ.
-
-    Works elementwise on an array of latencies as well as on one scalar.
-    """
+    """Static (leakage + always-on clock) energy over the inference, in mJ."""
     return params.static_power_w * latency_ms  # W * ms == mJ

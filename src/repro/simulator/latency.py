@@ -24,11 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..arch.config import AcceleratorConfig, scaled_bytes
 from ..arch.interconnect import on_chip_bytes_per_cycle, sustained_bytes_per_cycle
-from ..compiler.schedule import CompiledLayer, CompiledModel, CompiledTable
+from ..compiler.schedule import CompiledLayer, CompiledModel
 
 
 @dataclass(frozen=True)
@@ -40,17 +38,6 @@ class LayerTiming:
     on_chip_refill_bytes: int
     memory_cycles: float
     total_cycles: float
-
-
-@dataclass(frozen=True)
-class TimingTable:
-    """Structure-of-arrays :class:`LayerTiming` for a whole compiled table."""
-
-    compute_cycles: np.ndarray
-    dram_bytes: np.ndarray
-    on_chip_refill_bytes: np.ndarray
-    memory_cycles: np.ndarray
-    total_cycles: np.ndarray
 
 
 def activation_spill_bytes(layer: CompiledLayer, config: AcceleratorConfig) -> int:
@@ -95,72 +82,13 @@ def time_layer(
     )
 
 
-def time_layer_table(compiled: CompiledTable) -> TimingTable:
-    """Vectorized :func:`time_layer` over every layer row of a compiled table.
-
-    The model input image and classifier output DRAM traffic are charged to
-    the first and last layer of every model segment, exactly as the scalar
-    engine does via ``extra_dram_bytes``.  For a table compiled against a
-    :class:`~repro.arch.config_table.ConfigTable` the timing arrays carry the
-    compiled arrays' leading configuration axis (the config columns broadcast
-    through the same formulas).
-    """
-    table = compiled.table
-    config = compiled.config
-
-    working_set = scaled_bytes(
-        table.input_activation_bytes + table.output_activation_bytes,
-        config.activation_bits,
-    )
-    spill = np.where(working_set > config.total_pe_memory_bytes, working_set, 0)
-
-    first_rows = table.model_offsets[:-1]
-    last_rows = table.model_offsets[1:] - 1
-    input_bytes = scaled_bytes(table.input_activation_bytes, config.activation_bits)
-    output_bytes = scaled_bytes(table.output_activation_bytes, config.activation_bits)
-    extra = np.zeros(spill.shape, dtype=np.int64)
-    extra[..., first_rows] += input_bytes[..., first_rows]
-    extra[..., last_rows] += output_bytes[..., last_rows]
-
-    dram_bytes = compiled.streamed_weight_bytes + config.batch_size * (spill + extra)
-    refill_bytes = compiled.cached_weight_bytes
-    compute_cycles = config.batch_size * compiled.mapping.compute_cycles
-    dram_cycles = dram_bytes / sustained_bytes_per_cycle(config)
-    refill_cycles = refill_bytes / on_chip_bytes_per_cycle(config)
-    memory_cycles = np.maximum(dram_cycles, refill_cycles)
-
-    total = np.maximum(compute_cycles, memory_cycles) + config.layer_overhead_cycles
-    return TimingTable(
-        compute_cycles=compute_cycles,
-        dram_bytes=dram_bytes,
-        on_chip_refill_bytes=refill_bytes,
-        memory_cycles=memory_cycles,
-        total_cycles=total,
-    )
-
-
 def model_latency_cycles(timings: list[LayerTiming], config: AcceleratorConfig) -> float:
     """Total model latency in cycles, including the per-inference overhead."""
     return config.inference_overhead_cycles + sum(timing.total_cycles for timing in timings)
 
 
-def model_latency_cycles_table(
-    timing: TimingTable, model_offsets: np.ndarray, config
-) -> np.ndarray:
-    """Per-model latency in cycles via a segment reduction over the layer axis.
-
-    Elementwise in the configuration: *config* is one
-    :class:`AcceleratorConfig` (result shape ``(num_models,)``) or a
-    :class:`~repro.arch.config_table.ConfigTable` matching the timing arrays'
-    leading axis (result shape ``(num_configs, num_models)``).
-    """
-    return config.inference_overhead_cycles + np.add.reduceat(
-        timing.total_cycles, model_offsets[:-1], axis=-1
-    )
-
-
-def cycles_to_milliseconds(cycles, config):
-    """Convert accelerator cycles to milliseconds for *config* (elementwise)."""
+def cycles_to_milliseconds(cycles: float, config: AcceleratorConfig) -> float:
+    """Convert accelerator cycles to milliseconds for *config*."""
     return cycles / config.clock_hz * 1e3
 
 
@@ -168,7 +96,7 @@ def model_input_output_bytes(model: CompiledModel) -> tuple[int, int]:
     """Per-image DRAM bytes for the model input image and the classifier output.
 
     Scaled to the configuration's activation bit-width so the scalar engine's
-    ``extra_dram_bytes`` matches the table path exactly.
+    ``extra_dram_bytes`` matches the fused kernel exactly.
     """
     bits = model.config.activation_bits
     first = model.layers[0].spec

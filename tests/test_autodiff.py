@@ -191,3 +191,51 @@ class TestBackward:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         mean(x).backward()
         assert np.allclose(x.grad, np.full((2, 3), 1.0 / 6.0))
+
+
+class TestSegmentOps:
+    """The sorted ``reduceat`` fast path and the ``np.add.at`` scatter paths."""
+
+    def _reference_segment_sum(self, values, segment_ids, num_segments):
+        out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+        np.add.at(out, segment_ids, values)
+        return out
+
+    def test_sorted_segment_sum_matches_scatter_reference(self):
+        rng = np.random.default_rng(0)
+        values = rng.random((200, 3))
+        # Sorted ids with empty segments on both ends and in the middle.
+        segment_ids = np.sort(rng.integers(1, 9, size=200))
+        result = segment_sum(Tensor(values), segment_ids, 11, sorted_ids=True).numpy()
+        # reduceat reduces each run pairwise where add.at accumulates
+        # sequentially: equal to roundoff, not bit-for-bit.
+        np.testing.assert_allclose(
+            result, self._reference_segment_sum(values, segment_ids, 11), rtol=1e-9
+        )
+        empty = np.flatnonzero(np.bincount(segment_ids, minlength=11) == 0)
+        assert empty.size and not result[empty].any()
+
+    def test_wrong_sorted_hint_still_sums_correctly(self):
+        rng = np.random.default_rng(1)
+        values = rng.random((64, 2))
+        segment_ids = rng.integers(0, 5, size=64)  # NOT sorted
+        result = segment_sum(Tensor(values), segment_ids, 5, sorted_ids=True).numpy()
+        np.testing.assert_allclose(
+            result, self._reference_segment_sum(values, segment_ids, 5), rtol=1e-9
+        )
+
+    def test_empty_values_give_zero_segments(self):
+        result = segment_sum(Tensor(np.empty((0, 4))), np.empty(0, dtype=np.int64), 3).numpy()
+        assert result.shape == (3, 4)
+        assert not result.any()
+
+    def test_scatter_add_matches_inplace_reference(self):
+        # The gather backward pass scatter-adds repeated rows.
+        rng = np.random.default_rng(2)
+        values = rng.random((50, 3))
+        indices = rng.integers(0, 7, size=50)
+        reference = np.zeros((7, 3))
+        np.add.at(reference, indices, values)
+        target = Tensor(np.zeros((7, 3)), requires_grad=True)
+        gather(target, indices).backward(values)
+        np.testing.assert_array_equal(target.grad, reference)

@@ -4,7 +4,9 @@ The batch engine must reproduce the scalar :class:`PerformanceSimulator`
 results within 1e-9 relative tolerance (in practice the only difference is
 the float reduction order of per-layer sums) across all three studied
 configurations, with and without parameter caching, including the model
-input/output DRAM extras charged to the first and last layer.
+input/output DRAM extras charged to the first and last layer.  Property
+tests extend the comparison to configurations drawn over every axis the
+validator accepts, and check metamorphic relations of the cost model.
 """
 
 from __future__ import annotations
@@ -13,8 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import STUDIED_CONFIGS
-from repro.compiler import compile_layer_table, compile_model, plan_parameter_cache
+from repro.arch import STUDIED_CONFIGS, AcceleratorConfig, energy_parameters_for
+from repro.arch.config import KIB, MIB, scaled_bytes
+from repro.compiler import (
+    compile_model,
+    map_layer_table,
+    plan_cache_table,
+    plan_parameter_cache,
+)
 from repro.errors import CompilationError, SimulationError
 from repro.nasbench import (
     LayerSpec,
@@ -27,6 +35,29 @@ from repro.simulator import BatchSimulator, PerformanceSimulator, evaluate_datas
 
 RTOL = 1e-9
 CONFIG_NAMES = ("V1", "V2", "V3")
+
+
+@st.composite
+def accelerator_configs(draw):
+    """A valid configuration drawn over every axis, batch and bit widths too.
+
+    The name decides energy availability: "V3" has no energy model.
+    """
+    return AcceleratorConfig(
+        name=draw(st.sampled_from(("hw-drawn", "V3"))),
+        clock_mhz=draw(st.floats(200.0, 2000.0)),
+        pes_x=draw(st.integers(1, 8)),
+        pes_y=draw(st.integers(1, 8)),
+        pe_memory_bytes=draw(st.integers(64 * KIB, 4 * MIB)),
+        cores_per_pe=draw(st.integers(1, 8)),
+        core_memory_bytes=draw(st.integers(4 * KIB, 64 * KIB)),
+        compute_lanes=draw(st.integers(8, 128)),
+        io_bandwidth_gbps=draw(st.floats(1.0, 64.0)),
+        pe_memory_cache_fraction=draw(st.floats(0.0, 1.0)),
+        batch_size=draw(st.integers(1, 8)),
+        weight_bits=draw(st.integers(1, 32)),
+        activation_bits=draw(st.integers(1, 32)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -106,15 +137,15 @@ class TestCompiledTableEquivalence:
             for record in population.records[:25]
         ]
         table = LayerTable.from_networks(networks)
-        compiled = compile_layer_table(table, config, enable_parameter_caching=enable_caching)
+        cache = plan_cache_table(table, config, enable_caching=enable_caching)
         for index, network in enumerate(networks):
             plan = plan_parameter_cache(network.layers, config, enable_caching=enable_caching)
             rows = table.model_slice(index)
-            assert compiled.cache.capacity_bytes[index] == plan.capacity_bytes
-            assert compiled.cache.effective_capacity_bytes[index] == plan.effective_capacity_bytes
-            assert compiled.cache.total_weight_bytes[index] == plan.total_weight_bytes
-            assert compiled.cache.cached_bytes[index] == plan.cached_bytes
-            streamed = compiled.cache.streamed_bytes[rows]
+            assert cache.capacity_bytes[index] == plan.capacity_bytes
+            assert cache.effective_capacity_bytes[index] == plan.effective_capacity_bytes
+            assert cache.total_weight_bytes[index] == plan.total_weight_bytes
+            assert cache.cached_bytes[index] == plan.cached_bytes
+            streamed = cache.streamed_bytes[rows]
             for layer, layer_streamed in zip(network.layers, streamed):
                 assert layer_streamed == plan.streamed_bytes_by_layer.get(layer.name, 0)
 
@@ -123,11 +154,14 @@ class TestCompiledTableEquivalence:
         config = STUDIED_CONFIGS[config_name]
         network = population[3].build_network(population.network_config)
         compiled_scalar = compile_model(network, config)
-        compiled_table = compile_layer_table(network.to_layer_table(), config)
+        table = network.to_layer_table()
+        mapping = map_layer_table(table, config)
+        streamed = plan_cache_table(table, config).streamed_bytes
+        cached = scaled_bytes(table.weight_bytes, config.weight_bits) - streamed
         for row, layer in enumerate(compiled_scalar.layers):
-            assert compiled_table.mapping.row(row) == layer.mapping
-            assert compiled_table.streamed_weight_bytes[row] == layer.streamed_weight_bytes
-            assert compiled_table.cached_weight_bytes[row] == layer.cached_weight_bytes
+            assert mapping.row(row) == layer.mapping
+            assert streamed[row] == layer.streamed_weight_bytes
+            assert cached[row] == layer.cached_weight_bytes
 
 
 class TestBatchSimulatorEquivalence:
@@ -166,19 +200,55 @@ class TestBatchSimulatorEquivalence:
             np.testing.assert_array_equal(sharded.latencies(name), single.latencies(name))
             np.testing.assert_array_equal(sharded.energies(name), single.energies(name))
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_random_cells_property(self, seed):
-        """Property-style: any sampled cell times identically on both paths."""
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        config=accelerator_configs(),
+        caching=st.booleans(),
+    )
+    def test_random_cells_property(self, seed, config, caching):
+        """Any sampled cell on any valid config times identically on both paths."""
         network = build_network(random_cell(np.random.default_rng(seed)))
-        table = network.to_layer_table()
-        for name in CONFIG_NAMES:
-            config = STUDIED_CONFIGS[name]
-            scalar = PerformanceSimulator(config).simulate(network)
-            latency, energy = BatchSimulator().evaluate_table(table, config)
-            assert latency[0] == pytest.approx(scalar.latency_ms, rel=RTOL)
-            if scalar.energy_mj is not None:
-                assert energy[0] == pytest.approx(scalar.energy_mj, rel=RTOL)
+        configs = [config] + [c for c in STUDIED_CONFIGS.values() if c.name != config.name]
+        simulator = BatchSimulator(enable_parameter_caching=caching)
+        latency, energy = simulator.evaluate_table_grid(network.to_layer_table(), configs)
+        for index, grid_config in enumerate(configs):
+            oracle = PerformanceSimulator(grid_config, enable_parameter_caching=caching)
+            scalar = oracle.simulate(network)
+            assert latency[index, 0] == pytest.approx(scalar.latency_ms, rel=RTOL)
+            if scalar.energy_mj is None:
+                assert np.isnan(energy[index, 0])
+            else:
+                assert energy[index, 0] == pytest.approx(scalar.energy_mj, rel=RTOL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        config=accelerator_configs(),
+        caching=st.booleans(),
+        factor=st.floats(1.01, 4.0),
+        extra_batch=st.integers(1, 7),
+    )
+    def test_metamorphic_relations(self, seed, config, caching, factor, extra_batch):
+        """More clock or I/O never slows a model; a bigger batch never speeds it."""
+        rng = np.random.default_rng(seed)
+        table = LayerTable.from_architectures([random_cell(rng) for _ in range(4)])
+        variants = [
+            config,
+            config.with_overrides(name="faster-clock", clock_mhz=config.clock_mhz * factor),
+            config.with_overrides(
+                name="wider-io", io_bandwidth_gbps=config.io_bandwidth_gbps * factor
+            ),
+            config.with_overrides(name="bigger-batch", batch_size=config.batch_size + extra_batch),
+        ]
+        simulator = BatchSimulator(enable_parameter_caching=caching)
+        latency, energy = simulator.evaluate_table_grid(table, variants)
+        assert (latency[1] <= latency[0]).all()
+        assert (latency[2] <= latency[0]).all()
+        assert (latency[3] >= latency[0]).all()
+        available = energy_parameters_for(config).available
+        assert np.isnan(energy[0]).all() == (not available)
+        assert np.isfinite(energy[0]).all() == available
 
 
 class TestFacade:

@@ -2,10 +2,12 @@
 
 The grid path (:meth:`BatchSimulator.evaluate_table_grid`, one
 ``(num_configs, num_layers)`` pass) must be **bit-for-bit** the per-config
-loop (:meth:`BatchSimulator.evaluate_table`, the equivalence oracle kept
-from PR 1): both run the same kernels over the same float64/int64 values,
-only with the configuration scalars broadcast as columns, so exact equality
-— not a tolerance — is asserted throughout.
+loop (:meth:`BatchSimulator.evaluate_table`, one config at a time): a
+configuration's row may not depend on the rest of the grid, so exact
+equality — not a tolerance — is asserted throughout.  Agreement with the
+scalar :class:`~repro.simulator.PerformanceSimulator`, the reference of the
+fused kernel both calls run, is checked in ``test_batch_engine.py`` and
+``test_fused.py``.
 """
 
 from __future__ import annotations

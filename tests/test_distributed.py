@@ -278,10 +278,22 @@ class TestSweepWorker:
         assert result.pairs_simulated == len(manifest.pairs) - 1
         assert result.leases_stolen == 0
 
-    def test_unknown_strategy_rejected(self, tmp_path, queue_dataset):
-        publish(tmp_path, queue_dataset)
-        with pytest.raises(ServiceError, match="strategy"):
-            SweepWorker(tmp_path, strategy="warp-drive")
+    def test_manifest_naming_a_grid_strategy_still_drains(
+        self, tmp_path, queue_dataset, reference
+    ):
+        # Manifests written while the grid kernel was selectable carry
+        # "strategy": "fused".  The key is outside the digest, so the file
+        # name is unchanged, and a worker must drain it like any other.
+        _, manifest = publish(tmp_path, queue_dataset)
+        path = tmp_path / f"manifest-{manifest.digest}.json"
+        payload = json.loads(path.read_text())
+        assert "strategy" not in payload
+        payload["strategy"] = "fused"
+        path.write_text(json.dumps(payload))
+        assert SweepManifest.find(tmp_path).digest == manifest.digest
+        result = SweepWorker(tmp_path, owner="older", poll_seconds=0.05).run()
+        assert result.pairs_simulated == len(manifest.pairs)
+        assert_store_matches_reference(tmp_path, queue_dataset, reference)
 
     def test_traced_drain_merges_to_exact_fleet_counts(
         self, tmp_path, queue_dataset, reference

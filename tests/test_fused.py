@@ -1,19 +1,16 @@
-"""Fused compile-and-time kernel: parity with the staged oracle, duals vs FD.
+"""Fused compile-and-time kernel: parity with the scalar oracle, duals vs FD.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
-* **bit-for-bit parity** — the fused single-pass kernel must reproduce the
-  staged per-stage grid pipeline exactly (not to a tolerance) in both
+* **parity** — the fused single-pass kernel must reproduce the scalar
+  :class:`~repro.simulator.PerformanceSimulator` to 1e-9 relative in both
   parameter-caching modes, on a grid including the three mutated designs
-  covering the clock / geometry / cache-fraction axes;
-* **loop-nest semantics** — the ``@njit(parallel=True)`` loop nest is a
-  plain-Python function until numba compiles it, so its semantics are tested
-  here without numba (via a jit-capable stub backend whose ``njit`` is the
-  identity) and, when numba is installed, through the real compiled kernel;
+  covering the clock / geometry / cache-fraction axes, and its results must
+  not depend on the config chunk size;
 * **forward-mode sensitivities vs central finite differences** — the clock
-  dual against the *real* staged pipeline re-run at perturbed clocks, the
-  SRAM dual against the relaxed frozen-plan model it differentiates
-  (``sram_scale``), both at 1e-6 relative tolerance.
+  dual against the *real* pipeline re-run at perturbed clocks, the SRAM dual
+  against the relaxed frozen-plan model it differentiates (``sram_scale``),
+  both at 1e-6 relative tolerance.
 """
 
 from __future__ import annotations
@@ -22,12 +19,9 @@ import numpy as np
 import pytest
 
 from repro.arch import EDGE_TPU_V1, EDGE_TPU_V2, STUDIED_CONFIGS
-from repro.core.backend import ArrayBackend, available_backends
-from repro.errors import SimulationError
 from repro.nasbench import NASBenchDataset
 from repro.nasbench.layer_table import LayerTable
-from repro.simulator import GRID_STRATEGIES, BatchSimulator, compile_and_time_table
-from repro.simulator.fused import _fused_rows_loop_nest
+from repro.simulator import BatchSimulator, PerformanceSimulator, compile_and_time_table
 
 #: Studied classes plus three mutated designs (clock, geometry, cache axes).
 MUTATED_CONFIGS = [
@@ -46,36 +40,29 @@ def fused_dataset():
 
 
 @pytest.fixture(scope="module")
-def fused_table(fused_dataset):
-    networks = [record.build_network(fused_dataset.network_config) for record in fused_dataset]
-    return LayerTable.from_networks(networks)
+def fused_networks(fused_dataset):
+    return [record.build_network(fused_dataset.network_config) for record in fused_dataset]
 
 
-class _IdentityJitBackend(ArrayBackend):
-    """jit-capable backend whose "compiler" is the identity.
-
-    Forces :func:`compile_and_time_table` down the loop-nest branch while
-    executing it as plain Python — the loop nest's semantics are then
-    testable in environments without numba.
-    """
-
-    name = "identity-jit"
-    jit = True
-
-    def njit(self, function, parallel: bool = True):
-        return function
+@pytest.fixture(scope="module")
+def fused_table(fused_networks):
+    return LayerTable.from_networks(fused_networks)
 
 
 class TestFusedParity:
     @pytest.mark.parametrize("caching", [True, False])
-    def test_fused_matches_staged_bit_for_bit(self, fused_table, caching):
-        staged = BatchSimulator(enable_parameter_caching=caching, strategy="staged")
-        staged_latency, staged_energy = staged.evaluate_table_grid(fused_table, PARITY_CONFIGS)
+    def test_fused_matches_scalar_oracle(self, fused_networks, fused_table, caching):
         result = compile_and_time_table(
             fused_table, PARITY_CONFIGS, enable_parameter_caching=caching
         )
-        np.testing.assert_array_equal(result.latency_ms, staged_latency)
-        np.testing.assert_array_equal(result.energy_mj, staged_energy)
+        for index, config in enumerate(PARITY_CONFIGS):
+            oracle = PerformanceSimulator(config, enable_parameter_caching=caching)
+            scalar = [oracle.simulate(network) for network in fused_networks]
+            np.testing.assert_allclose(
+                result.latency_ms[index], [r.latency_ms for r in scalar], rtol=1e-9
+            )
+            energy = [np.nan if r.energy_mj is None else r.energy_mj for r in scalar]
+            np.testing.assert_allclose(result.energy_mj[index], energy, rtol=1e-9)
 
     @pytest.mark.parametrize("chunk", [1, 3, 1000])
     def test_chunking_does_not_change_results(self, fused_table, chunk):
@@ -85,52 +72,10 @@ class TestFusedParity:
         np.testing.assert_array_equal(chunked.energy_mj, baseline.energy_mj)
 
     def test_batch_simulator_routes_grid_through_fused_by_default(self, fused_table):
-        assert GRID_STRATEGIES == ("fused", "staged")
-        fused_sim = BatchSimulator()
-        assert fused_sim.strategy == "fused"
-        latency, energy = fused_sim.evaluate_table_grid(fused_table, PARITY_CONFIGS)
+        latency, energy = BatchSimulator().evaluate_table_grid(fused_table, PARITY_CONFIGS)
         result = compile_and_time_table(fused_table, PARITY_CONFIGS)
         np.testing.assert_array_equal(latency, result.latency_ms)
         np.testing.assert_array_equal(energy, result.energy_mj)
-
-    def test_unknown_strategy_is_rejected(self):
-        with pytest.raises(SimulationError, match="strategy"):
-            BatchSimulator(strategy="warp-speed")
-
-    @pytest.mark.parametrize("caching", [True, False])
-    def test_loop_nest_plain_python_matches_numpy_path(self, fused_table, caching):
-        reference = compile_and_time_table(
-            fused_table, PARITY_CONFIGS, enable_parameter_caching=caching
-        )
-        looped = compile_and_time_table(
-            fused_table,
-            PARITY_CONFIGS,
-            enable_parameter_caching=caching,
-            backend=_IdentityJitBackend(),
-        )
-        np.testing.assert_allclose(
-            looped.latency_ms, reference.latency_ms, rtol=1e-9, equal_nan=True
-        )
-        np.testing.assert_allclose(looped.energy_mj, reference.energy_mj, rtol=1e-9, equal_nan=True)
-
-    @pytest.mark.skipif(
-        "numba" not in available_backends(), reason="numba not installed in this environment"
-    )
-    def test_numba_backend_parity(self, fused_table):
-        reference = compile_and_time_table(fused_table, PARITY_CONFIGS, backend="numpy")
-        compiled = compile_and_time_table(fused_table, PARITY_CONFIGS, backend="numba")
-        np.testing.assert_allclose(
-            compiled.latency_ms, reference.latency_ms, rtol=1e-9, equal_nan=True
-        )
-        np.testing.assert_allclose(
-            compiled.energy_mj, reference.energy_mj, rtol=1e-9, equal_nan=True
-        )
-
-    def test_loop_nest_is_importable_plain_function(self):
-        # The symbol the jit branch compiles must stay a plain function so
-        # the identity-jit test above really covers the compiled semantics.
-        assert callable(_fused_rows_loop_nest)
-        assert getattr(_fused_rows_loop_nest, "__wrapped__", None) is None
 
 
 class TestSensitivities:
@@ -139,9 +84,9 @@ class TestSensitivities:
         assert result.dlatency_dclock_ghz is None
         assert result.dlatency_dsram_byte is None
 
-    def test_clock_dual_matches_staged_finite_difference(self, fused_table):
+    def test_clock_dual_matches_finite_difference(self, fused_table):
         result = compile_and_time_table(fused_table, MUTATED_CONFIGS, sensitivities=True)
-        simulator = BatchSimulator(strategy="staged")
+        simulator = BatchSimulator()
         h_mhz = 0.05  # +- 50 kHz around each design's clock
         for index, config in enumerate(MUTATED_CONFIGS):
             plus, _ = simulator.evaluate_table(

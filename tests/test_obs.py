@@ -256,21 +256,6 @@ class TestEvents:
         summary = obs.trace_summary(tmp_path / "trace")
         assert summary.events["cli.status"] == 1
 
-    def test_backend_fallback_is_structured_and_warns_once(self, tmp_path, monkeypatch):
-        from repro.core import backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "_warned_fallback", False)
-        monkeypatch.setenv(backend_mod.BACKEND_ENV, "definitely-not-a-backend")
-        with obs.capture(tmp_path / "trace") as tracer:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert backend_mod._resolve_from_environment().name == "numpy"
-                assert backend_mod._resolve_from_environment().name == "numpy"
-        assert tracer.event_counts.get("backend.fallback") == 1
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "definitely-not-a-backend" in str(runtime[0].message)
-
 
 # ---------------------------------------------------------------------- #
 # Stack contracts

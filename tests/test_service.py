@@ -468,7 +468,7 @@ class TestSweepService:
             raise AssertionError("SweepService must not invoke the simulator")
 
         monkeypatch.setattr(BatchSimulator, "evaluate", forbidden)
-        monkeypatch.setattr(BatchSimulator, "evaluate_table", forbidden)
+        monkeypatch.setattr(BatchSimulator, "evaluate_table_grid", forbidden)
 
     def test_queries_answered_from_disk_without_simulation(
         self, warm_root, store_dataset, direct_measurements, no_simulation
