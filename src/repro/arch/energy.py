@@ -99,12 +99,11 @@ def energy_parameters_for(config: AcceleratorConfig) -> EnergyParameters:
 class EnergyTable:
     """Per-configuration energy coefficients as ``(num_configs, 1)`` columns.
 
-    The config-axis analogue of :class:`EnergyParameters`: the coefficient
-    attribute names match, so the energy kernels in
-    :mod:`repro.simulator.energy` broadcast over either form unchanged.
-    ``available`` is the per-config availability mask (shape
-    ``(num_configs,)``); rows without a published energy model are masked to
-    NaN by the batch engine after the shared arithmetic.
+    The config-axis analogue of :class:`EnergyParameters`, with the same
+    attribute names.  The fused kernel of :mod:`repro.simulator.fused` reads
+    the static power column and ``available``, the per-config availability
+    mask (shape ``(num_configs,)``): rows without a published energy model
+    are masked to NaN after the shared arithmetic.
     """
 
     mac_energy_pj: np.ndarray

@@ -339,9 +339,7 @@ def segment_sum(
     return Tensor(out_data, parents=(a,), backward=backward, name="segment_sum")
 
 
-def _sum_segments(
-    values: Array, segment_ids: Array, num_segments: int, sorted_ids: bool
-) -> Array:
+def _sum_segments(values: Array, segment_ids: Array, num_segments: int, sorted_ids: bool) -> Array:
     """Sum rows of *values* into ``num_segments`` buckets.
 
     With ``sorted_ids=True`` the caller asserts the ids are non-decreasing,

@@ -279,9 +279,9 @@ def compile_and_time_table(
     """Fused grid evaluation: latency, energy and optional sensitivities.
 
     ``latency_ms``/``energy_mj`` match the scalar simulator's
-    ``simulate(network)`` per (config, model) when ``sram_scale`` is exactly
-    ``1.0`` (the default; any other value evaluates the relaxed frozen-plan
-    cache model documented in the module docstring).
+    ``simulate(network)`` per (config, model) to 1e-9 relative when
+    ``sram_scale`` is exactly ``1.0`` (the default; any other value evaluates
+    the relaxed frozen-plan cache model documented in the module docstring).
 
     Parameters
     ----------
@@ -311,9 +311,7 @@ def compile_and_time_table(
             table, config_table, enable_parameter_caching, sensitivities or sram_scale != 1.0
         )
         chunk = config_chunk or _auto_chunk(num_configs, num_layers)
-        result = _fused_time_energy(
-            unique, table, config_table, chunk, sensitivities, sram_scale
-        )
+        result = _fused_time_energy(unique, table, config_table, chunk, sensitivities, sram_scale)
     return result
 
 

@@ -278,9 +278,7 @@ class TestSweepWorker:
         assert result.pairs_simulated == len(manifest.pairs) - 1
         assert result.leases_stolen == 0
 
-    def test_manifest_naming_a_grid_strategy_still_drains(
-        self, tmp_path, queue_dataset, reference
-    ):
+    def test_manifest_naming_a_grid_strategy_still_drains(self, tmp_path, queue_dataset, reference):
         # Manifests written while the grid kernel was selectable carry
         # "strategy": "fused".  The key is outside the digest, so the file
         # name is unchanged, and a worker must drain it like any other.
