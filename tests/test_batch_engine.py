@@ -5,8 +5,8 @@ results within 1e-9 relative tolerance (in practice the only difference is
 the float reduction order of per-layer sums) across all three studied
 configurations, with and without parameter caching, including the model
 input/output DRAM extras charged to the first and last layer.  Property
-tests extend the comparison to configurations drawn over every axis the
-validator accepts, and check metamorphic relations of the cost model.
+tests extend the comparison to configurations drawn over the hardware,
+batch and bit-width axes, and check metamorphic relations of the cost model.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ CONFIG_NAMES = ("V1", "V2", "V3")
 
 @st.composite
 def accelerator_configs(draw):
-    """A valid configuration drawn over every axis, batch and bit widths too.
+    """A valid configuration drawn over the hardware, batch and bit-width axes.
 
     The name decides energy availability: "V3" has no energy model.
     """
