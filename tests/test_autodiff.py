@@ -239,3 +239,8 @@ class TestSegmentOps:
         target = Tensor(np.zeros((7, 3)), requires_grad=True)
         gather(target, indices).backward(values)
         np.testing.assert_array_equal(target.grad, reference)
+
+    def test_take_gathers_rows(self):
+        values = np.arange(12.0).reshape(6, 2)
+        indices = np.array([5, 0, 0, 3])
+        np.testing.assert_array_equal(gather(Tensor(values), indices).numpy(), values[indices])
