@@ -1,11 +1,11 @@
-"""Sweep throughput: scalar vs vectorized vs process-sharded batch engine.
+"""Sweep throughput: scalar vs vectorized batch engine.
 
 The paper's headline experiment needs ~1.5M latency simulations; this
 benchmark tracks how fast the reproduction can sweep its population
 (models/sec, counting one model as one model simulated on *all* studied
 configurations).  The scalar rate is measured on a subset and the vectorized
-rates on the full shared bench population; the vectorized single-process
-engine must beat the scalar walk by at least 5x.
+rate on the full shared bench population; the vectorized engine must beat
+the scalar walk by at least 5x.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from _reporting import report, report_json
 #: Scalar subset size: big enough for a stable rate, small enough to keep the
 #: benchmark turnaround reasonable.
 SCALAR_SUBSET_MODELS = int(os.environ.get("REPRO_BENCH_SCALAR_MODELS", "120"))
-#: Worker processes for the sharded measurement (at least 2, so the
-#: process-sharding path is always exercised; on a single-core box the row
-#: honestly reports the sharding overhead instead of a speedup).
-SHARD_JOBS = int(os.environ.get("REPRO_BENCH_SWEEP_JOBS", str(min(4, max(2, os.cpu_count() or 1)))))
 
 
 def _sweep_rate(dataset, configs, **kwargs) -> tuple[float, float]:
@@ -43,20 +39,16 @@ def test_sweep_throughput(benchmark, bench_dataset, bench_configs):
 
     scalar_rate, scalar_elapsed = _sweep_rate(subset, configs, strategy="scalar")
 
-    # The vectorized single-process sweep is the tracked benchmark metric.
+    # The vectorized sweep is the tracked benchmark metric.
     benchmark.pedantic(
         lambda: evaluate_dataset(bench_dataset, configs=configs, strategy="vectorized"),
         rounds=1,
         iterations=1,
     )
     vectorized_rate, vectorized_elapsed = _sweep_rate(bench_dataset, configs, strategy="vectorized")
-    sharded_rate, sharded_elapsed = _sweep_rate(
-        bench_dataset, configs, strategy="vectorized", n_jobs=SHARD_JOBS
-    )
 
     benchmark.extra_info["scalar_models_per_sec"] = round(scalar_rate, 1)
     benchmark.extra_info["vectorized_models_per_sec"] = round(vectorized_rate, 1)
-    benchmark.extra_info[f"sharded_{SHARD_JOBS}_models_per_sec"] = round(sharded_rate, 1)
     benchmark.extra_info["vectorized_speedup"] = round(vectorized_rate / scalar_rate, 1)
 
     lines = [
@@ -66,10 +58,8 @@ def test_sweep_throughput(benchmark, bench_dataset, bench_configs):
         f"{'engine':<28}{'models/sec':>12}{'elapsed (s)':>14}{'speedup':>10}",
         f"{'scalar (per-model loop)':<28}{scalar_rate:>12.1f}{scalar_elapsed:>14.3f}"
         f"{1.0:>10.1f}",
-        f"{'vectorized (1 process)':<28}{vectorized_rate:>12.1f}"
+        f"{'vectorized':<28}{vectorized_rate:>12.1f}"
         f"{vectorized_elapsed:>14.3f}{vectorized_rate / scalar_rate:>10.1f}",
-        f"{f'vectorized (n_jobs={SHARD_JOBS})':<28}{sharded_rate:>12.1f}"
-        f"{sharded_elapsed:>14.3f}{sharded_rate / scalar_rate:>10.1f}",
     ]
     report("sweep_throughput", lines)
     report_json(
@@ -83,7 +73,6 @@ def test_sweep_throughput(benchmark, bench_dataset, bench_configs):
         metrics={
             "scalar_models_per_sec": scalar_rate,
             "vectorized_models_per_sec": vectorized_rate,
-            f"sharded_{SHARD_JOBS}_models_per_sec": sharded_rate,
         },
     )
 

@@ -97,19 +97,17 @@ def energy_parameters_for(config: AcceleratorConfig) -> EnergyParameters:
 
 @dataclass(frozen=True)
 class EnergyTable:
-    """Per-configuration energy coefficients as ``(num_configs, 1)`` columns.
+    """The per-configuration energy values the fused kernel reads.
 
-    The config-axis analogue of :class:`EnergyParameters`, with the same
-    attribute names.  The fused kernel of :mod:`repro.simulator.fused` reads
-    the static power column and ``available``, the per-config availability
-    mask (shape ``(num_configs,)``): rows without a published energy model
-    are masked to NaN after the shared arithmetic.
+    ``static_power_w`` is a ``(num_configs, 1)`` column of
+    :attr:`EnergyParameters.static_power_w`; ``available`` is the
+    per-config availability mask (shape ``(num_configs,)``): rows without a
+    published energy model are masked to NaN after the shared arithmetic.
+    The per-event coefficients are technology constants shared by every
+    configuration, so the kernel of :mod:`repro.simulator.fused` applies
+    them as scalars and they have no column here.
     """
 
-    mac_energy_pj: np.ndarray
-    idle_lane_energy_pj: np.ndarray
-    sram_byte_energy_pj: np.ndarray
-    dram_byte_energy_pj: np.ndarray
     static_power_w: np.ndarray
     available: np.ndarray
 
@@ -117,20 +115,12 @@ class EnergyTable:
 def energy_parameters_table(configs: Iterable[AcceleratorConfig]) -> EnergyTable:
     """Stack :func:`energy_parameters_for` over a batch of configurations.
 
-    Each coefficient becomes a ``(num_configs, 1)`` column built from the
+    The static power becomes a ``(num_configs, 1)`` column built from the
     scalar derivation, so the config-axis energy path reuses the per-config
     values verbatim.
     """
     params = [energy_parameters_for(config) for config in configs]
-
-    def column(attribute: str) -> np.ndarray:
-        return np.array([getattr(p, attribute) for p in params], dtype=np.float64)[:, None]
-
     return EnergyTable(
-        mac_energy_pj=column("mac_energy_pj"),
-        idle_lane_energy_pj=column("idle_lane_energy_pj"),
-        sram_byte_energy_pj=column("sram_byte_energy_pj"),
-        dram_byte_energy_pj=column("dram_byte_energy_pj"),
-        static_power_w=column("static_power_w"),
+        static_power_w=np.array([p.static_power_w for p in params], dtype=np.float64)[:, None],
         available=np.array([p.available for p in params], dtype=bool),
     )

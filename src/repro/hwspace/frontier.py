@@ -138,23 +138,16 @@ class HardwareFrontier:
     def sweep(
         self,
         configs: Sequence[AcceleratorConfig],
-        n_jobs: int = 1,
         progress_callback: Callable[[str, int, int], None] | None = None,
     ) -> MeasurementSet:
         """Measure the population on every configuration of the grid."""
         configs = list(configs)
         if self.store is not None:
             return self.store.extend(
-                self.dataset,
-                configs=configs,
-                n_jobs=n_jobs,
-                progress_callback=progress_callback,
+                self.dataset, configs=configs, progress_callback=progress_callback
             )
         return self._simulator.evaluate(
-            self.dataset,
-            configs=configs,
-            n_jobs=n_jobs,
-            progress_callback=progress_callback,
+            self.dataset, configs=configs, progress_callback=progress_callback
         )
 
     def summarize(

@@ -15,9 +15,9 @@ replace scattered ``warnings.warn``/``print`` calls.  The design contract:
 * **One JSONL stream per process.**  An enabled tracer appends
   newline-delimited JSON records (spans, events, metric snapshots) to
   ``trace-<host>-<pid>.jsonl`` in the trace directory, one atomic
-  line-sized write each, with size-based rotation.  Fork-spawned workers
-  (process pools, ``python -m repro.service.worker`` fleets) each get their
-  own file, so a distributed drain leaves one trace per worker.
+  line-sized write each, with size-based rotation.  Worker processes
+  (``python -m repro.service.worker`` fleets, forked children) each get
+  their own file, so a distributed drain leaves one trace per worker.
 * **Merge closes the loop.**  :func:`trace_summary` aggregates one or many
   trace files into a per-span count/total/mean/p95/self-time tree plus
   fleet-summed counters; ``python -m repro.obs <trace.jsonl | dir>...``

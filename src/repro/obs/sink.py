@@ -29,9 +29,9 @@ class JsonlSink:
     lines and a ``SIGKILL`` loses at most the line in flight.  The active
     file is ``<prefix>-<host>-<pid>.jsonl``; when it would exceed
     ``max_bytes`` it is rotated aside to ``<prefix>-<host>-<pid>.<k>.jsonl``
-    and a fresh file is opened.  A pid change (``fork`` into a process-pool
-    worker) is detected on the next write and re-opens the stream under the
-    child's pid, so every process in a fleet owns exactly one stream.
+    and a fresh file is opened.  A pid change (a ``fork``-ed child) is
+    detected on the next write and re-opens the stream under the child's
+    pid, so every process in a fleet owns exactly one stream.
     """
 
     def __init__(

@@ -70,7 +70,6 @@ class HardwareSweepResult:
 def run_hardware_sweep(
     experiment: HardwareSweepExperiment,
     cache_dir: str | Path | None = None,
-    n_jobs: int = 1,
     progress_callback: Callable[[str, int, int], None] | None = None,
     compact: bool = False,
 ) -> HardwareSweepResult:
@@ -107,9 +106,7 @@ def run_hardware_sweep(
     )
     configs = list(experiment.space.enumerate())
     with obs.span("hwsweep.sweep", configs=len(configs), models=len(dataset)):
-        measurements = frontier.sweep(
-            configs, n_jobs=n_jobs, progress_callback=progress_callback
-        )
+        measurements = frontier.sweep(configs, progress_callback=progress_callback)
     if compact:
         if store is None:
             raise PipelineError("compact=True requires a cache_dir to compact into")

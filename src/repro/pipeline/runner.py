@@ -135,7 +135,6 @@ def run_experiment(
 
     cache = ExperimentCache(Path(cache_dir)) if cache_dir is not None else None
     configs = [get_config(name) for name in experiment.config_names]
-    simulator = BatchSimulator(enable_parameter_caching=experiment.enable_parameter_caching)
 
     if cache is not None:
         # Labeling goes through the resumable shard store: shards already on
@@ -148,7 +147,7 @@ def run_experiment(
         )
         say(f"labeling population on {len(configs)} configurations (sharded sweep)")
         with obs.span("pipeline.label", configs=len(configs), models=len(dataset)):
-            measurements = simulator.evaluate(dataset, configs=configs, store=store)
+            measurements = store.extend(dataset, configs=configs)
         if store.stats.pairs_simulated == 0:
             cache.stats.measurement_hits += 1
             say("labeling: measurement store hit (every shard on disk)")
@@ -170,6 +169,9 @@ def run_experiment(
             raise PipelineError("compact=True requires a cache_dir to compact into")
         say(f"labeling population on {len(configs)} configurations (vectorized sweep)")
         with obs.span("pipeline.label", configs=len(configs), models=len(dataset)):
+            simulator = BatchSimulator(
+                enable_parameter_caching=experiment.enable_parameter_caching
+            )
             measurements = simulator.evaluate(dataset, configs=configs)
 
     say("packing graph table")

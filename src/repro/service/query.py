@@ -32,7 +32,6 @@ typed wrappers over the same kernels:
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import asdict
 from typing import Iterable, Sequence
 
@@ -108,7 +107,7 @@ class SweepService:
         paper's V1/V2/V3).  Normalized through
         :func:`~repro.service.api.resolve_configs` — unknown names raise
         :class:`ServiceError` naming the offenders before any disk load is
-        attempted.  Passing configs positionally is deprecated.
+        attempted.
     settings:
         Training hyperparameters of the learned models backing
         :meth:`predict` (part of their weight-cache key).
@@ -125,24 +124,11 @@ class SweepService:
         self,
         store: MeasurementStore,
         dataset: NASBenchDataset,
-        *deprecated_configs: Iterable[object],
+        *,
         configs: Iterable[object] | None = None,
         settings: TrainingSettings | None = None,
         measurements: MeasurementSet | None = None,
     ):
-        if deprecated_configs:
-            if len(deprecated_configs) > 1 or configs is not None:
-                raise TypeError(
-                    "SweepService takes at most one configs argument "
-                    "(pass it as configs=...)"
-                )
-            warnings.warn(
-                "passing configs positionally to SweepService is deprecated; "
-                "use the configs= keyword",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            configs = deprecated_configs[0]
         self._store = store
         self._dataset = dataset
         if measurements is None:

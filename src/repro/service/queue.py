@@ -1,10 +1,12 @@
 """Filesystem-backed work queue for distributed sweep draining.
 
-``MeasurementStore.sweep(n_jobs=...)`` is a single-host process pool: one
-coordinating process owns the shard list and its workers die with it.  This
-module promotes the (shard, configuration) pair to a first-class work unit
-that *independent* worker processes — or hosts sharing the store directory
-over a network filesystem — can drain without any coordinator process:
+This is the one way to share a sweep across processes or hosts.
+``MeasurementStore.extend`` simulates a sweep's missing pairs in the calling
+process; this module promotes the (shard, configuration) pair to a
+first-class work unit that *independent* worker processes — on one host or
+on hosts sharing the store directory over a network filesystem — can drain
+without any coordinator process (an ``extend`` after the drain then loads
+their results and simulates nothing):
 
 * :class:`SweepManifest` — the full pair list of one sweep, content-keyed
   like the shards themselves (the digest covers the shard fingerprints, the

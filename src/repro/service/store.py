@@ -44,7 +44,6 @@ import os
 import re
 import uuid
 import zipfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -56,7 +55,7 @@ from ..arch.config import STUDIED_CONFIGS, AcceleratorConfig, get_config
 from ..errors import ServiceError
 from ..nasbench.dataset import NASBenchDataset
 from ..nasbench.layer_table import LayerTable
-from ..simulator.batch import BatchSimulator, simulate_shard
+from ..simulator.batch import BatchSimulator
 from ..simulator.runner import MeasurementSet
 
 #: Bump to invalidate every stored shard when the on-disk format changes.
@@ -199,9 +198,6 @@ class MeasurementStore:
         File-name prefix of this store's shards (defaults to ``"shard"``).
         Lets several logical stores — e.g. one per experiment key — share a
         flat directory, which is how the pipeline cache embeds stores.
-    simulator:
-        The :class:`BatchSimulator` misses are simulated with (one is built
-        on demand; its parameter-caching mode must match the store's).
     """
 
     def __init__(
@@ -210,25 +206,15 @@ class MeasurementStore:
         shard_size: int = DEFAULT_SHARD_SIZE,
         enable_parameter_caching: bool = True,
         prefix: str = "shard",
-        simulator: BatchSimulator | None = None,
     ):
         if shard_size < 1:
             raise ServiceError(f"shard_size must be positive, got {shard_size}")
-        if simulator is not None and (
-            simulator.enable_parameter_caching != enable_parameter_caching
-        ):
-            raise ServiceError(
-                "simulator and store disagree on parameter caching; shard "
-                "keys would not match the simulated results"
-            )
         self.root = Path(root)
         self.shard_size = int(shard_size)
         self.enable_parameter_caching = bool(enable_parameter_caching)
         self.prefix = prefix
         self.stats = StoreStats()
-        self._simulator = simulator or BatchSimulator(
-            enable_parameter_caching=enable_parameter_caching
-        )
+        self._simulator = BatchSimulator(enable_parameter_caching=enable_parameter_caching)
         #: (config, key) → (data path, offset, length, fingerprints); ``None``
         #: until the first read scans the compacted indices.
         self._compact_entries: dict[tuple[str, str], tuple[Path, int, int, list[str]]] | None = None
@@ -309,7 +295,6 @@ class MeasurementStore:
         self,
         dataset: NASBenchDataset,
         configs: Iterable[AcceleratorConfig | str] | None = None,
-        n_jobs: int = 1,
         progress_callback: Callable[[str, int, int], None] | None = None,
     ) -> MeasurementSet:
         """Bring the store up to date with *dataset* × *configs* and load it.
@@ -317,8 +302,10 @@ class MeasurementStore:
         Only the missing (shard, configuration) pairs are simulated; every
         completed pair is persisted before the next shard starts, so the
         sweep survives interruption and a re-run resumes with exactly the
-        remaining shards.  With ``n_jobs > 1`` the missing shards are
-        simulated by a process pool and saved as their futures resolve.
+        remaining shards.  To spread the missing pairs over several cores or
+        hosts, first drain a published manifest with
+        :class:`~repro.service.worker.SweepWorker` processes; this call then
+        loads what they wrote.
 
         *progress_callback* receives ``(config_name, done_models, total)``
         per completed shard (loaded or simulated), in monotonically
@@ -334,27 +321,10 @@ class MeasurementStore:
         if total == 0:
             return MeasurementSet(dataset, latencies, energies)
 
-        ranges = self.shard_ranges(total)
-        prints = [
-            [record.fingerprint for record in dataset.records[start:stop]]
-            for start, stop in ranges
-        ]
-        keys = [
-            {config.name: self.shard_key(shard_prints, config.name) for config in config_list}
-            for shard_prints in prints
-        ]
-        with obs.span(
-            "store.extend", configs=len(config_list), models=total, n_jobs=n_jobs
-        ):
-            if n_jobs > 1:
-                self._extend_parallel(
-                    dataset, config_list, ranges, prints, keys, latencies, energies,
-                    n_jobs, progress_callback,
-                )
-                return MeasurementSet(dataset, latencies, energies)
-
-            done = {c.name: 0 for c in config_list}
-            for (start, stop), shard_prints, shard_keys in zip(ranges, prints, keys):
+        with obs.span("store.extend", configs=len(config_list), models=total):
+            for start, stop in self.shard_ranges(total):
+                shard_prints = [record.fingerprint for record in dataset.records[start:stop]]
+                shard_keys = {c.name: self.shard_key(shard_prints, c.name) for c in config_list}
                 missing: list[AcceleratorConfig] = []
                 for config in config_list:
                     pair = self._load_pair(shard_prints, config.name, shard_keys[config.name])
@@ -369,9 +339,7 @@ class MeasurementStore:
                     # One LayerTable per shard, shared across its missing
                     # configs, and one config-axis vectorized pass over all
                     # of them.
-                    with obs.span(
-                        "store.simulate_shard", models=stop - start, configs=len(missing)
-                    ):
+                    with obs.span("store.simulate", models=stop - start, configs=len(missing)):
                         table = LayerTable.from_architectures(
                             [record.architecture for record in dataset.records[start:stop]],
                             dataset.network_config,
@@ -387,17 +355,15 @@ class MeasurementStore:
                         latencies[config.name][start:stop] = latency
                         energies[config.name][start:stop] = energy
                         self._tally(pairs_simulated=1, models_simulated=stop - start)
-                for config in config_list:
-                    done[config.name] += stop - start
-                    if progress_callback is not None:
-                        progress_callback(config.name, done[config.name], total)
+                if progress_callback is not None:
+                    for config in config_list:
+                        progress_callback(config.name, stop, total)
         return MeasurementSet(dataset, latencies, energies)
 
     def sweep(
         self,
         dataset: NASBenchDataset,
         configs: Iterable[AcceleratorConfig | str] | None = None,
-        n_jobs: int = 1,
         progress_callback: Callable[[str, int, int], None] | None = None,
     ) -> MeasurementSet:
         """Run (or resume) the sweep of *dataset* × *configs*.
@@ -405,9 +371,7 @@ class MeasurementStore:
         Alias of :meth:`extend` — a cold sweep, a resumed sweep and an
         incremental extension are the same operation over the store.
         """
-        return self.extend(
-            dataset, configs=configs, n_jobs=n_jobs, progress_callback=progress_callback
-        )
+        return self.extend(dataset, configs=configs, progress_callback=progress_callback)
 
     def ingest(self, measurements: MeasurementSet) -> int:
         """Persist an in-memory measurement set shard-by-shard.
@@ -691,72 +655,6 @@ class MeasurementStore:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _extend_parallel(
-        self,
-        dataset: NASBenchDataset,
-        config_list: Sequence[AcceleratorConfig],
-        ranges: Sequence[tuple[int, int]],
-        prints: Sequence[list[str]],
-        keys: Sequence[dict[str, str]],
-        latencies: dict[str, np.ndarray],
-        energies: dict[str, np.ndarray],
-        n_jobs: int,
-        progress_callback: Callable[[str, int, int], None] | None,
-    ) -> None:
-        """Load hits, then simulate the missing shards on a process pool.
-
-        Completed shards are persisted as their futures resolve, so an
-        interrupted parallel sweep also resumes incrementally.
-        """
-        total = len(dataset)
-        done = {c.name: 0 for c in config_list}
-        missing_by_shard: dict[int, list[AcceleratorConfig]] = {}
-        for shard_index, ((start, stop), shard_prints) in enumerate(zip(ranges, prints)):
-            for config in config_list:
-                pair = self._load_pair(shard_prints, config.name, keys[shard_index][config.name])
-                if pair is None:
-                    missing_by_shard.setdefault(shard_index, []).append(config)
-                    obs.count("store.pair_misses")
-                    continue
-                latencies[config.name][start:stop] = pair[0]
-                energies[config.name][start:stop] = pair[1]
-                self._tally(pairs_loaded=1, models_loaded=stop - start)
-                done[config.name] += stop - start
-        if progress_callback is not None:
-            # Report the warm coverage up front; simulated shards tick below.
-            for config in config_list:
-                if done[config.name]:
-                    progress_callback(config.name, done[config.name], total)
-        if not missing_by_shard:
-            return
-        archs = [record.architecture for record in dataset]
-        with ProcessPoolExecutor(
-            max_workers=min(n_jobs, len(missing_by_shard))
-        ) as pool:
-            futures = {
-                pool.submit(
-                    simulate_shard,
-                    archs[ranges[shard_index][0] : ranges[shard_index][1]],
-                    dataset.network_config,
-                    tuple(missing),
-                    self.enable_parameter_caching,
-                ): shard_index
-                for shard_index, missing in missing_by_shard.items()
-            }
-            for future in as_completed(futures):
-                shard_index = futures[future]
-                start, stop = ranges[shard_index]
-                for name, (latency, energy) in future.result().items():
-                    self._save_pair(
-                        prints[shard_index], name, keys[shard_index][name], latency, energy
-                    )
-                    latencies[name][start:stop] = latency
-                    energies[name][start:stop] = energy
-                    self._tally(pairs_simulated=1, models_simulated=stop - start)
-                    done[name] += stop - start
-                    if progress_callback is not None:
-                        progress_callback(name, done[name], total)
-
     def _load_pair(
         self,
         fingerprints: Sequence[str],

@@ -22,15 +22,16 @@ its reference.  :meth:`BatchSimulator.evaluate` returns the same
 :func:`~repro.simulator.runner.evaluate_dataset`, so all analysis and
 benchmark consumers are unchanged.
 
-For very large populations the sweep can additionally be sharded over model
-ranges with ``n_jobs > 1`` (process-based, fork-safe: each worker builds and
-simulates only its slice of the population).
+:meth:`BatchSimulator.evaluate` sweeps in memory.  A persisted, resumable
+sweep goes through :meth:`~repro.service.store.MeasurementStore.extend`, and
+a sweep shared across processes or hosts through the lease queue of
+:class:`~repro.service.worker.SweepWorker`; both simulate their missing
+pairs with :meth:`BatchSimulator.evaluate_table_grid`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,12 +42,8 @@ from ..errors import SimulationError
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import NASBenchDataset
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import MacroSpec
 from ..nasbench.network import NetworkConfig, NetworkSpec
 from .fused import compile_and_time_table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..service.store import MeasurementStore
 
 
 class BatchSimulator:
@@ -69,26 +66,17 @@ class BatchSimulator:
         self,
         dataset: NASBenchDataset,
         configs: Iterable[AcceleratorConfig] | None = None,
-        n_jobs: int = 1,
         progress_callback: Callable[[str, int, int], None] | None = None,
-        store: "MeasurementStore | None" = None,
     ):
         """Simulate every model of *dataset* on every configuration.
 
         Returns the same :class:`~repro.simulator.runner.MeasurementSet` as
-        the scalar sweep.  With ``n_jobs > 1`` the population is sharded over
-        model ranges and evaluated by a process pool; *progress_callback* is
-        invoked per shard as worker futures resolve, so long sweeps report
-        live progress instead of one burst at the end.
-
-        With *store* set, the sweep goes through a resumable
-        :class:`~repro.service.store.MeasurementStore`: shards already on
-        disk are loaded, only the missing (shard, configuration) pairs are
-        simulated, and every completed shard is persisted immediately (an
-        interrupted sweep resumes where it stopped).
-
-        A raising *progress_callback* cannot abort the sweep: exceptions
-        are caught, logged as obs error events, and the sweep continues.
+        the scalar sweep.  The population is packed into one
+        :class:`~repro.nasbench.layer_table.LayerTable` and every
+        configuration is simulated in one grid pass; *progress_callback*
+        ticks once per configuration.  A raising *progress_callback* cannot
+        abort the sweep: exceptions are caught, logged as obs error events,
+        and the sweep continues.
         """
         from .runner import MeasurementSet  # deferred: runner re-exports us
 
@@ -98,20 +86,6 @@ class BatchSimulator:
         )
         if not config_list:
             raise SimulationError("no accelerator configurations were provided")
-        if store is not None:
-            if store.enable_parameter_caching != self.enable_parameter_caching:
-                raise SimulationError(
-                    "measurement store and simulator disagree on parameter "
-                    f"caching (store={store.enable_parameter_caching}, "
-                    f"simulator={self.enable_parameter_caching}); shard keys "
-                    "would not match the simulated results"
-                )
-            return store.extend(
-                dataset,
-                configs=config_list,
-                n_jobs=n_jobs,
-                progress_callback=progress_callback,
-            )
         total = len(dataset)
 
         if total == 0:
@@ -121,24 +95,17 @@ class BatchSimulator:
                 {config.name: np.empty(0, dtype=float) for config in config_list},
                 {config.name: np.full(0, np.nan, dtype=float) for config in config_list},
             )
-        with obs.span(
-            "sim.evaluate", models=total, configs=len(config_list), n_jobs=n_jobs
-        ):
-            if n_jobs > 1:
-                latencies, energies = self._evaluate_sharded(
-                    dataset, config_list, n_jobs, progress_callback
-                )
-            else:
-                table = LayerTable.from_architectures(
-                    [record.architecture for record in dataset], dataset.network_config
-                )
-                grid_latency, grid_energy = self.evaluate_table_grid(table, config_list)
-                latencies, energies = {}, {}
-                for index, config in enumerate(config_list):
-                    latencies[config.name] = grid_latency[index]
-                    energies[config.name] = grid_energy[index]
-                    if progress_callback is not None:
-                        progress_callback(config.name, total, total)
+        with obs.span("sim.evaluate", models=total, configs=len(config_list)):
+            table = LayerTable.from_architectures(
+                [record.architecture for record in dataset], dataset.network_config
+            )
+            grid_latency, grid_energy = self.evaluate_table_grid(table, config_list)
+            latencies, energies = {}, {}
+            for index, config in enumerate(config_list):
+                latencies[config.name] = grid_latency[index]
+                energies[config.name] = grid_energy[index]
+                if progress_callback is not None:
+                    progress_callback(config.name, total, total)
         return MeasurementSet(dataset, latencies, energies)
 
     def evaluate_networks(
@@ -204,75 +171,3 @@ class BatchSimulator:
                 table, config_table, enable_parameter_caching=self.enable_parameter_caching
             )
             return result.latency_ms, result.energy_mj
-
-    # ------------------------------------------------------------------ #
-    # Process-based sharding
-    # ------------------------------------------------------------------ #
-    def _evaluate_sharded(
-        self,
-        dataset: NASBenchDataset,
-        config_list: Sequence[AcceleratorConfig],
-        n_jobs: int,
-        progress_callback: Callable[[str, int, int], None] | None = None,
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Shard the population over model ranges and merge the results.
-
-        Shard results are written into the output arrays as their futures
-        resolve (:func:`~concurrent.futures.as_completed`), and
-        *progress_callback* fires per completed shard with cumulative
-        per-configuration counts — progress is live, not a single burst after
-        the whole pool drains.
-        """
-        total = len(dataset)
-        shards = [chunk for chunk in np.array_split(np.arange(total), n_jobs) if chunk.size]
-        archs = [record.architecture for record in dataset]
-        latencies = {config.name: np.empty(total, dtype=float) for config in config_list}
-        energies = {config.name: np.full(total, np.nan, dtype=float) for config in config_list}
-        done = {config.name: 0 for config in config_list}
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            futures = {
-                pool.submit(
-                    simulate_shard,
-                    [archs[i] for i in chunk],
-                    dataset.network_config,
-                    tuple(config_list),
-                    self.enable_parameter_caching,
-                ): chunk
-                for chunk in shards
-            }
-            for future in as_completed(futures):
-                chunk = futures[future]
-                result = future.result()
-                for config in config_list:
-                    shard_latency, shard_energy = result[config.name]
-                    latencies[config.name][chunk] = shard_latency
-                    energies[config.name][chunk] = shard_energy
-                    done[config.name] += int(chunk.size)
-                    if progress_callback is not None:
-                        progress_callback(config.name, done[config.name], total)
-        return latencies, energies
-
-
-def simulate_shard(
-    cells: list[Cell | MacroSpec],
-    network_config: NetworkConfig,
-    configs: tuple[AcceleratorConfig, ...],
-    enable_parameter_caching: bool,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Build and evaluate one model-range shard on every configuration.
-
-    The task the process pools run: the pool workers of
-    :meth:`BatchSimulator.evaluate` with ``n_jobs > 1`` and of the store's
-    parallel :meth:`~repro.service.store.MeasurementStore.extend`.  The
-    serial ``extend`` and the distributed
-    :class:`~repro.service.worker.SweepWorker` build their tables themselves
-    and call :meth:`BatchSimulator.evaluate_table_grid` directly; every
-    route ends in that one kernel, so a shard simulates to identical bytes
-    no matter which executor ran it.  Entries may be bare cells (expanded
-    through *network_config*) or self-contained macro specs.
-    """
-    table = LayerTable.from_architectures(cells, network_config)
-    simulator = BatchSimulator(enable_parameter_caching=enable_parameter_caching)
-    latency, energy = simulator.evaluate_table_grid(table, configs)
-    return {config.name: (latency[index], energy[index]) for index, config in enumerate(configs)}
-

@@ -168,10 +168,12 @@ def evaluate_dataset(
     enable_parameter_caching: bool = True,
     progress_callback: Callable[[str, int, int], None] | None = None,
     strategy: str = "vectorized",
-    n_jobs: int = 1,
-    store=None,
 ) -> MeasurementSet:
-    """Simulate every model of *dataset* on every configuration.
+    """Simulate every model of *dataset* on every configuration, in memory.
+
+    A sweep that must persist and resume goes through
+    :meth:`~repro.service.store.MeasurementStore.extend`; one shared across
+    processes or hosts through :class:`~repro.service.worker.SweepWorker`.
 
     Parameters
     ----------
@@ -186,41 +188,23 @@ def evaluate_dataset(
         Optional ``callback(config_name, done, total)`` hook for long sweeps.
         The scalar walk ticks every 500 models plus a guaranteed final
         ``(total, total)`` tick; the vectorized engine reports once per
-        completed configuration, or per shard when sharded (``n_jobs > 1``
-        or a *store*).
+        completed configuration.
     strategy:
         ``"vectorized"`` (default) dispatches to the structure-of-arrays
         :class:`~repro.simulator.batch.BatchSimulator`; ``"scalar"`` walks the
         population one model at a time through the
         :class:`PerformanceSimulator` (escape hatch, used by the equivalence
         tests and throughput benchmarks).
-    n_jobs:
-        Number of worker processes sharding the vectorized sweep over model
-        ranges (ignored by the scalar strategy).
-    store:
-        Optional :class:`~repro.service.store.MeasurementStore` making the
-        vectorized sweep resumable: shards already on disk are loaded and
-        only missing (shard, configuration) pairs are simulated (rejected by
-        the scalar strategy).
     """
     if strategy == "vectorized":
         from .batch import BatchSimulator  # deferred: batch imports MeasurementSet
 
         return BatchSimulator(enable_parameter_caching=enable_parameter_caching).evaluate(
-            dataset,
-            configs=configs,
-            n_jobs=n_jobs,
-            progress_callback=progress_callback,
-            store=store,
+            dataset, configs=configs, progress_callback=progress_callback
         )
     if strategy != "scalar":
         raise SimulationError(
             f"unknown sweep strategy {strategy!r}; expected 'vectorized' or 'scalar'"
-        )
-    if store is not None:
-        raise SimulationError(
-            "the scalar sweep strategy does not support a measurement store; "
-            "use strategy='vectorized'"
         )
 
     config_list: Sequence[AcceleratorConfig] = (

@@ -223,16 +223,10 @@ class TestQueryDispatch:
 
 
 class TestServiceConstruction:
-    def test_positional_configs_are_deprecated_but_work(self, warm_root, api_dataset):
+    def test_positional_configs_are_rejected(self, warm_root, api_dataset):
         store = MeasurementStore(warm_root, shard_size=SHARD)
-        with pytest.warns(DeprecationWarning, match="configs positionally"):
-            service = SweepService(store, api_dataset, CONFIGS)
-        assert service.config_names == list(CONFIGS)
-
-    def test_positional_and_keyword_configs_conflict(self, warm_root, api_dataset):
-        store = MeasurementStore(warm_root, shard_size=SHARD)
-        with pytest.raises(TypeError, match="at most one configs argument"):
-            SweepService(store, api_dataset, CONFIGS, configs=CONFIGS)
+        with pytest.raises(TypeError, match="positional"):
+            SweepService(store, api_dataset, CONFIGS)
 
     def test_unknown_config_names_fail_eagerly_naming_offenders(
         self, warm_root, api_dataset

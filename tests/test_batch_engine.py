@@ -193,13 +193,6 @@ class TestBatchSimulatorEquivalence:
             else:
                 assert energy[0] == pytest.approx(scalar.energy_mj, rel=RTOL)
 
-    def test_n_jobs_sharding_is_exact(self, population):
-        single = BatchSimulator().evaluate(population)
-        sharded = BatchSimulator().evaluate(population, n_jobs=2)
-        for name in CONFIG_NAMES:
-            np.testing.assert_array_equal(sharded.latencies(name), single.latencies(name))
-            np.testing.assert_array_equal(sharded.energies(name), single.energies(name))
-
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**6),

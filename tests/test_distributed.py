@@ -256,6 +256,35 @@ class TestSweepWorker:
         assert len(completed) == len(set(completed)) == len(manifest.pairs)
         assert_store_matches_reference(tmp_path, queue_dataset, reference)
 
+    def test_extend_after_a_worker_drain_loads_every_pair(
+        self, tmp_path, queue_dataset, reference
+    ):
+        # The multi-core sweep: workers drain the manifest, then one extend on
+        # a fresh store object assembles the result without simulating.
+        _, manifest = publish(tmp_path, queue_dataset)
+        half = len(manifest.pairs) // 2
+        first = SweepWorker(tmp_path, owner="core-0", poll_seconds=0.05).run(max_pairs=half)
+        second = SweepWorker(tmp_path, owner="core-1", poll_seconds=0.05).run()
+        assert (first.pairs_simulated, second.pairs_simulated) == (
+            half,
+            len(manifest.pairs) - half,
+        )
+        store = MeasurementStore(tmp_path, shard_size=SHARD)
+        ticks = []
+        measurements = store.extend(
+            queue_dataset,
+            configs=CONFIGS,
+            progress_callback=lambda name, done, total: ticks.append((name, done, total)),
+        )
+        assert store.stats.pairs_simulated == 0
+        assert store.stats.pairs_loaded == len(manifest.pairs)
+        for name in CONFIGS:
+            counts = [done for tick_name, done, _ in ticks if tick_name == name]
+            assert counts == sorted(counts)
+            assert counts[-1] == len(queue_dataset)
+            assert measurements.latencies(name).tobytes() == reference.latencies(name).tobytes()
+            assert measurements.energies(name).tobytes() == reference.energies(name).tobytes()
+
     def test_worker_steals_a_dead_peers_lease(self, tmp_path, queue_dataset, reference):
         _, manifest = publish(tmp_path, queue_dataset)
         queue = WorkQueue(tmp_path, manifest, expiry_seconds=30.0)

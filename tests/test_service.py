@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TrainingSettings
-from repro.errors import DatasetError, ServiceError, SimulationError
+from repro.errors import DatasetError, ServiceError
 from repro.nasbench import NASBenchDataset, sample_unique_cells
 from repro.service import MeasurementStore, SweepService
 from repro.service import store as store_module
-from repro.simulator import BatchSimulator, evaluate_dataset
+from repro.simulator import BatchSimulator
 
 SHARD = 16
 CONFIGS = ("V1", "V2", "V3")
@@ -137,26 +137,6 @@ class TestMeasurementStore:
             measurements.latencies("V1"), direct_measurements.latencies("V1"), rtol=1e-9
         )
 
-    def test_parallel_extend_matches_and_persists(
-        self, tmp_path, store_dataset, direct_measurements
-    ):
-        store = make_store(tmp_path)
-        ticks = []
-        measurements = store.extend(
-            store_dataset, configs=CONFIGS, n_jobs=2,
-            progress_callback=lambda name, done, total: ticks.append((name, done, total)),
-        )
-        assert store.stats.pairs_simulated == 4 * len(CONFIGS)
-        assert_matches_reference(measurements, direct_measurements)
-        for name in CONFIGS:
-            counts = [done for tick_name, done, _ in ticks if tick_name == name]
-            assert counts == sorted(counts)
-            assert counts[-1] == len(store_dataset)
-        # ... and a second parallel run is pure loading.
-        warm = make_store(tmp_path)
-        warm.extend(store_dataset, configs=CONFIGS, n_jobs=2)
-        assert warm.stats.pairs_simulated == 0
-
     def test_load_refuses_cold_store(self, tmp_path, store_dataset):
         with pytest.raises(ServiceError, match="missing"):
             make_store(tmp_path).load(store_dataset, configs=CONFIGS)
@@ -224,30 +204,11 @@ class TestMeasurementStore:
         assert other_mode.stats.pairs_loaded == 0
         assert other_mode.stats.pairs_simulated == 4
 
-    def test_store_simulator_mode_mismatch_rejected(self, tmp_path, store_dataset):
-        store = make_store(tmp_path, enable_parameter_caching=False)
-        with pytest.raises(SimulationError, match="parameter"):
-            BatchSimulator(enable_parameter_caching=True).evaluate(store_dataset, store=store)
-        with pytest.raises(ServiceError, match="parameter"):
-            MeasurementStore(
-                tmp_path,
-                enable_parameter_caching=True,
-                simulator=BatchSimulator(enable_parameter_caching=False),
-            )
-
     def test_invalid_arguments_rejected(self, tmp_path, store_dataset):
         with pytest.raises(ServiceError):
             MeasurementStore(tmp_path, shard_size=0)
         with pytest.raises(ServiceError):
             make_store(tmp_path).sweep(store_dataset, configs=())
-        with pytest.raises(SimulationError, match="scalar"):
-            evaluate_dataset(store_dataset, strategy="scalar", store=make_store(tmp_path))
-
-    def test_evaluate_dataset_store_passthrough(self, tmp_path, store_dataset, direct_measurements):
-        store = make_store(tmp_path)
-        measurements = evaluate_dataset(store_dataset, store=store)
-        assert store.stats.pairs_simulated == 4 * len(CONFIGS)
-        assert_matches_reference(measurements, direct_measurements)
 
 
 class TestCompaction:

@@ -235,9 +235,6 @@ class RecordingCallback:
     def __call__(self, config_name, done, total):
         self.ticks.append((config_name, done, total))
 
-    def per_config(self, config_name):
-        return [done for name, done, _ in self.ticks if name == config_name]
-
 
 class TestProgressReporting:
     @pytest.fixture(scope="class")
@@ -268,18 +265,3 @@ class TestProgressReporting:
         evaluate_dataset(tiny, configs=[EDGE_TPU_V1], strategy="vectorized",
                          progress_callback=vectorized)
         assert scalar.ticks[-1] == vectorized.ticks[-1] == ("V1", 12, 12)
-
-    def test_sharded_sweep_reports_per_shard(self, tiny):
-        # Regression: n_jobs > 1 previously fired every tick only after all
-        # shards had completed; now each resolving future ticks.
-        recorder = RecordingCallback()
-        evaluate_dataset(
-            tiny, configs=[EDGE_TPU_V1, EDGE_TPU_V3], n_jobs=3,
-            progress_callback=recorder,
-        )
-        for name in ("V1", "V3"):
-            counts = recorder.per_config(name)
-            assert len(counts) == 3  # one tick per shard
-            assert counts == sorted(counts)
-            assert counts[-1] == 12
-            assert counts[0] < 12  # progress was reported before the end
