@@ -1,4 +1,4 @@
-"""Training throughput: pack-once GraphTable vs legacy per-list batching.
+"""Training throughput: pack-once GraphTable and the written-out step.
 
 Four measurements, mirroring `bench_sweep_throughput.py` on the learned-
 model side of the stack:
@@ -9,8 +9,9 @@ model side of the stack:
   (`slice_batch` vs per-step `batch_graphs` list concatenation), and forming
   the whole-population batch used by single-pass inference (`to_batched`,
   O(1), vs re-concatenating every graph);
-* **training** — wall-clock per epoch for `train_model` with
-  `strategy="packed"` vs `strategy="list"` (bit-for-bit the same numerics);
+* **training** — wall-clock per epoch for `train_model` (the written-out
+  step of `repro.core.step`) vs the same loop recorded on the autodiff tape
+  (`tape_train` below). Both arms must end with bit-identical weights;
 * **pipeline** — a full `run_experiment` call cold vs warm cache, which is
   the smoke-mode path CI exercises.
 
@@ -26,10 +27,12 @@ import time
 import numpy as np
 
 from repro.core import (
+    Adam,
     EncodeProcessDecode,
     GraphTable,
     TrainingSettings,
     batch_graphs,
+    batched_loss,
     featurize_cells,
     train_model,
 )
@@ -44,6 +47,19 @@ BATCH_SIZE = 16
 SEED = 2022
 #: Rounds used to time the (fast) batch-formation loops stably.
 FORMATION_ROUNDS = 5
+
+
+def tape_train(model, table, targets, epochs, batch_size, seed):
+    """`train_model`'s loop with every step recorded on the autodiff tape."""
+    optimizer = Adam(model.parameters())
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(table.num_graphs)
+        for start in range(0, len(order), batch_size):
+            indices = order[start : start + batch_size]
+            optimizer.zero_grad()
+            batched_loss(model, table.slice_batch(indices), targets[indices]).backward()
+            optimizer.step()
 
 
 def _epoch_orders(num_graphs: int) -> list[np.ndarray]:
@@ -88,26 +104,22 @@ def test_training_throughput(benchmark, tmp_path):
         table.to_batched()
     packed_full_batch = (time.perf_counter() - start) / FORMATION_ROUNDS
 
-    # --- training: full epochs through the autodiff graph -----------------
+    # --- training: the written-out step vs the recorded tape ---------------
+    tape_model = EncodeProcessDecode(seed=1)
     start = time.perf_counter()
-    train_model(
-        EncodeProcessDecode(seed=1), graphs, targets,
-        epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0, strategy="list",
-    )
-    legacy_train = time.perf_counter() - start
+    tape_train(tape_model, table, targets, EPOCHS, BATCH_SIZE, seed=0)
+    tape_elapsed = time.perf_counter() - start
 
-    packed_timings = []
+    models = []
 
-    def packed_training():
+    def written_out_training():
+        model = EncodeProcessDecode(seed=1)
         start = time.perf_counter()
-        train_model(
-            EncodeProcessDecode(seed=1), table, targets,
-            epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0, strategy="packed",
-        )
-        packed_timings.append(time.perf_counter() - start)
+        train_model(model, table, targets, epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0)
+        models.append((model, time.perf_counter() - start))
 
-    benchmark.pedantic(packed_training, rounds=1, iterations=1)
-    packed_train = packed_timings[0]
+    benchmark.pedantic(written_out_training, rounds=1, iterations=1)
+    trained, packed_train = models[0]
 
     # --- pipeline: cold vs warm experiment run ----------------------------
     experiment = Experiment(
@@ -132,15 +144,15 @@ def test_training_throughput(benchmark, tmp_path):
     )
     benchmark.extra_info["full_batch_speedup"] = round(legacy_full_batch / packed_full_batch, 1)
     benchmark.extra_info["packed_epoch_seconds"] = round(packed_train / EPOCHS, 4)
-    benchmark.extra_info["legacy_epoch_seconds"] = round(legacy_train / EPOCHS, 4)
+    benchmark.extra_info["tape_epoch_seconds"] = round(tape_elapsed / EPOCHS, 4)
     benchmark.extra_info["pipeline_warm_speedup"] = round(cold_pipeline / warm_pipeline, 1)
 
     lines = [
-        "Training throughput — packed GraphTable vs legacy list batching",
+        "Training throughput — packed GraphTable and written-out step vs references",
         f"({len(cells)} graphs, batch {BATCH_SIZE}, {EPOCHS} epochs; pipeline on "
         f"{experiment.population.num_models} models; featurize "
         f"{featurize_rate:.0f} graphs/sec, one-time pack {pack_elapsed * 1e3:.2f} ms)",
-        f"{'stage':<36}{'packed':>12}{'legacy':>12}{'speedup':>10}",
+        f"{'stage':<36}{'packed':>12}{'reference':>12}{'speedup':>10}",
         f"{'epoch batch formation (ms)':<36}{packed_epoch_batching * 1e3:>12.2f}"
         f"{legacy_epoch_batching * 1e3:>12.2f}"
         f"{legacy_epoch_batching / packed_epoch_batching:>10.1f}",
@@ -148,19 +160,24 @@ def test_training_throughput(benchmark, tmp_path):
         f"{legacy_full_batch * 1e3:>12.3f}"
         f"{legacy_full_batch / packed_full_batch:>10.1f}",
         f"{'train epoch (s)':<36}{packed_train / EPOCHS:>12.3f}"
-        f"{legacy_train / EPOCHS:>12.3f}{legacy_train / packed_train:>10.1f}",
+        f"{tape_elapsed / EPOCHS:>12.3f}{tape_elapsed / packed_train:>10.1f}",
         f"{'pipeline run (s)':<36}{warm_pipeline:>12.3f}"
         f"{cold_pipeline:>12.3f}{cold_pipeline / warm_pipeline:>10.1f}",
-        "(pipeline 'packed' column is the warm-cache re-run, 'legacy' the cold run)",
+        "(references: per-step batch_graphs list concatenation for batch formation,",
+        " the autodiff tape for the train epoch, the cold run for the pipeline,",
+        " where 'packed' is the warm-cache re-run)",
     ]
     report("training_throughput", lines)
 
-    # Direction-robust invariants hold at every scale: the warm pipeline must
-    # beat simulate+train and serve everything from cache.  The wall-clock
+    # Direction-robust invariants hold at every scale: both training arms end
+    # with bit-identical weights, and the warm pipeline must beat
+    # simulate+train and serve everything from cache.  The wall-clock
     # parity/speedup ratios are only meaningful once the population is large
     # enough that formation cost dominates fixed numpy call overhead, so in
     # smoke mode (tiny populations on noisy CI runners) they are reported via
     # extra_info but not asserted.
+    for weights, tape_weights in zip(trained.parameters(), tape_model.parameters()):
+        assert np.array_equal(weights.data, tape_weights.data), "training arms diverged"
     assert warm_pipeline < cold_pipeline, (
         f"warm pipeline ({warm_pipeline:.3f}s) not faster than cold ({cold_pipeline:.3f}s)"
     )
@@ -174,7 +191,7 @@ def test_training_throughput(benchmark, tmp_path):
             f"whole-population batch only "
             f"{legacy_full_batch / packed_full_batch:.1f}x the legacy concat"
         )
-        assert packed_train <= 1.2 * legacy_train, (
-            f"packed training slower than legacy: {packed_train:.3f}s vs "
-            f"{legacy_train:.3f}s"
+        assert packed_train <= 1.2 * tape_elapsed, (
+            f"written-out training slower than the tape: {packed_train:.3f}s vs "
+            f"{tape_elapsed:.3f}s"
         )

@@ -1,4 +1,8 @@
-"""Learned performance model: numpy autodiff, graph network, training, metrics."""
+"""Learned performance model: graph network, written-out training step, metrics.
+
+The numpy autodiff tape (:mod:`.autodiff`) is the reference the written-out
+step (:mod:`.step`) is tested against.
+"""
 
 from .autodiff import Tensor, mse_loss
 from .features import GraphTuple, cell_to_graph, featurize_cells

@@ -12,6 +12,12 @@ operation that produced it and a closure that propagates gradients to its
 parents; :meth:`Tensor.backward` walks the tape in reverse topological order.
 Only float64 arrays are used — the models involved are tiny (two-layer,
 16-unit MLPs) so numerical robustness is worth more than speed.
+
+The tape is the readable reference, not the training engine: training,
+evaluation and prediction run the written-out step of
+:mod:`repro.core.step`, which must match this tape bit for bit (losses,
+gradients, weights and predictions). ``tests/test_step.py`` and the training
+benchmark compare the two.
 """
 
 from __future__ import annotations

@@ -8,13 +8,11 @@ quickly at all depths.
 
 The loop runs on the pack-once :class:`~repro.core.graph_table.GraphTable`
 representation: the dataset's graphs are flattened into shared arrays a single
-time and every mini-batch is an array slice of that table
-(``strategy="packed"``, the default).  The legacy per-list path — rebuilding a
-:class:`~repro.core.graph_net.BatchedGraphs` from a Python list of
-:class:`GraphTuple` on every step — is kept as ``strategy="list"``; it is the
-reference implementation the equivalence tests and the training-throughput
-benchmark compare against, and both paths are bit-for-bit identical given the
-same seed.
+time and every mini-batch is an array slice of that table. Each step is the
+written-out forward/backward pass of :mod:`repro.core.step` feeding the flat
+:class:`~repro.core.optimizer.Adam`. The recorded tape of
+:mod:`repro.core.autodiff` (:func:`batched_loss` plus ``loss.backward()``) is
+the reference it is tested against, bit for bit; it trains nothing here.
 """
 
 from __future__ import annotations
@@ -24,10 +22,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .. import obs
 from ..errors import ModelError
+from . import step
 from .autodiff import Tensor, mse_loss
 from .features import GraphTuple
-from .graph_net import BatchedGraphs, batch_graphs
+from .graph_net import BatchedGraphs
 from .graph_table import GraphTable, as_graph_table
 from .model import EncodeProcessDecode
 from .optimizer import Adam
@@ -158,7 +158,11 @@ class TrainingHistory:
 def batched_loss(
     model: EncodeProcessDecode, batched: BatchedGraphs, targets: np.ndarray
 ) -> Tensor:
-    """Loss of one batch: MSE averaged over message-passing steps."""
+    """Loss of one batch on the tape: MSE averaged over message-passing steps.
+
+    The reference :func:`repro.core.step.loss_and_gradients` must match bit
+    for bit; training itself does not record a tape.
+    """
     predictions = model(batched)
     target_tensor = Tensor(np.asarray(targets, dtype=float).reshape(-1, 1))
     loss = mse_loss(predictions[0], target_tensor)
@@ -167,11 +171,31 @@ def batched_loss(
     return loss * Tensor(1.0 / len(predictions))
 
 
-def _batch_loss(
-    model: EncodeProcessDecode, graphs: Sequence[GraphTuple], targets: np.ndarray
-) -> Tensor:
-    """Legacy per-list loss: re-batch *graphs*, then :func:`batched_loss`."""
-    return batched_loss(model, batch_graphs(graphs), targets)
+def _is_empty(graphs: GraphSource) -> bool:
+    return not isinstance(graphs, GraphTable) and len(graphs) == 0
+
+
+def _batches(table: GraphTable, batch_size: int) -> list[tuple[np.ndarray, step.GraphBatch]]:
+    """Consecutive batches of *table*, with their graph indices."""
+    return [
+        (indices, step.GraphBatch(table.slice_batch(indices)))
+        for indices in (
+            np.arange(start, min(start + batch_size, table.num_graphs))
+            for start in range(0, table.num_graphs, batch_size)
+        )
+    ]
+
+
+def _mean_loss(
+    model: EncodeProcessDecode,
+    batches: list[tuple[np.ndarray, step.GraphBatch]],
+    targets: np.ndarray,
+) -> float:
+    total, count = 0.0, 0
+    for indices, batch in batches:
+        total += step.batch_loss(model, batch, targets[indices]) * len(indices)
+        count += len(indices)
+    return total / max(count, 1)
 
 
 def evaluate_loss(
@@ -181,17 +205,10 @@ def evaluate_loss(
     batch_size: int = 256,
 ) -> float:
     """Average per-step MSE of *model* on a dataset (no gradient updates)."""
-    if not isinstance(graphs, GraphTable) and len(graphs) == 0:
+    if _is_empty(graphs):
         return 0.0
     table = as_graph_table(graphs)
-    targets = np.asarray(targets, dtype=float)
-    total, count = 0.0, 0
-    for start in range(0, table.num_graphs, batch_size):
-        indices = np.arange(start, min(start + batch_size, table.num_graphs))
-        loss = batched_loss(model, table.slice_batch(indices), targets[indices])
-        total += loss.item() * len(indices)
-        count += len(indices)
-    return total / max(count, 1)
+    return _mean_loss(model, _batches(table, batch_size), np.asarray(targets, dtype=float))
 
 
 def train_model(
@@ -204,15 +221,12 @@ def train_model(
     batch_size: int = 16,
     learning_rate: float = 1e-3,
     seed: int = 0,
-    strategy: str = "packed",
 ) -> TrainingHistory:
     """Train *model* with minibatch Adam and return the loss history.
 
     Targets are expected to be already normalized (see
-    :class:`TargetNormalizer`).  ``strategy="packed"`` (default) packs the
-    training set into a :class:`GraphTable` once and slices mini-batches out
-    of it; ``strategy="list"`` is the legacy per-step list-batching reference
-    path (requires sequence inputs) and produces bit-for-bit the same result.
+    :class:`TargetNormalizer`). The training set is packed into a
+    :class:`GraphTable` once and every mini-batch is a slice of it.
     """
     num_train = (
         train_graphs.num_graphs
@@ -223,42 +237,37 @@ def train_model(
         raise ModelError("training graphs and targets must have the same length")
     if num_train == 0:
         raise ModelError("training set is empty")
-    if strategy not in ("packed", "list"):
-        raise ModelError(f"unknown training strategy {strategy!r}")
-    if strategy == "list" and isinstance(train_graphs, GraphTable):
-        raise ModelError("strategy='list' requires a sequence of GraphTuple")
 
-    table = as_graph_table(train_graphs) if strategy == "packed" else None
-
-    optimizer = Adam(model.parameters(), learning_rate=learning_rate)
-    rng = np.random.default_rng(seed)
+    table = as_graph_table(train_graphs)
     history = TrainingHistory()
     train_targets = np.asarray(train_targets, dtype=float)
-    has_validation = (
-        isinstance(validation_graphs, GraphTable) or len(validation_graphs) > 0
-    ) and validation_targets is not None
+    validation = None
+    if not _is_empty(validation_graphs) and validation_targets is not None:
+        validation = _batches(as_graph_table(validation_graphs), 256)
+        validation_targets = np.asarray(validation_targets, dtype=float)
 
-    for _ in range(epochs):
-        order = rng.permutation(num_train)
-        epoch_loss, batches = 0.0, 0
-        for start in range(0, len(order), batch_size):
-            indices = order[start : start + batch_size]
-            if table is not None:
-                batched = table.slice_batch(indices)
-            else:
-                batched = batch_graphs([train_graphs[i] for i in indices])
-            targets = train_targets[indices]
-            optimizer.zero_grad()
-            loss = batched_loss(model, batched, targets)
-            loss.backward()
-            optimizer.step()
-            epoch_loss += loss.item()
-            batches += 1
-        history.train_losses.append(epoch_loss / max(batches, 1))
-        if has_validation:
-            history.validation_losses.append(
-                evaluate_loss(model, validation_graphs, np.asarray(validation_targets, dtype=float))
-            )
+    with obs.span("core.train", graphs=num_train, epochs=epochs, batch_size=batch_size):
+        optimizer = Adam(model.parameters(), learning_rate=learning_rate)
+        rng = np.random.default_rng(seed)
+        steps = 0
+        for _ in range(epochs):
+            order = rng.permutation(num_train)
+            epoch_loss, batches = 0.0, 0
+            for start in range(0, num_train, batch_size):
+                indices = order[start : start + batch_size]
+                batch = step.GraphBatch(table.slice_batch(indices))
+                epoch_loss += step.loss_and_gradients(
+                    model, batch, train_targets[indices], optimizer.slots
+                )
+                optimizer.step(optimizer.gradient)
+                batches += 1
+            steps += batches
+            history.train_losses.append(epoch_loss / max(batches, 1))
+            if validation is not None:
+                history.validation_losses.append(
+                    _mean_loss(model, validation, validation_targets)
+                )
+        obs.count("core.train_steps", steps)
     return history
 
 
@@ -271,13 +280,11 @@ def predict(
     **single** batched forward pass over the packed table; pass an explicit
     batch size to chunk very large populations.
     """
-    if not isinstance(graphs, GraphTable) and len(graphs) == 0:
+    if _is_empty(graphs):
         return np.zeros(0)
     table = as_graph_table(graphs)
     if batch_size is None:
-        return model.predict(table.to_batched())
-    outputs = []
-    for start in range(0, table.num_graphs, batch_size):
-        indices = np.arange(start, min(start + batch_size, table.num_graphs))
-        outputs.append(model.predict(table.slice_batch(indices)))
-    return np.concatenate(outputs)
+        return step.predict(model, step.GraphBatch(table.to_batched()))
+    return np.concatenate(
+        [step.predict(model, batch) for _, batch in _batches(table, batch_size)]
+    )

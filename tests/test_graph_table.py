@@ -2,9 +2,9 @@
 
 The packed representation must be a pure re-arrangement of the legacy one:
 slicing the table produces bit-for-bit the arrays ``batch_graphs`` builds
-from the corresponding Python list, and training/prediction through the
-packed path reproduces the legacy list-batching path exactly (same losses,
-same weights, same predictions) given the same seed.
+from the corresponding Python list. Training through ``train_model``
+reproduces the tape-driven reference loop of ``tests/test_step.py`` exactly
+(same losses, same weights, same predictions) given the same seed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.core import (
 from repro.core.trainer import evaluate_loss, predict
 from repro.errors import ModelError
 from repro.nasbench import sample_unique_cells
+from test_step import tape_train
 
 
 @pytest.fixture(scope="module")
@@ -123,26 +124,24 @@ class TestTrainingEquivalence:
     def test_packed_training_is_bit_for_bit_legacy(self, table, graphs):
         targets = np.linspace(-1.2, 1.2, len(graphs))
         packed_model = EncodeProcessDecode(seed=4)
-        legacy_model = EncodeProcessDecode(seed=4)
+        tape_model = EncodeProcessDecode(seed=4)
 
         packed_history = train_model(
-            packed_model, table, targets, epochs=4, batch_size=16, seed=1,
-            strategy="packed",
+            packed_model, graphs, targets, epochs=4, batch_size=16, seed=1
         )
-        legacy_history = train_model(
-            legacy_model, graphs, targets, epochs=4, batch_size=16, seed=1,
-            strategy="list",
+        tape_history = tape_train(
+            tape_model, table, targets, epochs=4, batch_size=16, seed=1
         )
 
-        assert packed_history.train_losses == legacy_history.train_losses
-        for packed_param, legacy_param in zip(packed_model.parameters(), legacy_model.parameters()):
-            assert np.array_equal(packed_param.data, legacy_param.data)
-        assert np.array_equal(predict(packed_model, table), predict(legacy_model, graphs))
+        assert packed_history.train_losses == tape_history.train_losses
+        for packed_param, tape_param in zip(packed_model.parameters(), tape_model.parameters()):
+            assert np.array_equal(packed_param.data, tape_param.data)
+        assert np.array_equal(predict(packed_model, table), tape_model.predict(table.to_batched()))
 
     def test_validation_losses_match(self, table, graphs):
         targets = np.linspace(0.5, -0.5, len(graphs))
         packed_model = EncodeProcessDecode(seed=2)
-        legacy_model = EncodeProcessDecode(seed=2)
+        tape_model = EncodeProcessDecode(seed=2)
         train_indices = np.arange(40)
         val_indices = np.arange(40, 60)
 
@@ -150,29 +149,20 @@ class TestTrainingEquivalence:
             packed_model,
             table.subset(train_indices),
             targets[train_indices],
-            table.subset(val_indices),
-            targets[val_indices],
-            epochs=2,
-            seed=0,
-        )
-        legacy_history = train_model(
-            legacy_model,
-            [graphs[i] for i in train_indices],
-            targets[train_indices],
             [graphs[i] for i in val_indices],
             targets[val_indices],
             epochs=2,
             seed=0,
-            strategy="list",
         )
-        assert packed_history.validation_losses == legacy_history.validation_losses
-
-    def test_list_strategy_rejects_table_input(self, table):
-        targets = np.zeros(table.num_graphs)
-        with pytest.raises(ModelError):
-            train_model(EncodeProcessDecode(seed=0), table, targets, epochs=1, strategy="list")
-        with pytest.raises(ModelError):
-            train_model(EncodeProcessDecode(seed=0), table, targets, epochs=1, strategy="nope")
+        tape_history = tape_train(
+            tape_model,
+            table.subset(train_indices),
+            targets[train_indices],
+            (table.subset(val_indices), targets[val_indices]),
+            epochs=2,
+            seed=0,
+        )
+        assert packed_history.validation_losses == tape_history.validation_losses
 
 
 class TestInference:
