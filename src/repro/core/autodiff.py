@@ -372,7 +372,13 @@ def _sum_segments(values: Array, segment_ids: Array, num_segments: int, sorted_i
     return out.astype(values.dtype, copy=False)
 
 
-def layer_norm(a: Tensor, scale: Tensor, offset: Tensor, epsilon: float = 1e-5) -> Tensor:
+#: Variance offset of :func:`layer_norm`.
+LAYER_NORM_EPSILON = 1e-5
+
+
+def layer_norm(
+    a: Tensor, scale: Tensor, offset: Tensor, epsilon: float = LAYER_NORM_EPSILON
+) -> Tensor:
     """Layer normalization over the last axis, with learnable scale and offset."""
     mu = mean(a, axis=-1, keepdims=True)
     centered = subtract(a, mu)

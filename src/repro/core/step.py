@@ -35,14 +35,10 @@ from typing import Mapping
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .autodiff import Tensor, _sum_segments
+from .autodiff import LAYER_NORM_EPSILON, Tensor, _sum_segments
 from .graph_net import BatchedGraphs
 from .layers import MLP
 from .model import EncodeProcessDecode
-
-#: Layer normalization's variance offset (``autodiff.layer_norm``'s default).
-LAYER_NORM_EPSILON = 1e-5
-
 
 def _scatter_matrix(ids: np.ndarray, rows: int, sorted_ids: bool = False) -> csr_matrix:
     """``(rows, len(ids))`` 0/1 matrix ``S`` with ``S[ids[j], j] = 1``.
@@ -185,6 +181,8 @@ def _mlp_backward(
         grad_centered = grad_normalized * inv_std
         grad_inv_std = _column_sum(grad_normalized * centered)
         grad_variance = grad_inv_std * -0.5 * shifted**-1.5
+        # Three terms meet at the centered input; the tape adds the
+        # normalized one first, then the two factors of the square.
         square = (grad_variance * inv_count) * centered
         grad_centered = grad_centered + square
         grad_centered += square

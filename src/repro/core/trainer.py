@@ -160,8 +160,8 @@ def batched_loss(
 ) -> Tensor:
     """Loss of one batch on the tape: MSE averaged over message-passing steps.
 
-    The reference :func:`repro.core.step.loss_and_gradients` must match bit
-    for bit; training itself does not record a tape.
+    This is the reference :func:`repro.core.step.loss_and_gradients` must
+    match bit for bit; training itself records no tape.
     """
     predictions = model(batched)
     target_tensor = Tensor(np.asarray(targets, dtype=float).reshape(-1, 1))
@@ -175,27 +175,11 @@ def _is_empty(graphs: GraphSource) -> bool:
     return not isinstance(graphs, GraphTable) and len(graphs) == 0
 
 
-def _batches(table: GraphTable, batch_size: int) -> list[tuple[np.ndarray, step.GraphBatch]]:
+def _batches(table: GraphTable, batch_size: int):
     """Consecutive batches of *table*, with their graph indices."""
-    return [
-        (indices, step.GraphBatch(table.slice_batch(indices)))
-        for indices in (
-            np.arange(start, min(start + batch_size, table.num_graphs))
-            for start in range(0, table.num_graphs, batch_size)
-        )
-    ]
-
-
-def _mean_loss(
-    model: EncodeProcessDecode,
-    batches: list[tuple[np.ndarray, step.GraphBatch]],
-    targets: np.ndarray,
-) -> float:
-    total, count = 0.0, 0
-    for indices, batch in batches:
-        total += step.batch_loss(model, batch, targets[indices]) * len(indices)
-        count += len(indices)
-    return total / max(count, 1)
+    for start in range(0, table.num_graphs, batch_size):
+        indices = np.arange(start, min(start + batch_size, table.num_graphs))
+        yield indices, step.GraphBatch(table.slice_batch(indices))
 
 
 def evaluate_loss(
@@ -208,7 +192,11 @@ def evaluate_loss(
     if _is_empty(graphs):
         return 0.0
     table = as_graph_table(graphs)
-    return _mean_loss(model, _batches(table, batch_size), np.asarray(targets, dtype=float))
+    targets = np.asarray(targets, dtype=float)
+    total = 0.0
+    for indices, batch in _batches(table, batch_size):
+        total += step.batch_loss(model, batch, targets[indices]) * len(indices)
+    return total / table.num_graphs
 
 
 def train_model(
@@ -241,10 +229,9 @@ def train_model(
     table = as_graph_table(train_graphs)
     history = TrainingHistory()
     train_targets = np.asarray(train_targets, dtype=float)
-    validation = None
-    if not _is_empty(validation_graphs) and validation_targets is not None:
-        validation = _batches(as_graph_table(validation_graphs), 256)
-        validation_targets = np.asarray(validation_targets, dtype=float)
+    has_validation = not _is_empty(validation_graphs) and validation_targets is not None
+    if has_validation:
+        validation_graphs = as_graph_table(validation_graphs)
 
     with obs.span("core.train", graphs=num_train, epochs=epochs, batch_size=batch_size):
         optimizer = Adam(model.parameters(), learning_rate=learning_rate)
@@ -263,9 +250,9 @@ def train_model(
                 batches += 1
             steps += batches
             history.train_losses.append(epoch_loss / max(batches, 1))
-            if validation is not None:
+            if has_validation:
                 history.validation_losses.append(
-                    _mean_loss(model, validation, validation_targets)
+                    evaluate_loss(model, validation_graphs, validation_targets)
                 )
         obs.count("core.train_steps", steps)
     return history
