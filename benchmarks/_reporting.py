@@ -2,9 +2,9 @@
 
 Each benchmark regenerates one table or figure of the paper.  Besides the
 pytest-benchmark timing, the regenerated rows are written to
-``benchmarks/results/<experiment>.txt`` so they can be inspected (and copied
-into EXPERIMENTS.md) without re-running the harness, and printed to stdout for
-``pytest -s`` runs.
+``benchmarks/results/<experiment>.txt`` so they can be inspected (and compared
+with the paper's values; DESIGN.md §3 explains the gaps) without re-running
+the harness, and printed to stdout for ``pytest -s`` runs.
 
 Performance benchmarks additionally emit a machine-normalized
 ``benchmarks/results/BENCH_<experiment>.json`` via :func:`report_json`:

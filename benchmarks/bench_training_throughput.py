@@ -12,8 +12,11 @@ model side of the stack:
 * **training** — wall-clock per epoch for `train_model` (the written-out
   step of `repro.core.step`) vs the same loop recorded on the autodiff tape
   (`tape_train` below). Both arms must end with bit-identical weights;
-* **pipeline** — a full `run_experiment` call cold vs warm cache, which is
-  the smoke-mode path CI exercises.
+* **store + model** — the Table 8 workflow over one store directory, cold
+  then warm: sample, `MeasurementStore.extend` (label), then
+  `SweepService.model(...)` (fit, or restore the cached weights) and
+  `evaluate("test")`. The warm run must be faster and must simulate no pair
+  and fit no model; this is the smoke-mode path CI exercises.
 
 Population and epochs scale down with ``REPRO_BENCH_TRAIN_MODELS`` /
 ``REPRO_BENCH_TRAIN_EPOCHS`` for CI smoke runs.
@@ -30,14 +33,15 @@ from repro.core import (
     Adam,
     EncodeProcessDecode,
     GraphTable,
+    LearnedPerformanceModel,
     TrainingSettings,
     batch_graphs,
     batched_loss,
     featurize_cells,
     train_model,
 )
-from repro.nasbench import sample_unique_cells
-from repro.pipeline import Experiment, PopulationSpec, run_experiment
+from repro.nasbench import NASBenchDataset, sample_unique_cells
+from repro.service import MeasurementStore, SweepService
 
 from _reporting import report
 
@@ -67,7 +71,23 @@ def _epoch_orders(num_graphs: int) -> list[np.ndarray]:
     return [rng.permutation(num_graphs) for _ in range(FORMATION_ROUNDS)]
 
 
-def test_training_throughput(benchmark, tmp_path):
+def store_and_model_run(root, num_models: int):
+    """Sample, label through the store at *root*, then restore-or-fit and evaluate."""
+    dataset = NASBenchDataset.generate(num_models=num_models, seed=SEED)
+    store = MeasurementStore(root)
+    measurements = store.extend(dataset, configs=["V1"])
+    service = SweepService(
+        store,
+        dataset,
+        configs=["V1"],
+        settings=TrainingSettings(epochs=EPOCHS, seed=0),
+        measurements=measurements,
+    )
+    service.model("V1").evaluate("test")
+    return store.stats
+
+
+def test_training_throughput(benchmark, tmp_path, monkeypatch):
     cells = sample_unique_cells(NUM_MODELS, seed=SEED)
     targets = np.linspace(-1.0, 1.0, len(cells))
 
@@ -121,21 +141,25 @@ def test_training_throughput(benchmark, tmp_path):
     benchmark.pedantic(written_out_training, rounds=1, iterations=1)
     trained, packed_train = models[0]
 
-    # --- pipeline: cold vs warm experiment run ----------------------------
-    experiment = Experiment(
-        name="bench-training-throughput",
-        population=PopulationSpec(num_models=min(NUM_MODELS, 120), seed=SEED),
-        config_names=("V1",),
-        metrics=("latency",),
-        settings=TrainingSettings(epochs=EPOCHS, seed=0),
-    )
-    cache_dir = tmp_path / "pipeline-cache"
+    # --- store + model: cold vs warm run over one directory ---------------
+    fits = []
+    fit_table = LearnedPerformanceModel.fit_table
+
+    def counted_fit(model, *args, **kwargs):
+        fits.append(model.config_name)
+        return fit_table(model, *args, **kwargs)
+
+    monkeypatch.setattr(LearnedPerformanceModel, "fit_table", counted_fit)
+    store_models = min(NUM_MODELS, 120)
+    store_dir = tmp_path / "store"
     start = time.perf_counter()
-    run_experiment(experiment, cache_dir=cache_dir)
-    cold_pipeline = time.perf_counter() - start
+    store_and_model_run(store_dir, store_models)
+    cold_run = time.perf_counter() - start
+    cold_fits = len(fits)
     start = time.perf_counter()
-    warm = run_experiment(experiment, cache_dir=cache_dir)
-    warm_pipeline = time.perf_counter() - start
+    warm_stats = store_and_model_run(store_dir, store_models)
+    warm_run = time.perf_counter() - start
+    warm_fits = len(fits) - cold_fits
 
     featurize_rate = len(cells) / featurize_elapsed
     benchmark.extra_info["featurize_graphs_per_sec"] = round(featurize_rate, 1)
@@ -145,12 +169,12 @@ def test_training_throughput(benchmark, tmp_path):
     benchmark.extra_info["full_batch_speedup"] = round(legacy_full_batch / packed_full_batch, 1)
     benchmark.extra_info["packed_epoch_seconds"] = round(packed_train / EPOCHS, 4)
     benchmark.extra_info["tape_epoch_seconds"] = round(tape_elapsed / EPOCHS, 4)
-    benchmark.extra_info["pipeline_warm_speedup"] = round(cold_pipeline / warm_pipeline, 1)
+    benchmark.extra_info["store_warm_speedup"] = round(cold_run / warm_run, 1)
 
     lines = [
         "Training throughput — packed GraphTable and written-out step vs references",
-        f"({len(cells)} graphs, batch {BATCH_SIZE}, {EPOCHS} epochs; pipeline on "
-        f"{experiment.population.num_models} models; featurize "
+        f"({len(cells)} graphs, batch {BATCH_SIZE}, {EPOCHS} epochs; store + model on "
+        f"{store_models} models; featurize "
         f"{featurize_rate:.0f} graphs/sec, one-time pack {pack_elapsed * 1e3:.2f} ms)",
         f"{'stage':<36}{'packed':>12}{'reference':>12}{'speedup':>10}",
         f"{'epoch batch formation (ms)':<36}{packed_epoch_batching * 1e3:>12.2f}"
@@ -161,27 +185,28 @@ def test_training_throughput(benchmark, tmp_path):
         f"{legacy_full_batch / packed_full_batch:>10.1f}",
         f"{'train epoch (s)':<36}{packed_train / EPOCHS:>12.3f}"
         f"{tape_elapsed / EPOCHS:>12.3f}{tape_elapsed / packed_train:>10.1f}",
-        f"{'pipeline run (s)':<36}{warm_pipeline:>12.3f}"
-        f"{cold_pipeline:>12.3f}{cold_pipeline / warm_pipeline:>10.1f}",
+        f"{'extend + model run (s)':<36}{warm_run:>12.3f}"
+        f"{cold_run:>12.3f}{cold_run / warm_run:>10.1f}",
         "(references: per-step batch_graphs list concatenation for batch formation,",
-        " the autodiff tape for the train epoch, the cold run for the pipeline,",
-        " where 'packed' is the warm-cache re-run)",
+        " the autodiff tape for the train epoch, the cold run for extend + model,",
+        " where 'packed' is the warm re-run over the same store)",
     ]
     report("training_throughput", lines)
 
     # Direction-robust invariants hold at every scale: both training arms end
-    # with bit-identical weights, and the warm pipeline must beat
-    # simulate+train and serve everything from cache.  The wall-clock
+    # with bit-identical weights, and the warm store + model run must beat
+    # simulate+train and serve everything from disk.  The wall-clock
     # parity/speedup ratios are only meaningful once the population is large
     # enough that formation cost dominates fixed numpy call overhead, so in
     # smoke mode (tiny populations on noisy CI runners) they are reported via
     # extra_info but not asserted.
     for weights, tape_weights in zip(trained.parameters(), tape_model.parameters()):
         assert np.array_equal(weights.data, tape_weights.data), "training arms diverged"
-    assert warm_pipeline < cold_pipeline, (
-        f"warm pipeline ({warm_pipeline:.3f}s) not faster than cold ({cold_pipeline:.3f}s)"
+    assert warm_run < cold_run, (
+        f"warm store + model run ({warm_run:.3f}s) not faster than cold ({cold_run:.3f}s)"
     )
-    assert warm.cache_stats.misses == 0
+    assert warm_stats.pairs_simulated == 0, "warm run simulated pairs"
+    assert warm_fits == 0, "warm run fitted a model instead of restoring it"
     if NUM_MODELS >= 200:
         assert packed_epoch_batching <= 1.15 * legacy_epoch_batching, (
             f"packed epoch batching slower: {packed_epoch_batching:.4f}s vs "

@@ -15,21 +15,38 @@ budget:
    learned performance model trained on everything measured so far
    (``SweepService.predict``), and simulate only the most promising slice.
 
-Searches run through a cached :class:`repro.SearchExperiment`, so a rerun of
-this script replays every sweep from disk (delete the cache directory to go
-cold), an interrupted search resumes where it stopped, and the final Pareto
-frontier is persisted next to the measurement shards.
+Every search sweeps its generations through one
+:class:`repro.MeasurementStore` in the store directory, so a rerun of this
+script replays every sweep from disk (0 pairs simulated; delete the
+directory to go cold), an interrupted search resumes where it stopped, and
+each final Pareto frontier is saved next to the measurement shards.
 
-Run with:  python examples/architecture_search.py [cache_dir]
+Run with:  python examples/architecture_search.py [store_dir]
 """
 
 import sys
+from pathlib import Path
 
-from repro import SearchExperiment, SearchSpec, run_search_experiment
+from repro import MeasurementStore, SearchEngine, SearchSpec
 from repro.core import TrainingSettings
 from repro.search import STRATEGIES
 
-CACHE_DIR = sys.argv[1] if len(sys.argv) > 1 else ".repro-search-cache"
+STORE_DIR = Path(sys.argv[1] if len(sys.argv) > 1 else ".repro-search-cache")
+
+
+def run_search(name: str, spec: SearchSpec):
+    """Run *spec* over the store directory and save its frontier as ``<name>-archive.npz``.
+
+    Returns the result and whether it replayed (simulated nothing).
+    """
+    store = MeasurementStore(
+        STORE_DIR,
+        shard_size=spec.population_size,
+        enable_parameter_caching=spec.enable_parameter_caching,
+    )
+    result = SearchEngine(spec, store=store).run()
+    result.archive.save(STORE_DIR / f"{name}-archive.npz")
+    return result, result.store_stats.pairs_simulated == 0
 
 
 def spec_for(strategy: str) -> SearchSpec:
@@ -47,21 +64,18 @@ def spec_for(strategy: str) -> SearchSpec:
 
 
 def main() -> None:
-    outcomes = {}
+    results = {}
     for strategy in STRATEGIES:
-        experiment = SearchExperiment(name=f"example-{strategy}", spec=spec_for(strategy))
-        outcome = run_search_experiment(experiment, cache_dir=CACHE_DIR)
-        outcomes[strategy] = outcome
-        mode = "replayed from cache" if outcome.replayed else "simulated"
-        result = outcome.result
+        result, replayed = run_search(strategy, spec_for(strategy))
+        results[strategy] = result
+        mode = "replayed from the store" if replayed else "simulated"
         print(
             f"{strategy:<10} best {result.best_objective:.4f} ms at "
             f"{result.best_accuracy:.4f} accuracy "
-            f"({result.num_evaluated} models, {mode}, "
-            f"{outcome.elapsed_seconds:.2f}s)"
+            f"({result.num_evaluated} models, {mode}, {result.elapsed_seconds:.2f}s)"
         )
 
-    best = outcomes["evolution"].result
+    best = results["evolution"]
     print("\nevolution best-so-far trajectory (ms):",
           " -> ".join(f"{row.best_objective:.4f}" for row in best.generations))
 
@@ -72,36 +86,32 @@ def main() -> None:
             f"  {entry.fingerprint[:12]}  {entry.cost:.4f} ms  "
             f"acc={entry.accuracy:.4f}  (gen {entry.generation})"
         )
-    print(f"\narchive persisted at {outcomes['evolution'].archive_path}")
+    print(f"\narchive saved at {STORE_DIR / 'evolution-archive.npz'}")
 
     # Same evolution loop, one level up: candidates are whole staged
     # backbones (a distinct cell per stage plus per-stage depth and width
     # multipliers) instead of a single cell repeated through the fixed
-    # template.  Only the spec changes — caching, resume and the archive
+    # template.  Only the spec changes — the store, resume and the archive
     # all work identically.
-    macro_outcome = run_search_experiment(
-        SearchExperiment(
-            name="example-macro-evolution",
-            spec=SearchSpec(
-                strategy="evolution",
-                arch_space="macro",
-                config_name="V1",
-                metric="latency",
-                min_accuracy=0.92,
-                population_size=16,
-                generations=6,
-                seed=7,
-            ),
+    macro_result, macro_replayed = run_search(
+        "macro-evolution",
+        SearchSpec(
+            strategy="evolution",
+            arch_space="macro",
+            config_name="V1",
+            metric="latency",
+            min_accuracy=0.92,
+            population_size=16,
+            generations=6,
+            seed=7,
         ),
-        cache_dir=CACHE_DIR,
     )
-    macro_result = macro_outcome.result
-    macro_mode = "replayed from cache" if macro_outcome.replayed else "simulated"
+    macro_mode = "replayed from the store" if macro_replayed else "simulated"
     print(
         f"\nmacro evolution best {macro_result.best_objective:.4f} ms at "
         f"{macro_result.best_accuracy:.4f} accuracy "
         f"({macro_result.num_evaluated} backbones, {macro_mode}, "
-        f"{macro_outcome.elapsed_seconds:.2f}s)"
+        f"{macro_result.elapsed_seconds:.2f}s)"
     )
     winner = macro_result.best_record.architecture
     print(
@@ -111,7 +121,7 @@ def main() -> None:
         + "/".join(f"{stage.width_multiplier:g}x" for stage in winner.stages)
     )
 
-    print(f"\nrerun this script to replay from {CACHE_DIR!r}")
+    print(f"\nrerun this script to replay from {str(STORE_DIR)!r}")
 
 
 if __name__ == "__main__":

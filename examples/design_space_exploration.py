@@ -19,10 +19,10 @@ compile-once, array-of-layers sweep makes the whole exploration run in well
 under a second.
 
 After the sweep, the example demonstrates the paper's Section 4/5 workflow of
-substituting the simulator with the learned performance model: a pipeline
-experiment trains a GNN on the baseline configuration's measurements, and the
-model's whole-population prediction (one batched forward pass) is rank-
-correlated against the simulated ground truth.
+substituting the simulator with the learned performance model: a GNN is
+trained on the baseline configuration's measurements (labelled by the same
+batch simulator), and the model's whole-population prediction (one batched
+forward pass) is rank-correlated against the simulated ground truth.
 
 Run with:  python examples/design_space_exploration.py [num_models]
 """
@@ -31,9 +31,14 @@ import sys
 
 import numpy as np
 
-from repro import EDGE_TPU_V1, BatchSimulator, LayerTable, NASBenchDataset
+from repro import (
+    EDGE_TPU_V1,
+    BatchSimulator,
+    LayerTable,
+    LearnedPerformanceModel,
+    NASBenchDataset,
+)
 from repro.core import TrainingSettings, spearman_correlation
-from repro.pipeline import Experiment, PopulationSpec, run_experiment
 
 
 def main(num_models: int = 150) -> None:
@@ -73,22 +78,15 @@ def main(num_models: int = 150) -> None:
         "\nthe PE array (moving down a column) costs more in this reproduction"
         "\nthan the paper suggests, because fewer PEs also shrink the on-chip"
         "\nparameter cache and the sustained-bandwidth efficiency in our model —"
-        "\nsee EXPERIMENTS.md ('Known deviations') for the discussion."
+        "\nsee DESIGN.md §3 (the analytical simulator stand-in) for the discussion."
     )
 
     print("\nTraining the learned performance model as a simulator replacement ...")
-    experiment = Experiment(
-        name="dse-learned-ranker",
-        population=PopulationSpec(num_models=num_models, seed=3),
-        config_names=("V1",),
-        metrics=("latency",),
-        settings=TrainingSettings(epochs=20, seed=0),
-    )
-    result = run_experiment(experiment)
-    model = result.model("V1", "latency")
-    cells = [record.cell for record in result.dataset]
+    simulated = simulator.evaluate(dataset, configs=[EDGE_TPU_V1]).latencies("V1")
+    cells = [record.cell for record in dataset]
+    model = LearnedPerformanceModel("V1", TrainingSettings(epochs=20, seed=0))
+    model.fit(cells, simulated)
     predicted = model.predict_cells(cells)  # one batched forward pass
-    simulated = result.measurements.latencies("V1")
     rank_correlation = spearman_correlation(predicted, simulated)
     print(
         f"  learned-model vs simulator rank correlation over "

@@ -13,9 +13,10 @@ alternative:
 2. ``extend()`` the same store with an extra accelerator configuration —
    only the missing (shard, configuration) pairs are simulated;
 3. stand up a :class:`repro.SweepService` over the warm store and answer the
-   evaluation-section queries from disk: top-k by accuracy, the Pareto
-   frontier, latency/energy of a cell by fingerprint, and learned-model
-   predictions for cells that were never simulated;
+   evaluation-section queries from disk, each one a typed request to
+   ``SweepService.query()``: top-k by accuracy, the Pareto frontier,
+   latency/energy of a cell by fingerprint, and learned-model predictions
+   for cells that were never simulated;
 4. re-run the warm load under ``repro.obs`` tracing and print the merged
    trace summary — the same view ``python -m repro.obs <dir>`` gives a
    whole worker fleet (set ``REPRO_TRACE=1`` to trace this script end to
@@ -34,9 +35,18 @@ import os
 import sys
 import time
 
-from repro import MeasurementStore, SweepService, obs, trace_summary
+from repro import (
+    MeasurementStore,
+    ParetoRequest,
+    PredictRequest,
+    SweepService,
+    TopKRequest,
+    obs,
+    trace_summary,
+)
 from repro.core import TrainingSettings
 from repro.nasbench import NASBenchDataset, cell_fingerprint, sample_unique_cells
+from repro.service import EnergyRequest, LatencyRequest
 
 STORE_DIR = os.environ.get("REPRO_STORE_DIR", ".repro-store")
 
@@ -69,27 +79,27 @@ def main(num_models: int = 300) -> None:
         settings=TrainingSettings(epochs=8, seed=1),
     )
     print("\ntop-3 models by accuracy (latency in ms):")
-    for entry in service.top_k(3):
-        latencies = ", ".join(
-            f"{name}={value:.3f}" for name, value in sorted(entry.latency_ms.items())
-        )
+    top = service.query(TopKRequest(k=3)).result["entries"]
+    for entry in top:
+        latencies = ", ".join(f"{name}={value:.3f}" for name, value in entry["latency_ms"].items())
         print(
-            f"  #{entry.rank} {entry.record.fingerprint[:12]}  "
-            f"acc={entry.accuracy:.4f}  {latencies}  fastest={entry.fastest_config}"
+            f"  #{entry['rank']} {entry['fingerprint'][:12]}  "
+            f"acc={entry['accuracy']:.4f}  {latencies}  fastest={entry['fastest_config']}"
         )
 
-    front = service.pareto_front("V2")
+    front = service.query(ParetoRequest("V2")).result["points"]
     print(f"\nV2 accuracy/latency Pareto frontier: {len(front)} points")
-    best = service.top_k(1)[0].record
+    best = top[0]["fingerprint"]
+    latency = service.query(LatencyRequest(best, "V2")).result["value"]
+    energy = service.query(EnergyRequest(best, "V1")).result["value"]
     print(
-        f"lookup by fingerprint {best.fingerprint[:12]}: "
-        f"latency V2 = {service.latency_of(best.fingerprint, 'V2'):.3f} ms, "
-        f"energy V1 = {service.energy_of(best.fingerprint, 'V1'):.3f} mJ"
+        f"lookup by fingerprint {best[:12]}: "
+        f"latency V2 = {latency:.3f} ms, energy V1 = {energy:.3f} mJ"
     )
 
     unseen = sample_unique_cells(3, seed=12345)
     start = time.perf_counter()
-    predictions = service.predict(unseen, "V2")
+    predictions = service.query(PredictRequest(tuple(unseen), "V2")).result["values"]
     elapsed_ms = (time.perf_counter() - start) * 1e3
     print("\nlearned-model latency predictions for unseen cells (V2):")
     for cell, value in zip(unseen, predictions):
@@ -115,12 +125,11 @@ def main(num_models: int = 300) -> None:
 
     # 5. The same service over HTTP: every endpoint routes through the typed
     #    SweepService.query() dispatch, so served answers equal direct calls.
-    asyncio.run(_serve_and_query(service, best.fingerprint))
+    asyncio.run(_serve_and_query(service, best))
 
 
 async def _serve_and_query(service: SweepService, fingerprint: str) -> None:
     from repro import ServerConfig, ServiceClient, SweepServer
-    from repro.service import LatencyRequest
 
     server = SweepServer(service, ServerConfig(port=0))
     await server.start()
@@ -129,7 +138,7 @@ async def _serve_and_query(service: SweepService, fingerprint: str) -> None:
         top = await client.top_k(3)
         print(f"  top_k(k=3)            -> {len(top.result['entries'])} entries")
         latency = await client.query(LatencyRequest(fingerprint, "V2"))
-        assert latency.result["value"] == service.latency_of(fingerprint, "V2")
+        assert latency.result == service.query(LatencyRequest(fingerprint, "V2")).result
         print(
             f"  latency(V2)           -> {latency.result['value']:.3f} ms "
             f"(served from {latency.served_from})"

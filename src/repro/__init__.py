@@ -7,7 +7,6 @@ The package is organized as:
 * :mod:`repro.compiler` — the ahead-of-time mapper with parameter caching;
 * :mod:`repro.simulator` — the latency/energy performance model;
 * :mod:`repro.core` — the graph-neural-network learned performance model;
-* :mod:`repro.pipeline` — experiment orchestration (train/evaluate grids with caching);
 * :mod:`repro.service` — resumable sharded measurement store and sweep query service;
 * :mod:`repro.server` — async micro-batched HTTP serving over a warm store;
 * :mod:`repro.search` — hardware-aware architecture search (evolution / predictor-guided);
@@ -42,7 +41,6 @@ from .errors import (
     InvalidCellError,
     InvalidConfigError,
     ModelError,
-    PipelineError,
     ReproError,
     SearchError,
     ServiceError,
@@ -57,18 +55,6 @@ from .nasbench import (
     cell_fingerprint,
     mutate_cell,
     sample_unique_cells,
-)
-from .pipeline import (
-    Experiment,
-    ExperimentResult,
-    HardwareSweepExperiment,
-    HardwareSweepResult,
-    PopulationSpec,
-    SearchExperiment,
-    SearchExperimentResult,
-    run_experiment,
-    run_hardware_sweep,
-    run_search_experiment,
 )
 from .search import SearchEngine, SearchResult, SearchSpec
 from .service import (
@@ -106,13 +92,9 @@ __all__ = [
     "EDGE_TPU_V1",
     "EDGE_TPU_V2",
     "EDGE_TPU_V3",
-    "Experiment",
-    "ExperimentResult",
     "FusedGridResult",
     "GraphTable",
     "HardwareFrontier",
-    "HardwareSweepExperiment",
-    "HardwareSweepResult",
     "InvalidCellError",
     "InvalidConfigError",
     "LayerTable",
@@ -126,16 +108,12 @@ __all__ = [
     "ParetoArchive",
     "ParetoRequest",
     "PerformanceSimulator",
-    "PipelineError",
-    "PopulationSpec",
     "PredictRequest",
     "QueryResponse",
     "ReproError",
     "STUDIED_CONFIGS",
     "SearchEngine",
     "SearchError",
-    "SearchExperiment",
-    "SearchExperimentResult",
     "SearchResult",
     "SearchSpec",
     "SensitivityPoint",
@@ -158,9 +136,6 @@ __all__ = [
     "get_config",
     "mutate_cell",
     "obs",
-    "run_experiment",
-    "run_hardware_sweep",
-    "run_search_experiment",
     "sample_unique_cells",
     "trace_summary",
     "__version__",

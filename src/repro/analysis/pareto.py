@@ -7,8 +7,8 @@ reports which accelerator class serves each with the lowest latency.
 
 The entry points are array-first: :func:`accuracy_latency_arrays` and
 :func:`pareto_front_mask` operate directly on the aligned arrays of a
-:class:`~repro.simulator.runner.MeasurementSet` (the shape the experiment
-pipeline produces), and the point-list functions the figure benchmarks
+:class:`~repro.simulator.runner.MeasurementSet` (the shape every sweep
+produces), and the point-list functions the figure benchmarks
 consume are thin wrappers that materialize those arrays into dataclasses.
 """
 
@@ -39,8 +39,8 @@ def accuracy_latency_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aligned ``(latencies, accuracies, model_indices)`` arrays of Figure 5.
 
-    Applies the paper's accuracy filter and returns plain arrays, so
-    pipeline/measurement output feeds the analysis without per-model loops.
+    Applies the paper's accuracy filter and returns plain arrays, so sweep
+    output feeds the analysis without per-model loops.
     """
     mask = measurements.accuracy_mask(min_accuracy)
     indices = np.nonzero(mask)[0]

@@ -56,7 +56,7 @@ class Module:
 
         The traversal order is deterministic (insertion order of the module
         attributes), which makes the flat list a sufficient serialization
-        format for the pipeline's weight cache.
+        format for the sweep service's weight cache.
         """
         return [parameter.data.copy() for parameter in self.parameters()]
 

@@ -12,11 +12,13 @@ exploration.
 The training population is packed **once** into a
 :class:`~repro.core.graph_table.GraphTable`; every epoch's mini-batches are
 slices of that table and whole-split inference is a single batched forward
-pass.  Ground-truth labels come from the vectorized
-:class:`~repro.simulator.batch.BatchSimulator` sweep (:meth:`fit_dataset`)
-rather than per-cell scalar simulation, and a fitted model round-trips
-through :meth:`export_state` / :meth:`restore_state` so the experiment
-pipeline can cache trained weights on disk.
+pass.  Ground-truth labels come from a population-wide sweep
+(:meth:`~repro.service.store.MeasurementStore.extend` or
+:meth:`~repro.simulator.batch.BatchSimulator.evaluate`, read out by
+:func:`metric_targets`) rather than per-cell scalar simulation, and a fitted
+model round-trips through :meth:`export_state` / :meth:`restore_state` so
+:meth:`~repro.service.query.SweepService.model` can cache trained weights on
+disk.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .trainer import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..nasbench.dataset import NASBenchDataset
     from ..simulator.runner import MeasurementSet
 
 #: Metrics a learned model can be trained on (one model per config × metric).
@@ -140,7 +141,7 @@ class LearnedPerformanceModel:
         """Train the model on (cell, measurement) pairs.
 
         The cells are featurized and packed once; see :meth:`fit_table` for
-        the packed entry point the pipeline uses directly.
+        the packed entry point the sweep service uses directly.
         """
         if len(cells) != len(targets):
             raise ModelError("cells and targets must have the same length")
@@ -185,29 +186,6 @@ class LearnedPerformanceModel:
         )
         return self.history
 
-    def fit_dataset(
-        self,
-        dataset: "NASBenchDataset",
-        metric: str = "latency",
-        measurements: "MeasurementSet | None" = None,
-        enable_parameter_caching: bool = True,
-    ) -> TrainingHistory:
-        """Label *dataset* with the vectorized sweep and train on the result.
-
-        Ground truth comes from :meth:`BatchSimulator.evaluate` (the paper's
-        simulator-in-the-loop labeling, but population-wide instead of
-        per-cell); pass *measurements* to reuse an existing sweep.
-        """
-        if measurements is None:
-            from ..arch.config import get_config
-            from ..simulator.batch import BatchSimulator  # deferred: import cycle
-
-            simulator = BatchSimulator(enable_parameter_caching=enable_parameter_caching)
-            measurements = simulator.evaluate(dataset, configs=[get_config(self.config_name)])
-        targets = metric_targets(measurements, self.config_name, metric)
-        cells = [record.cell for record in dataset]
-        return self.fit(cells, targets)
-
     # ------------------------------------------------------------------ #
     # Inference
     # ------------------------------------------------------------------ #
@@ -250,13 +228,14 @@ class LearnedPerformanceModel:
         )
 
     # ------------------------------------------------------------------ #
-    # Serialization (pipeline weight cache)
+    # Serialization (the sweep service's weight cache)
     # ------------------------------------------------------------------ #
     def export_state(self) -> dict[str, np.ndarray]:
         """Flat array dict capturing everything a cache hit must restore.
 
         The keys are plain strings and every value is a NumPy array, so the
-        state saves losslessly with :func:`numpy.savez_compressed`.
+        state saves losslessly as an npz file
+        (:func:`~repro.service.store.write_npz`).
         """
         self._require_fitted()
         assert self.split is not None and self.history is not None

@@ -45,10 +45,6 @@ class DatasetError(ReproError):
     """Raised when dataset generation or querying fails."""
 
 
-class PipelineError(ReproError):
-    """Raised when an experiment pipeline is misconfigured or a cache is corrupt."""
-
-
 class ServiceError(ReproError):
     """Raised by the measurement store / sweep service (missing shards, bad I/O)."""
 

@@ -1,7 +1,7 @@
 """Structured tracing, metrics and fleet-wide telemetry (``repro.obs``).
 
 Every other subsystem is instrumented against this package: hierarchical
-spans around the sweep/search/pipeline hot paths, counters that mirror the
+spans around the sweep/search/training hot paths, counters that mirror the
 bookkeeping the subsystems already do (store pair hits/misses, worker lease
 accounting, search dedup pressure), and structured diagnostic events that
 replace scattered ``warnings.warn``/``print`` calls.  The design contract:

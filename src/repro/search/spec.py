@@ -2,10 +2,9 @@
 
 A :class:`SearchSpec` pins down everything that determines a search run —
 strategy, objective, budget shape, mutation limits, seed and predictor
-hyperparameters — so that a run is exactly reproducible from its spec, a
-killed run resumed over the same :class:`~repro.service.MeasurementStore`
-regenerates identical generations, and the pipeline can key cached search
-artifacts by a stable digest of the spec alone.
+hyperparameters — so that a run is exactly reproducible from its spec and a
+killed or repeated run over the same :class:`~repro.service.MeasurementStore`
+regenerates identical generations, loading every shard already on disk.
 """
 
 from __future__ import annotations
@@ -59,7 +58,8 @@ class SearchSpec:
     predictor_settings:
         Hyperparameters of the learned model the predictor strategy refits
         each generation on all measurements so far (fewer epochs than the
-        pipeline default: the model is retrained often on small populations).
+        :class:`TrainingSettings` default: the model is retrained often on
+        small populations).
     """
 
     strategy: str = "evolution"

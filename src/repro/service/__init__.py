@@ -17,12 +17,14 @@ queries from the result:
   drain one sweep (``python -m repro.service.worker <store_dir>``), stolen
   leases recover ``kill -9``-ed workers, and the coordinator reports fleet
   progress (see DESIGN.md §10);
-* :class:`SweepService` — read-only query API (top-k, Pareto frontier,
-  fingerprint lookups, learned-model predictions for unseen cells) that
-  never invokes the simulator.  Queries flow through the typed
-  request/response surface of :mod:`repro.service.api`
-  (:meth:`SweepService.query` dispatch + :class:`QueryResponse` envelope),
-  which is also the wire format of :mod:`repro.server`.
+* :class:`SweepService` — read-only query API that never invokes the
+  simulator.  Every query (top-k, Pareto frontier, fingerprint lookups,
+  learned-model predictions for unseen cells) is one typed request of
+  :mod:`repro.service.api` answered by :meth:`SweepService.query` in a
+  :class:`QueryResponse` envelope, which is also the wire format of
+  :mod:`repro.server`; :meth:`SweepService.model` restores or fits the
+  learned model behind the predictions, its weights cached next to the
+  shards.
 """
 
 from .api import (

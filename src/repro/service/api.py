@@ -1,10 +1,9 @@
 """Typed query API shared by the library, the server and the CLI.
 
-The sweep service used to be queried through per-method signatures only
-(``top_k(k)``, ``pareto_front(config, min_accuracy)``, ...).  That shape
-cannot travel over a wire, cannot be cached by content, and forces every
-front-end to duplicate argument handling.  This module is the redesigned
-surface underneath:
+Per-method signatures (``top_k(k)``, ``pareto_front(config, min_accuracy)``,
+...) cannot travel over a wire, cannot be cached by content, and force every
+front-end to duplicate argument handling.  This module is the sweep
+service's one query surface instead:
 
 * **Request variants** — one frozen dataclass per query kind
   (:class:`TopKRequest`, :class:`ParetoRequest`, :class:`MetricRequest` —
@@ -26,10 +25,9 @@ surface underneath:
   server's CLI/config parsing; unknown names fail eagerly, naming the
   offenders.
 
-``SweepService.query(request)`` dispatches on these types and the legacy
-methods are thin typed wrappers over the same kernels, so every front-end —
-in-process calls, the asyncio server, benchmarks — answers queries through
-identical code.
+``SweepService.query(request)`` dispatches on these types straight into the
+analysis kernels, so every front-end — in-process calls, the asyncio server,
+benchmarks — answers queries through identical code.
 """
 
 from __future__ import annotations

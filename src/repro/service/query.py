@@ -11,22 +11,19 @@ query is a lookup or an array kernel over the loaded
 The service exposes **one typed entry point**, :meth:`query`, dispatching on
 the request variants of :mod:`repro.service.api` (:class:`TopKRequest`,
 :class:`ParetoRequest`, :class:`MetricRequest`, :class:`PredictRequest`)
-and returning a :class:`~repro.service.api.QueryResponse` envelope whose
-``result`` payload is JSON-serializable — the exact bytes
-:mod:`repro.server` puts on the wire.  The named methods remain as thin
-typed wrappers over the same kernels:
+straight into the :mod:`repro.analysis` kernels and returning a
+:class:`~repro.service.api.QueryResponse` envelope whose ``result`` payload
+is JSON-serializable — the exact bytes :mod:`repro.server` puts on the wire.
+Beside it:
 
-* :meth:`top_k` — the most accurate models, annotated with per-configuration
-  latency (paper Figure 9);
-* :meth:`pareto_front` / :meth:`pareto_front_indices` — the non-dominated
-  accuracy/latency frontier of one configuration (Figure 5);
-* :meth:`metric_of` (with :meth:`latency_of` / :meth:`energy_of` sugar) —
-  measurements of one cell by its isomorphism fingerprint;
-* :meth:`predict` — estimated metrics for *unseen* cells via a
-  :class:`~repro.core.predictor.LearnedPerformanceModel` trained on the
-  stored measurements, with trained weights cached as npz next to the shards
-  (keyed by population content digest × configuration × metric × training
-  settings), so a model is fitted at most once per store.
+* :meth:`metric_of` — one measured metric of a cell by its isomorphism
+  fingerprint, the lookup :class:`MetricRequest` dispatches into;
+* :meth:`model` — the learned model of one (configuration, metric), trained
+  on the stored measurements once and restored from weights cached as npz
+  next to the shards (keyed by population content digest × configuration ×
+  metric × training settings × compiler mode) on every later call, by any
+  service over the same store;
+* :meth:`predict` — estimated metrics for *unseen* cells from that model.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from ..analysis.pareto import (
     AccuracyLatencyPoint,
     TopModelEntry,
     latency_accuracy_frontier,
-    pareto_front_indices,
     top_models_by_accuracy,
 )
 from ..core.graph_table import GraphTable
@@ -109,8 +105,8 @@ class SweepService:
         :class:`ServiceError` naming the offenders before any disk load is
         attempted.
     settings:
-        Training hyperparameters of the learned models backing
-        :meth:`predict` (part of their weight-cache key).
+        Training hyperparameters of the learned models behind :meth:`model`
+        (part of their weight-cache key).
     measurements:
         Optional already-loaded :class:`MeasurementSet` to serve from,
         skipping the disk load.  Used by callers that just swept the store
@@ -201,15 +197,19 @@ class SweepService:
     def query(self, request: QueryRequest) -> QueryResponse:
         """Answer one typed request; the single dispatch every front-end uses.
 
-        The ``result`` payload is JSON-serializable and numerically
-        identical to the corresponding named-method answer (the named
-        methods and this dispatch share the same kernels).
+        The ``result`` payload is JSON-serializable: the
+        :mod:`repro.analysis` kernel's answer (or :meth:`metric_of` /
+        :meth:`predict`'s), encoded field by field.
         """
         if isinstance(request, TopKRequest):
-            result = {"entries": [self._encode_top_entry(e) for e in self.top_k(request.k)]}
+            entries = top_models_by_accuracy(self._measurements, request.k)
+            result = {"entries": [self._encode_top_entry(e) for e in entries]}
             served_from = "store"
         elif isinstance(request, ParetoRequest):
-            points = self.pareto_front(request.config_name, request.min_accuracy)
+            self._require_config(request.config_name)
+            points = latency_accuracy_frontier(
+                self._measurements, request.config_name, request.min_accuracy
+            )
             result = {"points": [self._encode_pareto_point(p) for p in points]}
             served_from = "store"
         elif isinstance(request, MetricRequest):
@@ -255,27 +255,6 @@ class SweepService:
         }
 
     # ------------------------------------------------------------------ #
-    # Ranking and frontier queries
-    # ------------------------------------------------------------------ #
-    def top_k(self, k: int = 5) -> list[TopModelEntry]:
-        """The *k* most accurate models with their per-configuration latency."""
-        return top_models_by_accuracy(self._measurements, k)
-
-    def pareto_front(
-        self, config_name: str, min_accuracy: float = 0.70
-    ) -> list[AccuracyLatencyPoint]:
-        """Non-dominated (latency ↓, accuracy ↑) points of one configuration."""
-        self._require_config(config_name)
-        return latency_accuracy_frontier(self._measurements, config_name, min_accuracy)
-
-    def pareto_front_indices(
-        self, config_name: str, min_accuracy: float = 0.70
-    ) -> np.ndarray:
-        """Dataset indices of the frontier models, ascending latency."""
-        self._require_config(config_name)
-        return pareto_front_indices(self._measurements, config_name, min_accuracy)
-
-    # ------------------------------------------------------------------ #
     # Point lookups by fingerprint
     # ------------------------------------------------------------------ #
     def record_of(self, fingerprint: str) -> ModelRecord:
@@ -283,12 +262,11 @@ class SweepService:
         return self._dataset.find(fingerprint)
 
     def metric_of(self, fingerprint: str, config_name: str, metric: str) -> float | None:
-        """One measured metric of one cell — the symmetric lookup core.
+        """One measured metric of one cell, looked up by fingerprint.
 
         ``metric`` selects latency (ms) or energy (mJ; ``None`` when the
-        configuration has no energy model).  :meth:`latency_of` and
-        :meth:`energy_of` are spelled-out wrappers over this method, and the
-        request layer dispatches :class:`MetricRequest` straight into it.
+        configuration has no energy model).  The request layer dispatches
+        :class:`MetricRequest` straight into it.
         """
         self._require_config(config_name)
         record = self.record_of(fingerprint)
@@ -300,40 +278,51 @@ class SweepService:
             f"unknown metric {metric!r}; expected one of ('latency', 'energy')"
         )
 
-    def latency_of(self, fingerprint: str, config_name: str) -> float:
-        """Measured latency (ms) of one cell on one configuration."""
-        value = self.metric_of(fingerprint, config_name, "latency")
-        assert value is not None  # latency arrays never carry NaN
-        return value
-
-    def energy_of(self, fingerprint: str, config_name: str) -> float | None:
-        """Measured energy (mJ) of one cell (``None`` without an energy model)."""
-        return self.metric_of(fingerprint, config_name, "energy")
-
     # ------------------------------------------------------------------ #
     # Predictions for unseen cells
     # ------------------------------------------------------------------ #
     def predict(
         self, cells: Sequence[Cell], config_name: str, metric: str = "latency"
     ) -> np.ndarray:
-        """Predicted metric values (raw units) of *cells* — no simulation.
+        """Predicted metric values (raw units) of *cells* — no simulation."""
+        return self.model(config_name, metric).predict_cells(list(cells))
 
-        The backing learned model is trained once per (configuration,
-        metric) on the stored measurements and its weights are cached on
-        disk; subsequent services over the same store restore instead of
-        refitting.
+    def model(self, config_name: str, metric: str = "latency") -> LearnedPerformanceModel:
+        """The learned model of one (configuration, metric): restored or fitted.
+
+        Restores the weights cached at :meth:`model_state_path` when they are
+        readable, were trained on this population and stored exactly the
+        labels the model would now be fitted on; otherwise fits on the served
+        measurements and (over)writes the file.  A truncated file is
+        quarantined by :func:`~repro.service.store.read_npz`.  The model is
+        kept, so each (configuration, metric) is restored or fitted once per
+        service.
         """
+        cached = self._models.get((config_name, metric))
+        if cached is not None:
+            return cached
         self._require_config(config_name)
-        return self._model_for(config_name, metric).predict_cells(list(cells))
-
-    def predict_cell(
-        self, cell: Cell, config_name: str, metric: str = "latency"
-    ) -> float:
-        """Predicted metric value of a single unseen cell."""
-        return float(self.predict([cell], config_name, metric)[0])
+        targets = metric_targets(self._measurements, config_name, metric)
+        table = self._packed_table()
+        path = self.model_state_path(config_name, metric)
+        model = LearnedPerformanceModel(config_name, self._settings)
+        state = read_npz(path)
+        restored = False
+        if state is not None and np.array_equal(state.get("targets"), targets):
+            try:
+                model.restore_state(table, state)
+                restored = True
+            except ModelError:
+                # Trained on another population under a colliding name.
+                model = LearnedPerformanceModel(config_name, self._settings)
+        if not restored:
+            model.fit_table(table, targets)
+            write_npz(path, model.export_state())
+        self._models[(config_name, metric)] = model
+        return model
 
     def model_state_path(self, config_name: str, metric: str = "latency"):
-        """Path of the cached trained-model state backing :meth:`predict`.
+        """Path of the cached trained-model state behind :meth:`model`.
 
         Weights live in a ``models/`` subdirectory so they can never be
         mistaken for shard files by the store's directory scan
@@ -347,6 +336,7 @@ class SweepService:
                 "config": config_name,
                 "metric": metric,
                 "settings": asdict(self._settings),
+                "parameter_caching": self._store.enable_parameter_caching,
             }
         )
         return self._store.root / "models" / f"{self._store.prefix}-{key}.npz"
@@ -358,28 +348,6 @@ class SweepService:
         if self._table is None:
             self._table = GraphTable.from_cells([record.cell for record in self._dataset])
         return self._table
-
-    def _model_for(self, config_name: str, metric: str) -> LearnedPerformanceModel:
-        cached = self._models.get((config_name, metric))
-        if cached is not None:
-            return cached
-        targets = metric_targets(self._measurements, config_name, metric)
-        table = self._packed_table()
-        path = self.model_state_path(config_name, metric)
-        model = LearnedPerformanceModel(config_name, self._settings)
-        state = read_npz(path)
-        if state is not None:
-            try:
-                model.restore_state(table, state)
-            except ModelError:
-                # Stale or foreign artifact under a colliding name: refit.
-                state = None
-                model = LearnedPerformanceModel(config_name, self._settings)
-        if state is None:
-            model.fit_table(table, targets)
-            write_npz(path, model.export_state())
-        self._models[(config_name, metric)] = model
-        return model
 
     def _require_config(self, config_name: str) -> None:
         if config_name not in self._measurements.config_names:

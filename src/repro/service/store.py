@@ -77,8 +77,8 @@ def stable_digest(payload: object) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Atomic npz I/O (shared by the store, the sweep service and the pipeline
-# cache, which is a thin adapter over this module)
+# Atomic npz I/O (shared by the store's pair files and the sweep service's
+# cached predictor weights)
 # --------------------------------------------------------------------------- #
 def read_npz(path: Path) -> dict[str, np.ndarray] | None:
     """Load an npz artifact; a missing or corrupt file is ``None`` (a miss).
@@ -196,8 +196,8 @@ class MeasurementStore:
         every shard key, so the two modes can never be confused.
     prefix:
         File-name prefix of this store's shards (defaults to ``"shard"``).
-        Lets several logical stores — e.g. one per experiment key — share a
-        flat directory, which is how the pipeline cache embeds stores.
+        Lets several logical stores — e.g. one per search strategy — share
+        a flat directory.
     """
 
     def __init__(
@@ -372,29 +372,6 @@ class MeasurementStore:
         incremental extension are the same operation over the store.
         """
         return self.extend(dataset, configs=configs, progress_callback=progress_callback)
-
-    def ingest(self, measurements: MeasurementSet) -> int:
-        """Persist an in-memory measurement set shard-by-shard.
-
-        Returns the number of (shard, configuration) pairs written.  Used by
-        the pipeline cache adapter to keep its legacy ``save_measurements``
-        entry point.
-        """
-        dataset = measurements.dataset
-        ranges = self.shard_ranges(len(dataset))
-        written = 0
-        for start, stop in ranges:
-            shard_prints = [record.fingerprint for record in dataset.records[start:stop]]
-            for name in measurements.config_names:
-                self._save_pair(
-                    shard_prints,
-                    name,
-                    self.shard_key(shard_prints, name),
-                    measurements.latencies(name)[start:stop],
-                    measurements.energies(name)[start:stop],
-                )
-                written += 1
-        return written
 
     # ------------------------------------------------------------------ #
     # Read-only access (the service path)

@@ -7,8 +7,6 @@ population instead of regenerating it per test.
 
 from __future__ import annotations
 
-import shutil
-
 import pytest
 
 from repro.arch import STUDIED_CONFIGS
@@ -38,16 +36,3 @@ def measurements(dataset):
 def configs():
     """The three studied accelerator configurations keyed by name."""
     return dict(STUDIED_CONFIGS)
-
-
-@pytest.fixture()
-def pipeline_cache_dir(tmp_path):
-    """A throwaway pipeline cache directory, force-removed after the test.
-
-    ``tmp_path`` already isolates tests from each other; the explicit
-    ``rmtree`` guarantees cached npz artifacts never leak between tests even
-    if the base temporary directory is retained (``--basetemp`` reuse).
-    """
-    cache_dir = tmp_path / "pipeline-cache"
-    yield cache_dir
-    shutil.rmtree(cache_dir, ignore_errors=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import latency_accuracy_frontier, top_models_by_accuracy
 from repro.arch import EDGE_TPU_V2, STUDIED_CONFIGS
 from repro.core import TrainingSettings
 from repro.errors import ServiceError
@@ -169,17 +170,17 @@ class TestResolveConfigs:
 
 
 class TestQueryDispatch:
-    """query() must be numerically indistinguishable from the legacy methods."""
+    """query() must be numerically indistinguishable from the analysis kernels."""
 
     def test_top_k_equivalence(self, service):
         response = service.query(TopKRequest(k=3))
         assert response.served_from == "store"
         assert response.store_digest == service.store_digest
-        legacy = service.top_k(3)
+        direct = top_models_by_accuracy(service.measurements, 3)
         assert [e["fingerprint"] for e in response.result["entries"]] == [
-            entry.record.fingerprint for entry in legacy
+            entry.record.fingerprint for entry in direct
         ]
-        for encoded, entry in zip(response.result["entries"], legacy):
+        for encoded, entry in zip(response.result["entries"], direct):
             assert encoded["rank"] == entry.rank
             assert encoded["accuracy"] == entry.accuracy
             assert encoded["latency_ms"] == pytest.approx(entry.latency_ms)
@@ -187,23 +188,24 @@ class TestQueryDispatch:
 
     def test_pareto_equivalence(self, service):
         response = service.query(ParetoRequest("V1", 0.6))
-        legacy = service.pareto_front("V1", 0.6)
-        assert len(response.result["points"]) == len(legacy)
-        for encoded, point in zip(response.result["points"], legacy):
+        direct = latency_accuracy_frontier(service.measurements, "V1", 0.6)
+        assert len(response.result["points"]) == len(direct)
+        for encoded, point in zip(response.result["points"], direct):
             assert encoded["latency_ms"] == point.latency_ms
             assert encoded["accuracy"] == point.accuracy
             assert encoded["model_index"] == point.model_index
 
     def test_metric_equivalence_and_symmetry(self, service, api_dataset):
-        fingerprint = api_dataset[0].fingerprint
+        record = api_dataset[0]
+        fingerprint = record.fingerprint
         latency = service.query(LatencyRequest(fingerprint, "V1")).result["value"]
-        assert latency == service.latency_of(fingerprint, "V1")
+        assert latency == service.measurements.latency_of(record, "V1")
         assert latency == service.metric_of(fingerprint, "V1", "latency")
         energy = service.query(EnergyRequest(fingerprint, "V1")).result["value"]
-        assert energy == service.energy_of(fingerprint, "V1")
-        # V3 has no energy model: the wrapper and the core agree on None.
+        assert energy == service.measurements.energy_of(record, "V1")
+        # V3 has no energy model: the request and the lookup agree on None.
         assert service.query(EnergyRequest(fingerprint, "V3")).result["value"] is None
-        assert service.energy_of(fingerprint, "V3") is None
+        assert service.metric_of(fingerprint, "V3", "energy") is None
         with pytest.raises(ServiceError, match="unknown metric"):
             service.metric_of(fingerprint, "V1", "throughput")
 
@@ -257,7 +259,7 @@ class TestPreloadedMeasurements:
         service = SweepService(
             store, rebuilt, configs=CONFIGS, measurements=measurements
         )
-        assert service.top_k(1)[0].record.fingerprint == (
+        assert service.query(TopKRequest(k=1)).result["entries"][0]["fingerprint"] == (
             api_dataset.top_k_by_accuracy(1)[0].fingerprint
         )
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis import ParetoArchive
 from repro.arch import EDGE_TPU_V1, EDGE_TPU_V2, MIB
-from repro.errors import InvalidConfigError, PipelineError, SearchError
+from repro.errors import InvalidConfigError, SearchError
 from repro.hwspace import (
     AcceleratorSpace,
     CoSearchEngine,
@@ -19,7 +19,6 @@ from repro.hwspace import (
 )
 from repro.hwspace.frontier import ConfigPoint
 from repro.nasbench import NASBenchDataset
-from repro.pipeline import HardwareSweepExperiment, PopulationSpec, run_hardware_sweep
 from repro.service import MeasurementStore
 
 AXES = {
@@ -190,46 +189,18 @@ class TestHardwareFrontier:
         assert warm_store.stats.pairs_simulated == 0
         assert warm_store.stats.pairs_loaded == 2 * len(configs)
 
-
-class TestHardwareSweepPipeline:
-    def test_cached_sweep_replays(self, tmp_path):
-        experiment = HardwareSweepExperiment(
-            name="smoke",
-            space=AcceleratorSpace({"clock_mhz": [800.0, 1066.0], "pes_x": [2, 4]}),
-            population=PopulationSpec(num_models=20, seed=2),
-        )
-        cold = run_hardware_sweep(experiment, cache_dir=tmp_path)
-        assert not cold.replayed
-        assert len(cold.points) == 4
-        assert set(cold.frontiers) == {"peak_tops", "total_sram_mib"}
-        for front in cold.frontiers.values():
-            assert front  # never empty: some config is non-dominated
-        warm = run_hardware_sweep(experiment, cache_dir=tmp_path)
-        assert warm.replayed
-        assert warm.store_stats.pairs_simulated == 0
-        renamed = HardwareSweepExperiment(
-            name="other-name",
-            space=experiment.space,
-            population=experiment.population,
-        )
-        assert renamed.sweep_key() == experiment.sweep_key()
-
-    def test_compacted_sweep_replays_identically(self, tmp_path):
-        experiment = HardwareSweepExperiment(
-            name="smoke",
-            space=AcceleratorSpace({"clock_mhz": [800.0, 1066.0], "pes_x": [2, 4]}),
-            population=PopulationSpec(num_models=20, seed=2),
-        )
-        cold = run_hardware_sweep(experiment, cache_dir=tmp_path, compact=True)
-        assert list(tmp_path.glob("hwsweep-*-compact-*.npy"))
-        assert not list(tmp_path.glob("hwsweep-*.npz"))
-        warm = run_hardware_sweep(experiment, cache_dir=tmp_path)
-        assert warm.replayed
-        assert warm.store_stats.pairs_compacted == warm.store_stats.pairs_loaded > 0
-        for cold_point, warm_point in zip(cold.points, warm.points):
-            assert cold_point == warm_point
-        with pytest.raises(PipelineError, match="cache_dir"):
-            run_hardware_sweep(experiment, compact=True)
+    def test_compacted_store_replays_identical_points(self, space, small_dataset, tmp_path):
+        configs = list(space.enumerate())
+        store = MeasurementStore(tmp_path, shard_size=15)
+        cold = HardwareFrontier(small_dataset, store=store).summarize(configs)
+        store.compact(small_dataset, configs=configs)
+        assert list(tmp_path.glob("shard-compact-*.npy"))
+        assert not list(tmp_path.glob("shard-*.npz"))
+        replay_store = MeasurementStore(tmp_path, shard_size=15)
+        replayed = HardwareFrontier(small_dataset, store=replay_store).summarize(configs)
+        assert replay_store.stats.pairs_simulated == 0
+        assert replay_store.stats.pairs_compacted == 2 * len(configs)
+        assert replayed == cold
 
 
 class TestCoSearch:

@@ -3,7 +3,7 @@
 Covers the mutation layer (validity, budgets, dedup), the Pareto archive
 (dominance, hypervolume, persistence), the search engine (determinism, the
 evolution/predictor > random regression at fixed budget, store-backed
-resumption) and the cached pipeline entry point.
+resumption).
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ from repro.nasbench import (
     mutate_unique,
     random_cell,
     swap_op,
-)
-from repro.pipeline import (
-    SearchExperiment,
-    load_search_archive,
-    run_search_experiment,
 )
 from repro.search import STRATEGIES, SearchEngine, SearchSpec
 from repro.service import MeasurementStore
@@ -326,38 +321,3 @@ class TestSearchEngine:
         lines = result.summary_lines()
         assert len(lines) == 2 + result.spec.generations
         assert "random" in lines[0]
-
-
-# --------------------------------------------------------------------------- #
-# Pipeline entry point
-# --------------------------------------------------------------------------- #
-class TestSearchExperiment:
-    def test_run_then_replay(self, tmp_path):
-        experiment = SearchExperiment(name="unit", spec=small_spec("evolution", generations=3))
-        first = run_search_experiment(experiment, cache_dir=tmp_path)
-        second = run_search_experiment(experiment, cache_dir=tmp_path)
-        assert not first.replayed
-        assert second.replayed
-        assert first.result.best_objective == second.result.best_objective
-
-        archive = load_search_archive(experiment, tmp_path)
-        assert len(archive) == len(first.result.archive)
-        assert archive.hypervolume_history == first.result.archive.hypervolume_history
-
-    def test_key_ignores_the_name_but_not_the_spec(self):
-        spec = small_spec("evolution")
-        assert (
-            SearchExperiment("a", spec).search_key()
-            == SearchExperiment("b", spec).search_key()
-        )
-        assert (
-            SearchExperiment("a", spec).search_key()
-            != SearchExperiment("a", dataclasses.replace(spec, seed=8)).search_key()
-        )
-
-    def test_runs_without_a_cache_directory(self):
-        experiment = SearchExperiment(name="ephemeral", spec=small_spec("random", generations=2))
-        outcome = run_search_experiment(experiment)
-        assert not outcome.replayed
-        assert outcome.archive_path is None
-        assert np.isfinite(outcome.result.best_objective)

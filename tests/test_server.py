@@ -171,10 +171,10 @@ class TestServerEquivalence:
                     assert wire.result == service.query(ParetoRequest("V1", 0.6)).result
 
                     assert (await client.latency_of(fingerprint, "V1")) == (
-                        service.latency_of(fingerprint, "V1")
+                        service.metric_of(fingerprint, "V1", "latency")
                     )
                     assert (await client.energy_of(fingerprint, "V1")) == (
-                        service.energy_of(fingerprint, "V1")
+                        service.metric_of(fingerprint, "V1", "energy")
                     )
                     assert (await client.energy_of(fingerprint, "V3")) is None
                     assert (await client.metric_of(fingerprint, "V1", "latency")) == (
@@ -458,9 +458,7 @@ class TestBuildService:
         rebuilt = build_service(warm_root)
         assert rebuilt.config_names == list(CONFIGS)
         assert rebuilt.store_digest == service.store_digest
-        assert [e.record.fingerprint for e in rebuilt.top_k(3)] == [
-            e.record.fingerprint for e in service.top_k(3)
-        ]
+        assert rebuilt.query(TopKRequest(k=3)).result == service.query(TopKRequest(k=3)).result
 
     def test_manifest_less_store_needs_models_argument(self, tmp_path):
         from repro.errors import ServiceError

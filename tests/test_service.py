@@ -11,10 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TrainingSettings
+from repro.analysis import pareto_front_indices
+from repro.core import LearnedPerformanceModel, TrainingSettings
 from repro.errors import DatasetError, ServiceError
 from repro.nasbench import NASBenchDataset, sample_unique_cells
-from repro.service import MeasurementStore, SweepService
+from repro.service import (
+    EnergyRequest,
+    LatencyRequest,
+    MeasurementStore,
+    ParetoRequest,
+    SweepService,
+    TopKRequest,
+)
 from repro.service import store as store_module
 from repro.simulator import BatchSimulator
 
@@ -352,22 +360,15 @@ class TestCompaction:
         self, tmp_path, store_dataset, direct_measurements
     ):
         # The store holds its own copy of each pair it wrote: the arrays that
-        # extend() returns and those ingest() is given belong to the caller.
-        extended_root, ingested_root = tmp_path / "extend", tmp_path / "ingest"
-        extender = make_store(extended_root)
-        swept = extender.extend(store_dataset, configs=CONFIGS)
-        ingested = BatchSimulator().evaluate(store_dataset)
-        ingester = make_store(ingested_root)
-        ingester.ingest(ingested)
-        for measurements in (swept, ingested):
-            for name in CONFIGS:
-                measurements.latencies(name)[:] = -1.0
-                measurements.energies(name)[:] = -1.0
-        extender.compact(store_dataset, configs=CONFIGS)
-        ingester.compact(store_dataset, configs=CONFIGS)
-        for root in (extended_root, ingested_root):
-            reloaded = make_store(root).load(store_dataset, configs=CONFIGS)
-            assert_identical(reloaded, direct_measurements)
+        # extend() returns belong to the caller.
+        store = make_store(tmp_path)
+        swept = store.extend(store_dataset, configs=CONFIGS)
+        for name in CONFIGS:
+            swept.latencies(name)[:] = -1.0
+            swept.energies(name)[:] = -1.0
+        store.compact(store_dataset, configs=CONFIGS)
+        reloaded = make_store(tmp_path).load(store_dataset, configs=CONFIGS)
+        assert_identical(reloaded, direct_measurements)
 
     def test_compacted_rows_are_copies_not_mmap_views(self, tmp_path, store_dataset):
         # Callers mutate measurement arrays (analysis normalizes in place);
@@ -431,42 +432,53 @@ class TestSweepService:
         monkeypatch.setattr(BatchSimulator, "evaluate", forbidden)
         monkeypatch.setattr(BatchSimulator, "evaluate_table_grid", forbidden)
 
+    @pytest.fixture()
+    def fits(self, monkeypatch):
+        """The configuration name of every learned-model fit, in call order."""
+        calls = []
+        fit_table = LearnedPerformanceModel.fit_table
+
+        def counting(model, *args, **kwargs):
+            calls.append(model.config_name)
+            return fit_table(model, *args, **kwargs)
+
+        monkeypatch.setattr(LearnedPerformanceModel, "fit_table", counting)
+        return calls
+
     def test_queries_answered_from_disk_without_simulation(
         self, warm_root, store_dataset, direct_measurements, no_simulation
     ):
         service = SweepService(make_store(warm_root), store_dataset, configs=CONFIGS)
         assert service.config_names == list(CONFIGS)
 
-        top = service.top_k(3)
+        top = service.query(TopKRequest(k=3)).result["entries"]
         expected = store_dataset.top_k_by_accuracy(3)
-        assert [entry.record.fingerprint for entry in top] == [
+        assert [entry["fingerprint"] for entry in top] == [
             record.fingerprint for record in expected
         ]
 
-        front = service.pareto_front("V1")
+        front = service.query(ParetoRequest("V1")).result["points"]
         assert front, "frontier should not be empty"
-        latencies = [point.latency_ms for point in front]
-        accuracies = [point.accuracy for point in front]
+        latencies = [point["latency_ms"] for point in front]
+        accuracies = [point["accuracy"] for point in front]
         assert latencies == sorted(latencies)
         assert accuracies == sorted(accuracies)
-        indices = service.pareto_front_indices("V1")
-        assert [point.model_index for point in front] == list(indices)
+        indices = pareto_front_indices(service.measurements, "V1")
+        assert [point["model_index"] for point in front] == list(indices)
 
         record = expected[0]
-        assert service.latency_of(record.fingerprint, "V2") == pytest.approx(
-            direct_measurements.latency_of(record, "V2")
-        )
-        assert service.energy_of(record.fingerprint, "V1") == pytest.approx(
-            direct_measurements.energy_of(record, "V1")
-        )
-        assert service.energy_of(record.fingerprint, "V3") is None
+        latency = service.query(LatencyRequest(record.fingerprint, "V2")).result["value"]
+        assert latency == pytest.approx(direct_measurements.latency_of(record, "V2"))
+        energy = service.query(EnergyRequest(record.fingerprint, "V1")).result["value"]
+        assert energy == pytest.approx(direct_measurements.energy_of(record, "V1"))
+        assert service.query(EnergyRequest(record.fingerprint, "V3")).result["value"] is None
 
     def test_unknown_fingerprint_and_config_raise(self, warm_root, store_dataset, no_simulation):
         service = SweepService(make_store(warm_root), store_dataset, configs=CONFIGS)
         with pytest.raises(DatasetError):
-            service.latency_of("not-a-fingerprint", "V1")
+            service.query(LatencyRequest("not-a-fingerprint", "V1"))
         with pytest.raises(ServiceError, match="not served"):
-            service.latency_of(store_dataset[0].fingerprint, "V9")
+            service.query(LatencyRequest(store_dataset[0].fingerprint, "V9"))
 
     def test_cold_store_is_an_error_not_a_sweep(self, tmp_path, store_dataset, no_simulation):
         with pytest.raises(ServiceError, match="missing"):
@@ -484,7 +496,7 @@ class TestSweepService:
             measurements=direct_measurements,
         )
         assert service.measurements is direct_measurements
-        assert service.top_k(1)[0].record.fingerprint == (
+        assert service.query(TopKRequest(k=1)).result["entries"][0]["fingerprint"] == (
             store_dataset.top_k_by_accuracy(1)[0].fingerprint
         )
 
@@ -521,7 +533,7 @@ class TestSweepService:
             configs=CONFIGS,
             measurements=direct_measurements,
         )
-        assert service.top_k(1)[0].record.fingerprint == (
+        assert service.query(TopKRequest(k=1)).result["entries"][0]["fingerprint"] == (
             store_dataset.top_k_by_accuracy(1)[0].fingerprint
         )
 
@@ -537,10 +549,9 @@ class TestSweepService:
         assert first.shape == (3,)
         assert np.isfinite(first).all()
         assert service.model_state_path("V1").exists()
+        fitted_report = service.model("V1").evaluate("test")
 
         # A fresh service over the same store must restore, never refit.
-        from repro.core.predictor import LearnedPerformanceModel
-
         def no_refit(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("cached weights should have been restored")
 
@@ -549,7 +560,85 @@ class TestSweepService:
             make_store(warm_root), store_dataset, configs=CONFIGS, settings=settings
         )
         np.testing.assert_allclose(restored.predict(unseen, "V1"), first)
-        assert restored.predict_cell(unseen[0], "V1") == pytest.approx(first[0])
+        assert restored.model("V1").evaluate("test") == fitted_report
+
+    def test_weight_cache_keeps_parameter_caching_modes_apart(self, tmp_path, store_dataset):
+        # One root, one population, both compiler modes: the V1 labels
+        # differ, so each mode's service must train on its own labels and
+        # never restore the other mode's weights.
+        settings = TrainingSettings(epochs=2, seed=0)
+        caching = make_store(tmp_path)
+        no_caching = make_store(tmp_path, enable_parameter_caching=False)
+        cached_labels = caching.extend(store_dataset, configs=("V1",)).latencies("V1")
+        labels = no_caching.extend(store_dataset, configs=("V1",)).latencies("V1")
+        assert not np.array_equal(cached_labels, labels)
+        unseen = sample_unique_cells(3, seed=9002)
+        SweepService(caching, store_dataset, configs=("V1",), settings=settings).predict(
+            unseen, "V1"
+        )
+        served = SweepService(
+            no_caching, store_dataset, configs=("V1",), settings=settings
+        ).predict(unseen, "V1")
+        reference = LearnedPerformanceModel("V1", settings)
+        reference.fit([record.cell for record in store_dataset], labels)
+        np.testing.assert_array_equal(served, reference.predict_cells(unseen))
+
+    def test_weights_fitted_on_other_labels_are_refitted(self, tmp_path, store_dataset, fits):
+        settings = TrainingSettings(epochs=2, seed=0)
+        caching = make_store(tmp_path)
+        no_caching = make_store(tmp_path, enable_parameter_caching=False)
+        caching.extend(store_dataset, configs=("V1",))
+        labels = no_caching.extend(store_dataset, configs=("V1",)).latencies("V1")
+        donor = SweepService(caching, store_dataset, configs=("V1",), settings=settings)
+        donor.model("V1")
+        service = SweepService(no_caching, store_dataset, configs=("V1",), settings=settings)
+        path = service.model_state_path("V1")
+        assert path != donor.model_state_path("V1")
+        # The other mode's weights under this mode's name: the stored labels
+        # give them away, so they are refitted and overwritten.
+        shutil.copyfile(donor.model_state_path("V1"), path)
+        service.model("V1")
+        assert fits == ["V1", "V1"]
+        np.testing.assert_array_equal(store_module.read_npz(path)["targets"], labels)
+
+    def test_changed_settings_refit_without_resimulating(self, warm_root, store_dataset, fits):
+        def service(epochs):
+            return SweepService(
+                make_store(warm_root),
+                store_dataset,
+                configs=CONFIGS,
+                settings=TrainingSettings(epochs=epochs, seed=0),
+            )
+
+        before, after = service(2), service(3)
+        before.model("V1")
+        after.model("V1")
+        assert fits == ["V1", "V1"]
+        assert before.model_state_path("V1") != after.model_state_path("V1")
+        assert before.model_state_path("V1").exists() and after.model_state_path("V1").exists()
+        fresh = make_store(warm_root)
+        fresh.extend(store_dataset, configs=CONFIGS)
+        assert fresh.stats.pairs_simulated == 0
+
+    def test_truncated_weight_file_is_refitted_and_rewritten(self, warm_root, store_dataset, fits):
+        def service():
+            return SweepService(
+                make_store(warm_root),
+                store_dataset,
+                configs=CONFIGS,
+                settings=TrainingSettings(epochs=2, seed=0),
+            )
+
+        fitted = service().model("V1")
+        path = service().model_state_path("V1")
+        path.write_bytes(path.read_bytes()[:50])
+        refitted = service().model("V1")
+        assert len(path.with_name(path.name + ".corrupt").read_bytes()) == 50
+        assert fits == ["V1", "V1"]
+        assert refitted.evaluate("test") == fitted.evaluate("test")
+        restored = service().model("V1")
+        assert fits == ["V1", "V1"]
+        assert restored.evaluate("test") == fitted.evaluate("test")
 
     def test_model_cache_does_not_pollute_shard_namespace(self, warm_root, store_dataset):
         # Regression: cached weights used to land next to the shard files and

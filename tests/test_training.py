@@ -8,12 +8,14 @@ import pytest
 from repro.core import (
     Adam,
     EncodeProcessDecode,
+    GraphTable,
     LearnedPerformanceModel,
     TargetNormalizer,
     TrainingSettings,
     cell_to_graph,
     estimation_accuracy,
     evaluate_predictions,
+    metric_targets,
     pearson_correlation,
     spearman_correlation,
     split_dataset,
@@ -197,6 +199,21 @@ class TestLearnedPerformanceModel:
             model.fit(cells, np.ones(5))
         with pytest.raises(ModelError):
             model.fit(cells[:4], np.ones(4))
+
+    def test_fit_table_needs_min_fit_samples(self):
+        count = LearnedPerformanceModel.MIN_FIT_SAMPLES - 1
+        table = GraphTable.from_cells(sample_unique_cells(count, seed=3))
+        model = LearnedPerformanceModel("V1", TrainingSettings(epochs=1))
+        with pytest.raises(ModelError, match="at least 10 samples"):
+            model.fit_table(table, np.ones(count))
+
+    def test_metric_targets_reject_energy_without_a_model(self, measurements):
+        energies = metric_targets(measurements, "V1", "energy")
+        assert np.array_equal(energies, measurements.energies("V1"))
+        with pytest.raises(ModelError, match="no energy model"):
+            metric_targets(measurements, "V3", "energy")
+        with pytest.raises(ModelError, match="unknown metric"):
+            metric_targets(measurements, "V1", "throughput")
 
     def test_unknown_subset_rejected(self):
         cells = sample_unique_cells(30, seed=2)
