@@ -55,7 +55,7 @@ def _timed_sweep(root, dataset, configs, shard_size=None):
     """One store sweep; returns (store, elapsed seconds)."""
     store = MeasurementStore(root, shard_size=shard_size or STORE_SHARD)
     start = time.perf_counter()
-    store.sweep(dataset, configs=configs)
+    store.extend(dataset, configs=configs)
     return store, time.perf_counter() - start
 
 
@@ -93,7 +93,7 @@ def test_resumable_sweep(benchmark, tmp_path):
     warm_shards = n_shards // 2
     prefix = NASBenchDataset(dataset.records[: warm_shards * STORE_SHARD], dataset.network_config)
     resume_root = tmp_path / "resume"
-    MeasurementStore(resume_root, shard_size=STORE_SHARD).sweep(prefix, configs=configs)
+    MeasurementStore(resume_root, shard_size=STORE_SHARD).extend(prefix, configs=configs)
     resume_store, resume_elapsed = _timed_sweep(resume_root, dataset, configs)
     assert resume_store.stats.pairs_simulated == (n_shards - warm_shards) * len(configs)
     assert resume_store.stats.pairs_loaded == warm_shards * len(configs)
@@ -104,7 +104,7 @@ def test_resumable_sweep(benchmark, tmp_path):
 
     # --- fully warm: pure loading (the tracked benchmark metric) ----------- #
     warm_store = MeasurementStore(tmp_path / "cold", shard_size=STORE_SHARD)
-    benchmark.pedantic(lambda: warm_store.sweep(dataset, configs=configs), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: warm_store.extend(dataset, configs=configs), rounds=3, iterations=1)
     load_store, warm_elapsed = _timed_sweep(tmp_path / "cold", dataset, configs)
     assert load_store.stats.pairs_simulated == 0
     assert warm_elapsed < cold_elapsed

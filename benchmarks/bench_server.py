@@ -61,7 +61,7 @@ CONFIG = "V1"
 def _build_service(root) -> SweepService:
     dataset = NASBenchDataset.generate(num_models=SERVER_MODELS, seed=SEED)
     store = MeasurementStore(root, shard_size=8)
-    store.sweep(dataset, configs=(CONFIG,))
+    store.extend(dataset, configs=(CONFIG,))
     service = SweepService(
         store, dataset, configs=(CONFIG,), settings=TrainingSettings(epochs=2, seed=0)
     )

@@ -1,11 +1,12 @@
-"""Sweep throughput: scalar vs vectorized batch engine.
+"""Sweep throughput: the scalar oracle vs the vectorized batch engine.
 
 The paper's headline experiment needs ~1.5M latency simulations; this
 benchmark tracks how fast the reproduction can sweep its population
 (models/sec, counting one model as one model simulated on *all* studied
-configurations).  The scalar rate is measured on a subset and the vectorized
-rate on the full shared bench population; the vectorized engine must beat
-the scalar walk by at least 5x.
+configurations).  The scalar rate is a loop of ``PerformanceSimulator``
+calls over a subset, the vectorized rate ``BatchSimulator.evaluate`` over the
+full shared bench population; the vectorized engine must beat the scalar
+loop by at least 5x.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import time
 
 from repro.nasbench import NASBenchDataset
-from repro.simulator import evaluate_dataset
+from repro.simulator import BatchSimulator, PerformanceSimulator
 
 from _reporting import report, report_json
 
@@ -23,10 +24,23 @@ from _reporting import report, report_json
 SCALAR_SUBSET_MODELS = int(os.environ.get("REPRO_BENCH_SCALAR_MODELS", "120"))
 
 
-def _sweep_rate(dataset, configs, **kwargs) -> tuple[float, float]:
+def _scalar_sweep(dataset, configs) -> None:
+    """The oracle sweep: networks built once, one ``simulate()`` per model and config."""
+    networks = [record.build_network(dataset.network_config) for record in dataset]
+    for config in configs:
+        simulator = PerformanceSimulator(config)
+        for network in networks:
+            simulator.simulate(network)
+
+
+def _vectorized_sweep(dataset, configs) -> None:
+    BatchSimulator().evaluate(dataset, configs=configs)
+
+
+def _sweep_rate(sweep, dataset, configs) -> tuple[float, float]:
     """Run one full sweep and return (models/sec, elapsed seconds)."""
     start = time.perf_counter()
-    evaluate_dataset(dataset, configs=configs, **kwargs)
+    sweep(dataset, configs)
     elapsed = time.perf_counter() - start
     return len(dataset) / elapsed, elapsed
 
@@ -37,15 +51,11 @@ def test_sweep_throughput(benchmark, bench_dataset, bench_configs):
         bench_dataset.records[:SCALAR_SUBSET_MODELS], bench_dataset.network_config
     )
 
-    scalar_rate, scalar_elapsed = _sweep_rate(subset, configs, strategy="scalar")
+    scalar_rate, scalar_elapsed = _sweep_rate(_scalar_sweep, subset, configs)
 
     # The vectorized sweep is the tracked benchmark metric.
-    benchmark.pedantic(
-        lambda: evaluate_dataset(bench_dataset, configs=configs, strategy="vectorized"),
-        rounds=1,
-        iterations=1,
-    )
-    vectorized_rate, vectorized_elapsed = _sweep_rate(bench_dataset, configs, strategy="vectorized")
+    benchmark.pedantic(lambda: _vectorized_sweep(bench_dataset, configs), rounds=1, iterations=1)
+    vectorized_rate, vectorized_elapsed = _sweep_rate(_vectorized_sweep, bench_dataset, configs)
 
     benchmark.extra_info["scalar_models_per_sec"] = round(scalar_rate, 1)
     benchmark.extra_info["vectorized_models_per_sec"] = round(vectorized_rate, 1)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.arch import STUDIED_CONFIGS
 from repro.nasbench import NASBenchDataset
-from repro.simulator import evaluate_dataset
+from repro.simulator import BatchSimulator
 
 #: Number of sampled models used by the benchmark harness.
 BENCH_NUM_MODELS = int(os.environ.get("REPRO_BENCH_MODELS", "1200"))
@@ -32,7 +32,7 @@ def bench_dataset():
 @pytest.fixture(scope="session")
 def bench_measurements(bench_dataset):
     """Latency/energy of every benchmark model on V1, V2 and V3."""
-    return evaluate_dataset(bench_dataset, configs=list(STUDIED_CONFIGS.values()))
+    return BatchSimulator().evaluate(bench_dataset, configs=list(STUDIED_CONFIGS.values()))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ Run with:  python examples/accelerator_comparison.py [num_models]
 
 import sys
 
-from repro import NASBenchDataset, evaluate_dataset
+from repro import BatchSimulator, NASBenchDataset
 from repro.analysis import (
     bucket_characteristics,
     crossover_analysis,
@@ -26,7 +26,7 @@ from repro.analysis import (
 def main(num_models: int = 400) -> None:
     print(f"Sampling {num_models} unique NASBench cells and simulating V1/V2/V3 ...")
     dataset = NASBenchDataset.generate(num_models=num_models, seed=0)
-    measurements = evaluate_dataset(dataset)
+    measurements = BatchSimulator().evaluate(dataset)
 
     print("\n--- Table 3: latency/energy summary (models with >= 70% accuracy) ---")
     for name, summary in summarize_all(measurements).items():

@@ -57,7 +57,7 @@ def main(num_models: int = 300) -> None:
     # 1. Resumable sweep: every completed shard lands on disk immediately.
     store = MeasurementStore(STORE_DIR, shard_size=64)
     start = time.perf_counter()
-    store.sweep(dataset, configs=("V1", "V2"))
+    store.extend(dataset, configs=("V1", "V2"))
     elapsed = time.perf_counter() - start
     print(
         f"sweep of {num_models} models on V1/V2: "

@@ -73,7 +73,6 @@ from .simulator import (
     MeasurementSet,
     PerformanceSimulator,
     compile_and_time_table,
-    evaluate_dataset,
 )
 
 __version__ = "1.0.0"
@@ -132,7 +131,6 @@ __all__ = [
     "build_network",
     "cell_fingerprint",
     "compile_and_time_table",
-    "evaluate_dataset",
     "get_config",
     "mutate_cell",
     "obs",

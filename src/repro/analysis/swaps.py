@@ -12,11 +12,9 @@ owns the performance simulator, the swapped cell is simulated directly, which
 evaluates every swap instead of a subset.  Swaps that do not change the cell
 (the operation does not occur) are skipped, as in the paper.
 
-By default every baseline and swapped network of the population is flattened
-into **one** vectorized :class:`~repro.simulator.batch.BatchSimulator` sweep
-(up to seven networks per model) instead of thousands of scalar
-``simulate()`` calls; ``strategy="scalar"`` keeps the original per-model walk
-as the reference path.
+Every baseline and swapped network of the population is flattened into
+**one** vectorized :class:`~repro.simulator.batch.BatchSimulator` sweep (up to
+seven networks per model) instead of thousands of scalar ``simulate()`` calls.
 """
 
 from __future__ import annotations
@@ -27,13 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from ..arch.config import AcceleratorConfig
-from ..errors import SimulationError
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import ModelRecord
-from ..nasbench.network import NetworkConfig, build_network
+from ..nasbench.network import NetworkConfig
 from ..nasbench.ops import CONV1X1, CONV3X3, INTERIOR_OPS, MAXPOOL3X3
 from ..simulator.batch import BatchSimulator
-from ..simulator.engine import PerformanceSimulator
 
 #: Display order of the Figure 15 rows/columns.
 SWAP_OPERATIONS: tuple[str, ...] = (CONV3X3, CONV1X1, MAXPOOL3X3)
@@ -92,9 +88,13 @@ def operation_swap_matrix(
     network_config: NetworkConfig | None = None,
     max_models: int | None = None,
     seed: int = 0,
-    strategy: str = "vectorized",
 ) -> SwapMatrix:
     """Compute the Figure 15 matrix for one configuration.
+
+    Each model contributes its baseline cell plus one cell per applicable
+    swap; the whole collection is packed into one table and swept by the
+    batch engine, and the per-pair deltas are computed as array arithmetic
+    over index vectors into the resulting latency array.
 
     Parameters
     ----------
@@ -105,79 +105,12 @@ def operation_swap_matrix(
     max_models:
         Optional cap on how many models are swapped (a deterministic random
         subset is used); the full population is used when ``None``.
-    strategy:
-        ``"vectorized"`` (default) sweeps every baseline and swapped network
-        in one :class:`BatchSimulator` pass; ``"scalar"`` walks them one
-        ``simulate()`` call at a time (reference path for equivalence tests).
     """
     if max_models is not None and len(records) > max_models:
         rng = np.random.default_rng(seed)
         chosen = rng.choice(len(records), size=max_models, replace=False)
         records = [records[int(i)] for i in chosen]
 
-    if strategy == "vectorized":
-        return _swap_matrix_vectorized(records, config, network_config)
-    if strategy != "scalar":
-        raise SimulationError(
-            f"unknown swap strategy {strategy!r}; expected 'vectorized' or 'scalar'"
-        )
-
-    simulator = PerformanceSimulator(config)
-    baseline_cache: dict[int, float] = {}
-    changes: dict[tuple[str, str], list[tuple[float, float]]] = {
-        (a, b): [] for a in SWAP_OPERATIONS for b in SWAP_OPERATIONS if a != b
-    }
-
-    for position, record in enumerate(records):
-        baseline = baseline_cache.get(position)
-        if baseline is None:
-            baseline = simulator.simulate(
-                build_network(record.cell, network_config)
-            ).latency_ms
-            baseline_cache[position] = baseline
-        for from_op in SWAP_OPERATIONS:
-            for to_op in SWAP_OPERATIONS:
-                if from_op == to_op:
-                    continue
-                swapped = swap_operations(record.cell, from_op, to_op)
-                if swapped is None:
-                    continue
-                swapped_latency = simulator.simulate(
-                    build_network(swapped, network_config)
-                ).latency_ms
-                delta = swapped_latency - baseline
-                percent = 100.0 * delta / baseline
-                changes[(from_op, to_op)].append((delta, percent))
-
-    impacts = {}
-    for key, values in changes.items():
-        if values:
-            deltas = np.array([v[0] for v in values])
-            percents = np.array([v[1] for v in values])
-            impacts[key] = SwapImpact(
-                from_op=key[0],
-                to_op=key[1],
-                num_swaps=len(values),
-                avg_change_ms=float(deltas.mean()),
-                avg_change_percent=float(percents.mean()),
-            )
-        else:
-            impacts[key] = SwapImpact(key[0], key[1], 0, 0.0, 0.0)
-    return SwapMatrix(config_name=config.name, impacts=impacts)
-
-
-def _swap_matrix_vectorized(
-    records: Sequence[ModelRecord],
-    config: AcceleratorConfig,
-    network_config: NetworkConfig | None,
-) -> SwapMatrix:
-    """One-sweep Figure 15: all baselines and swaps in a single LayerTable.
-
-    Each model contributes its baseline cell plus one cell per applicable
-    swap; the whole collection is packed into one table and swept by the
-    batch engine, and the per-pair deltas are computed as array arithmetic
-    over index vectors into the resulting latency array.
-    """
     pairs = [(a, b) for a in SWAP_OPERATIONS for b in SWAP_OPERATIONS if a != b]
     cells = []
     pair_indices: dict[tuple[str, str], list[tuple[int, int]]] = {pair: [] for pair in pairs}

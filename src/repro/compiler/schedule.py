@@ -46,11 +46,6 @@ class CompiledModel:
         return sum(layer.mapping.compute_cycles for layer in self.layers)
 
     @property
-    def total_streamed_weight_bytes(self) -> int:
-        """Weight bytes fetched from DRAM per steady-state inference."""
-        return self.cache_plan.streamed_bytes
-
-    @property
     def total_weight_bytes(self) -> int:
         """Total weight footprint of the model in bytes."""
         return self.cache_plan.total_weight_bytes

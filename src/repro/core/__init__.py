@@ -7,7 +7,7 @@ step (:mod:`.step`) is tested against.
 from .autodiff import Tensor, mse_loss
 from .features import GraphTuple, cell_to_graph, featurize_cells
 from .graph_net import BatchedGraphs, GraphNetBlock, IndependentBlock, batch_graphs
-from .graph_table import GraphTable, as_graph_table
+from .graph_table import GraphTable
 from .layers import MLP, LayerNorm, Linear, Module
 from .metrics import (
     EstimationReport,
@@ -55,7 +55,6 @@ __all__ = [
     "Tensor",
     "TrainingHistory",
     "TrainingSettings",
-    "as_graph_table",
     "batch_graphs",
     "batched_loss",
     "cell_to_graph",

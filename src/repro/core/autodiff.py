@@ -22,7 +22,7 @@ benchmark compare the two.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -394,8 +394,3 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
         raise ModelError(f"mse_loss shape mismatch: {prediction.shape} vs {target.shape}")
     diff = subtract(prediction, target)
     return mean(multiply(diff, diff))
-
-
-def parameters_requiring_grad(tensors: Iterable[Tensor]) -> list[Tensor]:
-    """Filter an iterable of tensors down to those that require gradients."""
-    return [tensor for tensor in tensors if tensor.requires_grad]

@@ -195,10 +195,3 @@ class GraphTable:
         senders = self.senders[edge_rows] + rebase
         receivers = self.receivers[edge_rows] + rebase
         return indices, node_rows, edge_rows, node_counts, edge_counts, senders, receivers
-
-
-def as_graph_table(graphs: "GraphTable | Sequence[GraphTuple]") -> GraphTable:
-    """Coerce a :class:`GraphTable` or sequence of graphs into a table."""
-    if isinstance(graphs, GraphTable):
-        return graphs
-    return GraphTable.from_graphs(list(graphs))

@@ -177,7 +177,7 @@ class LearnedPerformanceModel:
             self.model,
             table.subset(self.split.train),
             normalized[self.split.train],
-            table.subset(self.split.validation) if len(self.split.validation) else (),
+            table.subset(self.split.validation) if len(self.split.validation) else None,
             normalized[self.split.validation] if len(self.split.validation) else None,
             epochs=self.settings.epochs,
             batch_size=self.settings.batch_size,

@@ -18,7 +18,6 @@ the reference it is tested against, bit for bit; it trains nothing here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,15 +25,10 @@ from .. import obs
 from ..errors import ModelError
 from . import step
 from .autodiff import Tensor, mse_loss
-from .features import GraphTuple
 from .graph_net import BatchedGraphs
-from .graph_table import GraphTable, as_graph_table
+from .graph_table import GraphTable
 from .model import EncodeProcessDecode
 from .optimizer import Adam
-
-#: Inputs accepted by the training/inference entry points: either a packed
-#: table or a legacy sequence of per-graph tuples.
-GraphSource = Union[GraphTable, Sequence[GraphTuple]]
 
 
 @dataclass(frozen=True)
@@ -171,10 +165,6 @@ def batched_loss(
     return loss * Tensor(1.0 / len(predictions))
 
 
-def _is_empty(graphs: GraphSource) -> bool:
-    return not isinstance(graphs, GraphTable) and len(graphs) == 0
-
-
 def _batches(table: GraphTable, batch_size: int):
     """Consecutive batches of *table*, with their graph indices."""
     for start in range(0, table.num_graphs, batch_size):
@@ -184,14 +174,11 @@ def _batches(table: GraphTable, batch_size: int):
 
 def evaluate_loss(
     model: EncodeProcessDecode,
-    graphs: GraphSource,
+    table: GraphTable,
     targets: np.ndarray,
     batch_size: int = 256,
 ) -> float:
     """Average per-step MSE of *model* on a dataset (no gradient updates)."""
-    if _is_empty(graphs):
-        return 0.0
-    table = as_graph_table(graphs)
     targets = np.asarray(targets, dtype=float)
     total = 0.0
     for indices, batch in _batches(table, batch_size):
@@ -201,9 +188,9 @@ def evaluate_loss(
 
 def train_model(
     model: EncodeProcessDecode,
-    train_graphs: GraphSource,
+    table: GraphTable,
     train_targets: np.ndarray,
-    validation_graphs: GraphSource = (),
+    validation_table: GraphTable | None = None,
     validation_targets: np.ndarray | None = None,
     epochs: int = 10,
     batch_size: int = 16,
@@ -213,25 +200,17 @@ def train_model(
     """Train *model* with minibatch Adam and return the loss history.
 
     Targets are expected to be already normalized (see
-    :class:`TargetNormalizer`). The training set is packed into a
-    :class:`GraphTable` once and every mini-batch is a slice of it.
+    :class:`TargetNormalizer`). Every mini-batch is a slice of the packed
+    training *table*; the validation loss is recorded per epoch when both
+    *validation_table* and *validation_targets* are given.
     """
-    num_train = (
-        train_graphs.num_graphs
-        if isinstance(train_graphs, GraphTable)
-        else len(train_graphs)
-    )
+    num_train = table.num_graphs
     if num_train != len(train_targets):
         raise ModelError("training graphs and targets must have the same length")
-    if num_train == 0:
-        raise ModelError("training set is empty")
 
-    table = as_graph_table(train_graphs)
     history = TrainingHistory()
     train_targets = np.asarray(train_targets, dtype=float)
-    has_validation = not _is_empty(validation_graphs) and validation_targets is not None
-    if has_validation:
-        validation_graphs = as_graph_table(validation_graphs)
+    has_validation = validation_table is not None and validation_targets is not None
 
     with obs.span("core.train", graphs=num_train, epochs=epochs, batch_size=batch_size):
         optimizer = Adam(model.parameters(), learning_rate=learning_rate)
@@ -252,24 +231,21 @@ def train_model(
             history.train_losses.append(epoch_loss / max(batches, 1))
             if has_validation:
                 history.validation_losses.append(
-                    evaluate_loss(model, validation_graphs, validation_targets)
+                    evaluate_loss(model, validation_table, validation_targets)
                 )
         obs.count("core.train_steps", steps)
     return history
 
 
 def predict(
-    model: EncodeProcessDecode, graphs: GraphSource, batch_size: int | None = None
+    model: EncodeProcessDecode, table: GraphTable, batch_size: int | None = None
 ) -> np.ndarray:
-    """Final-step predictions of *model* over *graphs* (normalized space).
+    """Final-step predictions of *model* over *table* (normalized space).
 
     With the default ``batch_size=None`` the whole dataset is evaluated in a
     **single** batched forward pass over the packed table; pass an explicit
     batch size to chunk very large populations.
     """
-    if _is_empty(graphs):
-        return np.zeros(0)
-    table = as_graph_table(graphs)
     if batch_size is None:
         return step.predict(model, step.GraphBatch(table.to_batched()))
     return np.concatenate(

@@ -187,10 +187,6 @@ class Cell:
     # ------------------------------------------------------------------ #
     # Connectivity and pruning
     # ------------------------------------------------------------------ #
-    def is_connected(self) -> bool:
-        """Return ``True`` if there is a directed path from input to output."""
-        return self._reachable_from_input()[-1]
-
     def _reachable_from_input(self) -> list[bool]:
         """Per vertex: reachable from the input vertex."""
         matrix = self.matrix

@@ -266,10 +266,6 @@ class LayerTable:
         """Per-model sum of a layer-aligned array."""
         return np.add.reduceat(np.asarray(values), self.segment_starts)
 
-    def segment_max(self, values: np.ndarray) -> np.ndarray:
-        """Per-model maximum of a layer-aligned array."""
-        return np.maximum.reduceat(np.asarray(values), self.segment_starts)
-
     def model_slice(self, model_index: int) -> slice:
         """Layer-row slice of one model."""
         return slice(int(self.model_offsets[model_index]), int(self.model_offsets[model_index + 1]))

@@ -194,7 +194,10 @@ class PredictRequest:
             isinstance(payloads, list) and len(payloads) > 0,
             "predict requires a non-empty 'cells' list",
         )
-        cells = tuple(Cell.from_dict(entry) for entry in payloads)
+        try:
+            cells = tuple(Cell.from_dict(entry) for entry in payloads)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ServiceError(f"malformed predict cell: {exc!r}") from exc
         return cls(cells=cells, **fields)
 
 
@@ -211,7 +214,7 @@ def request_from_dict(payload: object) -> QueryRequest:
     _require(isinstance(payload, Mapping), "query request payload must be a JSON object")
     assert isinstance(payload, Mapping)
     kind = payload.get("kind")
-    cls = REQUEST_KINDS.get(kind)
+    cls = REQUEST_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ServiceError(
             f"unknown query request kind {kind!r}; expected one of {sorted(REQUEST_KINDS)}"

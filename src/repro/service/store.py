@@ -360,19 +360,6 @@ class MeasurementStore:
                         progress_callback(config.name, stop, total)
         return MeasurementSet(dataset, latencies, energies)
 
-    def sweep(
-        self,
-        dataset: NASBenchDataset,
-        configs: Iterable[AcceleratorConfig | str] | None = None,
-        progress_callback: Callable[[str, int, int], None] | None = None,
-    ) -> MeasurementSet:
-        """Run (or resume) the sweep of *dataset* × *configs*.
-
-        Alias of :meth:`extend` — a cold sweep, a resumed sweep and an
-        incremental extension are the same operation over the store.
-        """
-        return self.extend(dataset, configs=configs, progress_callback=progress_callback)
-
     # ------------------------------------------------------------------ #
     # Read-only access (the service path)
     # ------------------------------------------------------------------ #
@@ -440,7 +427,6 @@ class MeasurementStore:
         self,
         dataset: NASBenchDataset,
         configs: Iterable[AcceleratorConfig | str] | None = None,
-        remove_loose: bool = True,
     ) -> CompactionResult:
         """Merge a *finished* sweep into one memory-mapped consolidated file.
 
@@ -458,9 +444,9 @@ class MeasurementStore:
         the existing compacted file, so it is cheap and idempotent, and the
         pairs this object wrote itself are merged from memory, not re-read.
 
-        With *remove_loose* (the default) the merged per-pair files — and
-        any superseded earlier compacted generation — are deleted once the
-        new consolidated file is durably in place.
+        The merged per-pair files — and any superseded earlier compacted
+        generation — are deleted once the new consolidated file is durably in
+        place.
         """
         config_names = self._config_names(configs)
         ranges = self.shard_ranges(len(dataset))
@@ -535,17 +521,16 @@ class MeasurementStore:
         tmp_index.replace(index_path)
 
         loose_removed = 0
-        if remove_loose:
-            for entry in entries:
-                loose = self.shard_path(entry["config"], entry["key"])
-                try:
-                    loose.unlink()
-                    loose_removed += 1
-                except OSError:
-                    pass
-            for stale in self.root.glob(f"{self.prefix}-compact-*"):
-                if stale.name not in (data_path.name, index_path.name):
-                    stale.unlink(missing_ok=True)
+        for entry in entries:
+            loose = self.shard_path(entry["config"], entry["key"])
+            try:
+                loose.unlink()
+                loose_removed += 1
+            except OSError:
+                pass
+        for stale in self.root.glob(f"{self.prefix}-compact-*"):
+            if stale.name not in (data_path.name, index_path.name):
+                stale.unlink(missing_ok=True)
         self._compact_entries = None
         self._compact_data = {}
         for entry in entries:

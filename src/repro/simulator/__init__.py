@@ -11,13 +11,7 @@ from .latency import (
     time_layer,
 )
 from .results import LayerResult, SimulationResult
-from .runner import (
-    MeasurementSet,
-    MeasurementSubset,
-    ModelMeasurement,
-    evaluate_dataset,
-    simulate_records,
-)
+from .runner import MeasurementSet, MeasurementSubset
 
 __all__ = [
     "BatchSimulator",
@@ -26,14 +20,11 @@ __all__ = [
     "LayerTiming",
     "MeasurementSet",
     "MeasurementSubset",
-    "ModelMeasurement",
     "PerformanceSimulator",
     "SimulationResult",
     "activation_spill_bytes",
     "compile_and_time_table",
     "cycles_to_milliseconds",
-    "evaluate_dataset",
     "model_latency_cycles",
-    "simulate_records",
     "time_layer",
 ]

@@ -16,15 +16,14 @@ instead of once per configuration.
 The results are bit-for-bit the scalar engine's (both paths run the same
 kernels; only the reduction order of float sums differs, within 1e-9
 relative).  The table path has one implementation, the fused kernel of
-:func:`~repro.simulator.fused.compile_and_time_table`; the scalar engine is
-its reference.  :meth:`BatchSimulator.evaluate` returns the same
-:class:`~repro.simulator.runner.MeasurementSet` as
-:func:`~repro.simulator.runner.evaluate_dataset`, so all analysis and
-benchmark consumers are unchanged.
+:func:`~repro.simulator.fused.compile_and_time_table`; the scalar
+:class:`~repro.simulator.engine.PerformanceSimulator` is its reference.
 
-:meth:`BatchSimulator.evaluate` sweeps in memory.  A persisted, resumable
-sweep goes through :meth:`~repro.service.store.MeasurementStore.extend`, and
-a sweep shared across processes or hosts through the lease queue of
+:meth:`BatchSimulator.evaluate` is the one in-memory sweep: it returns the
+:class:`~repro.simulator.runner.MeasurementSet` that the analysis and
+benchmark modules consume.  A persisted, resumable sweep goes through
+:meth:`~repro.service.store.MeasurementStore.extend`, and a sweep shared
+across processes or hosts through the lease queue of
 :class:`~repro.service.worker.SweepWorker`; both simulate their missing
 pairs with :meth:`BatchSimulator.evaluate_table_grid`.
 """
@@ -42,8 +41,9 @@ from ..errors import SimulationError
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import NASBenchDataset
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.network import NetworkConfig, NetworkSpec
+from ..nasbench.network import NetworkConfig
 from .fused import compile_and_time_table
+from .runner import MeasurementSet
 
 
 class BatchSimulator:
@@ -67,19 +67,16 @@ class BatchSimulator:
         dataset: NASBenchDataset,
         configs: Iterable[AcceleratorConfig] | None = None,
         progress_callback: Callable[[str, int, int], None] | None = None,
-    ):
+    ) -> MeasurementSet:
         """Simulate every model of *dataset* on every configuration.
 
-        Returns the same :class:`~repro.simulator.runner.MeasurementSet` as
-        the scalar sweep.  The population is packed into one
+        The population is packed into one
         :class:`~repro.nasbench.layer_table.LayerTable` and every
-        configuration is simulated in one grid pass; *progress_callback*
-        ticks once per configuration.  A raising *progress_callback* cannot
-        abort the sweep: exceptions are caught, logged as obs error events,
-        and the sweep continues.
+        configuration (default: the paper's V1, V2 and V3) is simulated in
+        one grid pass; *progress_callback* ticks once per configuration.  A
+        raising *progress_callback* cannot abort the sweep: exceptions are
+        caught, logged as obs error events, and the sweep continues.
         """
-        from .runner import MeasurementSet  # deferred: runner re-exports us
-
         progress_callback = obs.guarded_progress(progress_callback, origin="sim.evaluate")
         config_list: Sequence[AcceleratorConfig] = (
             list(configs) if configs is not None else list(STUDIED_CONFIGS.values())
@@ -89,7 +86,6 @@ class BatchSimulator:
         total = len(dataset)
 
         if total == 0:
-            # Mirror the scalar sweep: an empty population yields empty arrays.
             return MeasurementSet(
                 dataset,
                 {config.name: np.empty(0, dtype=float) for config in config_list},
@@ -107,12 +103,6 @@ class BatchSimulator:
                 if progress_callback is not None:
                     progress_callback(config.name, total, total)
         return MeasurementSet(dataset, latencies, energies)
-
-    def evaluate_networks(
-        self, networks: Sequence[NetworkSpec], config: AcceleratorConfig
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Latency/energy arrays of *networks* on one configuration."""
-        return self.evaluate_table(LayerTable.from_networks(networks), config)
 
     def evaluate_cells(
         self,
@@ -134,8 +124,7 @@ class BatchSimulator:
         """Latency (ms) and energy (mJ) per model of *table* on one config.
 
         The one-row view of :meth:`evaluate_table_grid`.  Energy is NaN for
-        configurations without a published energy model (V3), matching the
-        scalar sweep's convention.
+        configurations without a published energy model (V3).
         """
         latency_ms, energy_mj = self.evaluate_table_grid(table, [config])
         return latency_ms[0], energy_mj[0]
@@ -156,8 +145,7 @@ class BatchSimulator:
         :func:`~repro.simulator.fused.compile_and_time_table`.  A row does not
         depend on the other configurations of the grid, so the results equal
         a loop over :meth:`evaluate_table` bit for bit.  Energy rows of
-        configurations without a published energy model are NaN, as in the
-        scalar sweep.
+        configurations without a published energy model are NaN.
         """
         config_table = ConfigTable.from_configs(configs)
         with obs.span(

@@ -12,11 +12,10 @@ dependent sustained bandwidth.
 from __future__ import annotations
 
 from ..arch.config import AcceleratorConfig
-from ..arch.energy import EnergyParameters, energy_parameters_for
+from ..arch.energy import energy_parameters_for
 from ..compiler import CompiledModel, compile_model
 from ..errors import SimulationError
-from ..nasbench.cell import Cell
-from ..nasbench.network import NetworkConfig, NetworkSpec, build_network
+from ..nasbench.network import NetworkSpec
 from .energy import layer_energy_mj, static_energy_mj
 from .latency import (
     cycles_to_milliseconds,
@@ -37,9 +36,6 @@ class PerformanceSimulator:
     enable_parameter_caching:
         The paper enables parameter caching in all simulations; disabling it
         here is used by the ablation benchmarks.
-    energy_parameters:
-        Optional override of the energy coefficients (defaults to
-        :func:`repro.arch.energy.energy_parameters_for`).
     collect_layer_results:
         When ``True`` the per-layer breakdown is attached to every
         :class:`SimulationResult`; population sweeps switch it off to save
@@ -50,23 +46,16 @@ class PerformanceSimulator:
         self,
         config: AcceleratorConfig,
         enable_parameter_caching: bool = True,
-        energy_parameters: EnergyParameters | None = None,
         collect_layer_results: bool = False,
     ):
         self.config = config
         self.enable_parameter_caching = enable_parameter_caching
-        self.energy_parameters = energy_parameters or energy_parameters_for(config)
+        self.energy_parameters = energy_parameters_for(config)
         self.collect_layer_results = collect_layer_results
 
     # ------------------------------------------------------------------ #
     # Entry points
     # ------------------------------------------------------------------ #
-    def simulate_cell(
-        self, cell: Cell, network_config: NetworkConfig | None = None
-    ) -> SimulationResult:
-        """Expand *cell* into its full network and simulate one inference."""
-        return self.simulate(build_network(cell, network_config))
-
     def simulate(self, network: NetworkSpec) -> SimulationResult:
         """Simulate one steady-state inference of *network*."""
         compiled = compile_model(

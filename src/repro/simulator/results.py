@@ -19,11 +19,6 @@ class LayerResult:
     energy_mj: float
     utilization: float
 
-    @property
-    def is_memory_bound(self) -> bool:
-        """``True`` when DRAM/refill traffic, not compute, sets the layer time."""
-        return self.memory_cycles > self.compute_cycles
-
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -43,11 +38,6 @@ class SimulationResult:
     layer_results: tuple[LayerResult, ...] = field(repr=False, default=())
 
     @property
-    def latency_s(self) -> float:
-        """Latency in seconds."""
-        return self.latency_ms / 1e3
-
-    @property
     def energy_available(self) -> bool:
         """Whether an energy model was available for the configuration."""
         return self.energy_mj is not None
@@ -56,13 +46,3 @@ class SimulationResult:
     def fully_cached(self) -> bool:
         """``True`` when all weights were resident on-chip (no DRAM weight traffic)."""
         return self.streamed_weight_bytes == 0
-
-    def bound_fraction(self) -> float:
-        """Fraction of layer time spent in memory-bound layers (diagnostic)."""
-        if not self.layer_results:
-            return 0.0
-        memory_time = sum(
-            layer.total_cycles for layer in self.layer_results if layer.is_memory_bound
-        )
-        total_time = sum(layer.total_cycles for layer in self.layer_results)
-        return memory_time / total_time if total_time else 0.0

@@ -11,7 +11,7 @@ import pytest
 
 from repro.arch import STUDIED_CONFIGS
 from repro.nasbench import NASBenchDataset, sample_unique_cells
-from repro.simulator import evaluate_dataset
+from repro.simulator import BatchSimulator
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def dataset():
 @pytest.fixture(scope="session")
 def measurements(dataset):
     """Latency/energy measurements of the session dataset on V1/V2/V3."""
-    return evaluate_dataset(dataset, configs=list(STUDIED_CONFIGS.values()))
+    return BatchSimulator().evaluate(dataset, configs=list(STUDIED_CONFIGS.values()))
 
 
 @pytest.fixture(scope="session")

@@ -32,10 +32,12 @@ from repro.analysis import (
     top_models_by_accuracy,
     winner_buckets,
 )
+from repro.analysis.swaps import SWAP_OPERATIONS
 from repro.arch import EDGE_TPU_V2
 from repro.errors import DatasetError
-from repro.nasbench import CONV1X1, CONV3X3, MAXPOOL3X3
+from repro.nasbench import CONV1X1, CONV3X3, MAXPOOL3X3, build_network
 from repro.nasbench.famous_cells import BEST_ACCURACY_CELL
+from repro.simulator import PerformanceSimulator
 
 
 class TestSummary:
@@ -313,21 +315,25 @@ class TestSwaps:
 
     def test_figure15_vectorized_matches_scalar_reference(self, dataset):
         records = dataset.records[:15]
-        vectorized = operation_swap_matrix(records, EDGE_TPU_V2)
-        scalar = operation_swap_matrix(records, EDGE_TPU_V2, strategy="scalar")
-        assert set(vectorized.impacts) == set(scalar.impacts)
-        for pair, impact in vectorized.impacts.items():
-            reference = scalar.impacts[pair]
-            assert impact.num_swaps == reference.num_swaps, pair
-            assert impact.avg_change_ms == pytest.approx(
-                reference.avg_change_ms, rel=1e-9, abs=1e-12
-            ), pair
+        matrix = operation_swap_matrix(records, EDGE_TPU_V2)
+        oracle = PerformanceSimulator(EDGE_TPU_V2)
+
+        def latency(cell):
+            return oracle.simulate(build_network(cell)).latency_ms
+
+        baselines = [latency(record.cell) for record in records]
+        pairs = [(a, b) for a in SWAP_OPERATIONS for b in SWAP_OPERATIONS if a != b]
+        assert set(matrix.impacts) == set(pairs)
+        for pair in pairs:
+            deltas, percents = [], []
+            for record, baseline in zip(records, baselines):
+                swapped = swap_operations(record.cell, *pair)
+                if swapped is not None:
+                    deltas.append(latency(swapped) - baseline)
+                    percents.append(100.0 * deltas[-1] / baseline)
+            impact = matrix.impacts[pair]
+            assert impact.num_swaps == len(deltas) > 0, pair
+            assert impact.avg_change_ms == pytest.approx(np.mean(deltas), rel=1e-9, abs=1e-12), pair
             assert impact.avg_change_percent == pytest.approx(
-                reference.avg_change_percent, rel=1e-9, abs=1e-12
+                np.mean(percents), rel=1e-9, abs=1e-12
             ), pair
-
-    def test_figure15_unknown_strategy_rejected(self, dataset):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            operation_swap_matrix(dataset.records[:5], EDGE_TPU_V2, strategy="turbo")

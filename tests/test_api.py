@@ -37,7 +37,7 @@ def api_dataset():
 @pytest.fixture(scope="module")
 def warm_root(tmp_path_factory, api_dataset):
     root = tmp_path_factory.mktemp("api-store")
-    MeasurementStore(root, shard_size=SHARD).sweep(api_dataset, configs=CONFIGS)
+    MeasurementStore(root, shard_size=SHARD).extend(api_dataset, configs=CONFIGS)
     return root
 
 
@@ -85,6 +85,21 @@ class TestRequestRoundTrips:
             request_from_dict({"kind": "top_k", "count": 3})
         with pytest.raises(ServiceError, match="cells"):
             request_from_dict({"kind": "predict", "config_name": "V1"})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": []},
+            {"kind": {"name": "top_k"}},
+            {"kind": "predict", "config_name": "V1", "cells": [{}]},
+            {"kind": "predict", "config_name": "V1", "cells": [{"matrix": [["a"]], "ops": []}]},
+            {"kind": "predict", "config_name": "V1", "cells": [{"matrix": [[300]], "ops": []}]},
+        ],
+        ids=["list-kind", "object-kind", "cell-without-matrix", "text-matrix", "int8-overflow"],
+    )
+    def test_malformed_payloads_raise_service_error(self, payload):
+        with pytest.raises(ServiceError):
+            request_from_dict(payload)
 
     def test_eager_validation(self):
         with pytest.raises(ServiceError, match="positive integer"):

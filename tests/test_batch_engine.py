@@ -23,7 +23,7 @@ from repro.compiler import (
     plan_cache_table,
     plan_parameter_cache,
 )
-from repro.errors import CompilationError, SimulationError
+from repro.errors import CompilationError
 from repro.nasbench import (
     LayerSpec,
     LayerTable,
@@ -31,7 +31,7 @@ from repro.nasbench import (
     build_network,
     random_cell,
 )
-from repro.simulator import BatchSimulator, PerformanceSimulator, evaluate_dataset
+from repro.simulator import BatchSimulator, MeasurementSet, PerformanceSimulator
 
 RTOL = 1e-9
 CONFIG_NAMES = ("V1", "V2", "V3")
@@ -67,7 +67,19 @@ def population():
 
 
 def scalar_sweep(dataset, enable_caching):
-    return evaluate_dataset(dataset, enable_parameter_caching=enable_caching, strategy="scalar")
+    """The oracle sweep: one ``PerformanceSimulator.simulate`` per model and config."""
+    networks = [record.build_network(dataset.network_config) for record in dataset]
+    latencies, energies = {}, {}
+    for name in CONFIG_NAMES:
+        oracle = PerformanceSimulator(
+            STUDIED_CONFIGS[name], enable_parameter_caching=enable_caching
+        )
+        results = [oracle.simulate(network) for network in networks]
+        latencies[name] = np.array([result.latency_ms for result in results])
+        energies[name] = np.array(
+            [np.nan if result.energy_mj is None else result.energy_mj for result in results]
+        )
+    return MeasurementSet(dataset, latencies, energies)
 
 
 class TestLayerTable:
@@ -186,7 +198,7 @@ class TestBatchSimulatorEquivalence:
         for name in CONFIG_NAMES:
             config = STUDIED_CONFIGS[name]
             scalar = PerformanceSimulator(config).simulate(network)
-            latency, energy = BatchSimulator().evaluate_networks([network], config)
+            latency, energy = BatchSimulator().evaluate_table(network.to_layer_table(), config)
             assert latency[0] == pytest.approx(scalar.latency_ms, rel=RTOL)
             if scalar.energy_mj is None:
                 assert np.isnan(energy[0])
@@ -245,26 +257,18 @@ class TestBatchSimulatorEquivalence:
 
 
 class TestFacade:
-    def test_default_strategy_matches_scalar(self, population):
-        fast = evaluate_dataset(population)
-        slow = scalar_sweep(population, True)
-        for name in CONFIG_NAMES:
-            np.testing.assert_allclose(fast.latencies(name), slow.latencies(name), rtol=RTOL)
-
-    def test_unknown_strategy_rejected(self, population):
-        with pytest.raises(SimulationError):
-            evaluate_dataset(population, strategy="warp-speed")
+    """Edge cases of ``BatchSimulator.evaluate``, the one in-memory sweep."""
 
     def test_empty_dataset_yields_empty_measurements(self, population):
         empty = NASBenchDataset((), population.network_config)
-        measurements = evaluate_dataset(empty)
+        measurements = BatchSimulator().evaluate(empty)
         assert measurements.config_names == list(CONFIG_NAMES)
         for name in CONFIG_NAMES:
             assert measurements.latencies(name).shape == (0,)
 
     def test_progress_callback_reports_each_config(self, population):
         seen = []
-        evaluate_dataset(
+        BatchSimulator().evaluate(
             population,
             progress_callback=lambda name, done, total: seen.append((name, done, total)),
         )

@@ -17,7 +17,6 @@ from repro.core import (
     GraphTable,
     LearnedPerformanceModel,
     TrainingSettings,
-    as_graph_table,
     batch_graphs,
     featurize_cells,
     train_model,
@@ -72,11 +71,6 @@ class TestPacking:
         with pytest.raises(ModelError):
             GraphTable.from_graphs([])
 
-    def test_as_graph_table_is_idempotent(self, table, graphs):
-        assert as_graph_table(table) is table
-        packed = as_graph_table(graphs)
-        assert np.array_equal(packed.nodes, table.nodes)
-
 
 class TestSlicing:
     @pytest.mark.parametrize(
@@ -127,7 +121,7 @@ class TestTrainingEquivalence:
         tape_model = EncodeProcessDecode(seed=4)
 
         packed_history = train_model(
-            packed_model, graphs, targets, epochs=4, batch_size=16, seed=1
+            packed_model, GraphTable.from_graphs(graphs), targets, epochs=4, batch_size=16, seed=1
         )
         tape_history = tape_train(
             tape_model, table, targets, epochs=4, batch_size=16, seed=1
@@ -149,7 +143,7 @@ class TestTrainingEquivalence:
             packed_model,
             table.subset(train_indices),
             targets[train_indices],
-            [graphs[i] for i in val_indices],
+            GraphTable.from_graphs([graphs[i] for i in val_indices]),
             targets[val_indices],
             epochs=2,
             seed=0,
@@ -169,7 +163,7 @@ class TestInference:
     def test_single_pass_matches_chunked(self, table, graphs):
         model = EncodeProcessDecode(seed=9)
         single = predict(model, table)
-        chunked = predict(model, graphs, batch_size=7)
+        chunked = predict(model, GraphTable.from_graphs(graphs), batch_size=7)
         assert single.shape == (len(graphs),)
         np.testing.assert_allclose(single, chunked, rtol=1e-9, atol=1e-12)
 
@@ -177,7 +171,7 @@ class TestInference:
         model = EncodeProcessDecode(seed=3)
         targets = np.linspace(0.0, 1.0, len(graphs))
         assert evaluate_loss(model, table, targets, batch_size=16) == pytest.approx(
-            evaluate_loss(model, graphs, targets, batch_size=16), rel=1e-12
+            evaluate_loss(model, table, targets, batch_size=len(graphs)), rel=1e-12
         )
 
 

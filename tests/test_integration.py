@@ -12,6 +12,7 @@ import pytest
 
 from repro import (
     EDGE_TPU_V1,
+    BatchSimulator,
     NASBenchDataset,
     PerformanceSimulator,
     build_network,
@@ -108,10 +109,8 @@ class TestPaperFindings:
     def test_parameter_caching_is_the_v1_advantage(self, measurements):
         """Disabling parameter caching erases V1's average-latency lead."""
         dataset = NASBenchDataset.generate(num_models=40, seed=77)
-        from repro.simulator import evaluate_dataset
-
-        cached = evaluate_dataset(dataset)
-        uncached = evaluate_dataset(dataset, enable_parameter_caching=False)
+        cached = BatchSimulator().evaluate(dataset)
+        uncached = BatchSimulator(enable_parameter_caching=False).evaluate(dataset)
         cached_gap = cached.latencies("V2").mean() - cached.latencies("V1").mean()
         uncached_gap = uncached.latencies("V2").mean() - uncached.latencies("V1").mean()
         assert cached_gap > uncached_gap

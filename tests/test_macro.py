@@ -219,8 +219,8 @@ class TestLegacyEquivalence:
 
         simulator = BatchSimulator(enable_parameter_caching=caching)
         for accel in (get_config("V1"), get_config("V2")):
-            legacy_lat, legacy_energy = simulator.evaluate_networks([legacy], accel)
-            macro_lat, macro_energy = simulator.evaluate_networks([staged], accel)
+            legacy_lat, legacy_energy = simulator.evaluate_table(legacy.to_layer_table(), accel)
+            macro_lat, macro_energy = simulator.evaluate_table(staged.to_layer_table(), accel)
             np.testing.assert_array_equal(macro_lat, legacy_lat)
             np.testing.assert_array_equal(macro_energy, legacy_energy)
 

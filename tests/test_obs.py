@@ -28,7 +28,7 @@ from repro.arch import EDGE_TPU_V1
 from repro.nasbench import NASBenchDataset
 from repro.obs.summary import _quantile
 from repro.service import MeasurementStore
-from repro.simulator import evaluate_dataset
+from repro.simulator import BatchSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -262,16 +262,16 @@ class TestEvents:
 # ---------------------------------------------------------------------- #
 class TestStackContracts:
     def test_tracing_does_not_change_results(self, tmp_path, obs_dataset):
-        baseline = evaluate_dataset(obs_dataset, configs=[EDGE_TPU_V1])
+        baseline = BatchSimulator().evaluate(obs_dataset, configs=[EDGE_TPU_V1])
         with obs.capture(tmp_path / "trace"):
-            traced = evaluate_dataset(obs_dataset, configs=[EDGE_TPU_V1])
+            traced = BatchSimulator().evaluate(obs_dataset, configs=[EDGE_TPU_V1])
         np.testing.assert_array_equal(traced.latencies("V1"), baseline.latencies("V1"))
         np.testing.assert_array_equal(traced.energies("V1"), baseline.energies("V1"))
 
     def test_store_counters_match_store_stats_exactly(self, tmp_path, obs_dataset):
         cold = MeasurementStore(tmp_path / "store", shard_size=4)
         with obs.capture(tmp_path / "t-cold") as tracer:
-            cold.sweep(obs_dataset, configs=("V1", "V2"))
+            cold.extend(obs_dataset, configs=("V1", "V2"))
         assert tracer.metrics.counter_value("store.pairs_simulated") == (
             cold.stats.pairs_simulated
         )
@@ -291,7 +291,7 @@ class TestStackContracts:
         assert summary.counters["store.pairs_loaded"] == warm.stats.pairs_loaded
 
     def test_raising_progress_callback_does_not_abort_extend(self, tmp_path, obs_dataset):
-        reference = evaluate_dataset(obs_dataset, configs=[EDGE_TPU_V1])
+        reference = BatchSimulator().evaluate(obs_dataset, configs=[EDGE_TPU_V1])
         store = MeasurementStore(tmp_path / "store", shard_size=4)
         calls = []
 
@@ -311,14 +311,14 @@ class TestStackContracts:
         )
 
     def test_raising_progress_callback_does_not_abort_evaluate(self, tmp_path, obs_dataset):
-        reference = evaluate_dataset(obs_dataset, configs=[EDGE_TPU_V1])
+        reference = BatchSimulator().evaluate(obs_dataset, configs=[EDGE_TPU_V1])
 
         def bad_callback(config_name, done, total):
             raise RuntimeError("tick boom")
 
         with obs.capture(tmp_path / "trace") as tracer:
             with pytest.warns(RuntimeWarning, match="tick boom"):
-                measurements = evaluate_dataset(
+                measurements = BatchSimulator().evaluate(
                     obs_dataset, configs=[EDGE_TPU_V1], progress_callback=bad_callback
                 )
         assert tracer.event_counts["progress_callback.error"] >= 1

@@ -38,7 +38,7 @@ def server_dataset():
 def warm_root(tmp_path_factory, server_dataset):
     root = tmp_path_factory.mktemp("server-store")
     store = MeasurementStore(root, shard_size=SHARD)
-    store.sweep(server_dataset, configs=CONFIGS)
+    store.extend(server_dataset, configs=CONFIGS)
     store.publish_manifest(server_dataset, configs=CONFIGS)
     return root
 
@@ -421,6 +421,24 @@ class TestErrorMapping:
                 assert status == 400
                 # The connection survived every error above (keep-alive).
                 assert (await client.health())["status"] == "ok"
+                await client.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+    def test_malformed_query_bodies_are_400(self, service):
+        async def scenario():
+            server = await serve(service, cache_size=0)
+            try:
+                client = ServiceClient(port=server.port)
+                for payload in (
+                    {"kind": []},
+                    {"kind": "predict", "config_name": "V1", "cells": [{}]},
+                    {"kind": "predict", "config_name": "V1", "cells": [{"matrix": [["a"]]}]},
+                ):
+                    status, _, body = await client.request("POST", "/v1/query", payload)
+                    assert status == 400, body
                 await client.close()
             finally:
                 await server.stop()

@@ -67,7 +67,7 @@ def assert_identical(measurements, reference, configs=CONFIGS):
 class TestMeasurementStore:
     def test_cold_sweep_simulates_every_pair(self, tmp_path, store_dataset, direct_measurements):
         store = make_store(tmp_path)
-        measurements = store.sweep(store_dataset, configs=CONFIGS)
+        measurements = store.extend(store_dataset, configs=CONFIGS)
         n_shards = len(store.shard_ranges(len(store_dataset)))
         assert n_shards == 4
         assert store.stats.pairs_simulated == n_shards * len(CONFIGS)
@@ -78,9 +78,9 @@ class TestMeasurementStore:
     def test_warm_store_serves_without_simulation(
         self, tmp_path, store_dataset, direct_measurements
     ):
-        make_store(tmp_path).sweep(store_dataset, configs=CONFIGS)
+        make_store(tmp_path).extend(store_dataset, configs=CONFIGS)
         warm = make_store(tmp_path)
-        measurements = warm.sweep(store_dataset, configs=CONFIGS)
+        measurements = warm.extend(store_dataset, configs=CONFIGS)
         assert warm.stats.pairs_simulated == 0
         assert warm.stats.pairs_loaded == 4 * len(CONFIGS)
         assert_matches_reference(measurements, direct_measurements)
@@ -106,7 +106,7 @@ class TestMeasurementStore:
                     raise Interrupted
 
         with pytest.raises(Interrupted):
-            store.sweep(
+            store.extend(
                 store_dataset, configs=CONFIGS,
                 progress_callback=interrupt_after_two_shards,
             )
@@ -115,7 +115,7 @@ class TestMeasurementStore:
         # The acceptance criterion: k of n shards done, the re-run completes
         # with exactly (n - k) shard simulations per configuration.
         resumed = make_store(tmp_path)
-        measurements = resumed.sweep(store_dataset, configs=CONFIGS)
+        measurements = resumed.extend(store_dataset, configs=CONFIGS)
         assert resumed.stats.pairs_simulated == (4 - 2) * len(CONFIGS)
         assert resumed.stats.pairs_loaded == 2 * len(CONFIGS)
         assert_matches_reference(measurements, direct_measurements)
@@ -123,7 +123,7 @@ class TestMeasurementStore:
     def test_extend_with_new_config_simulates_only_that_config(
         self, tmp_path, store_dataset, direct_measurements
     ):
-        make_store(tmp_path).sweep(store_dataset, configs=("V1",))
+        make_store(tmp_path).extend(store_dataset, configs=("V1",))
         store = make_store(tmp_path)
         measurements = store.extend(store_dataset, configs=("V1", "V2"))
         assert store.stats.pairs_loaded == 4  # every V1 shard
@@ -136,7 +136,7 @@ class TestMeasurementStore:
         # Shards are keyed by cell-fingerprint content, so sweeping a prefix
         # population produces exactly the files the grown population reuses.
         prefix = NASBenchDataset(store_dataset.records[: 2 * SHARD], store_dataset.network_config)
-        make_store(tmp_path).sweep(prefix, configs=("V1",))
+        make_store(tmp_path).extend(prefix, configs=("V1",))
         store = make_store(tmp_path)
         measurements = store.extend(store_dataset, configs=("V1",))
         assert store.stats.pairs_loaded == 2
@@ -153,18 +153,18 @@ class TestMeasurementStore:
         store = make_store(tmp_path)
         assert store.available_configs() == []
         assert len(store.missing_pairs(store_dataset, configs=CONFIGS)) == 4 * 3
-        store.sweep(store_dataset, configs=("V2",))
+        store.extend(store_dataset, configs=("V2",))
         assert store.available_configs() == ["V2"]
         missing = store.missing_pairs(store_dataset, configs=CONFIGS)
         assert len(missing) == 8
         assert all(name in ("V1", "V3") for _, name in missing)
 
     def test_corrupt_shard_degrades_to_resimulation(self, tmp_path, store_dataset):
-        make_store(tmp_path).sweep(store_dataset, configs=("V1",))
+        make_store(tmp_path).extend(store_dataset, configs=("V1",))
         victim = sorted(tmp_path.glob("shard-V1-*.npz"))[0]
         victim.write_bytes(victim.read_bytes()[:40])
         store = make_store(tmp_path)
-        store.sweep(store_dataset, configs=("V1",))
+        store.extend(store_dataset, configs=("V1",))
         assert store.stats.pairs_simulated == 1
         assert store.stats.pairs_loaded == 3
 
@@ -172,17 +172,17 @@ class TestMeasurementStore:
         # Regression: a truncated npz used to stay at its final name, so every
         # reader re-parsed (and re-failed on) the same broken bytes.  read_npz
         # must move it aside so the miss is durable and the rewrite is clean.
-        make_store(tmp_path).sweep(store_dataset, configs=("V1",))
+        make_store(tmp_path).extend(store_dataset, configs=("V1",))
         victim = sorted(tmp_path.glob("shard-V1-*.npz"))[0]
         victim.write_bytes(victim.read_bytes()[:40])
         store = make_store(tmp_path)
-        store.sweep(store_dataset, configs=("V1",))
+        store.extend(store_dataset, configs=("V1",))
         quarantined = victim.with_name(victim.name + ".corrupt")
         assert quarantined.exists()
         assert len(quarantined.read_bytes()) == 40  # the broken bytes, moved aside
         assert victim.exists()  # re-simulated and re-published at the real name
         clean = make_store(tmp_path)
-        clean.sweep(store_dataset, configs=("V1",))
+        clean.extend(store_dataset, configs=("V1",))
         assert clean.stats.pairs_simulated == 0
 
     def test_colliding_keys_never_mislabel(
@@ -200,15 +200,15 @@ class TestMeasurementStore:
         assert store.stats.pairs_loaded == 0
 
     def test_pair_files_are_stored_uncompressed(self, tmp_path, store_dataset):
-        make_store(tmp_path).sweep(store_dataset, configs=("V1",))
+        make_store(tmp_path).extend(store_dataset, configs=("V1",))
         for path in tmp_path.glob("shard-V1-*.npz"):
             with zipfile.ZipFile(path) as archive:
                 assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
 
     def test_parameter_caching_mode_is_part_of_the_key(self, tmp_path, store_dataset):
-        make_store(tmp_path).sweep(store_dataset, configs=("V1",))
+        make_store(tmp_path).extend(store_dataset, configs=("V1",))
         other_mode = make_store(tmp_path, enable_parameter_caching=False)
-        other_mode.sweep(store_dataset, configs=("V1",))
+        other_mode.extend(store_dataset, configs=("V1",))
         assert other_mode.stats.pairs_loaded == 0
         assert other_mode.stats.pairs_simulated == 4
 
@@ -216,12 +216,12 @@ class TestMeasurementStore:
         with pytest.raises(ServiceError):
             MeasurementStore(tmp_path, shard_size=0)
         with pytest.raises(ServiceError):
-            make_store(tmp_path).sweep(store_dataset, configs=())
+            make_store(tmp_path).extend(store_dataset, configs=())
 
 
 class TestCompaction:
     def warm_store(self, root, dataset, configs=CONFIGS):
-        make_store(root).sweep(dataset, configs=configs)
+        make_store(root).extend(dataset, configs=configs)
         return make_store(root)
 
     def test_compact_produces_one_mmapped_file(self, tmp_path, store_dataset):
@@ -419,7 +419,7 @@ class TestStoreRoundTrip:
 class TestSweepService:
     @pytest.fixture()
     def warm_root(self, tmp_path, store_dataset):
-        make_store(tmp_path).sweep(store_dataset, configs=CONFIGS)
+        make_store(tmp_path).extend(store_dataset, configs=CONFIGS)
         return tmp_path
 
     @pytest.fixture()

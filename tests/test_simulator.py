@@ -15,12 +15,7 @@ from repro.nasbench import (
     build_network,
     random_cell,
 )
-from repro.simulator import (
-    MeasurementSet,
-    PerformanceSimulator,
-    evaluate_dataset,
-    simulate_records,
-)
+from repro.simulator import BatchSimulator, MeasurementSet, PerformanceSimulator
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +58,6 @@ class TestSingleModelSimulation:
         summary_only = PerformanceSimulator(EDGE_TPU_V2).simulate(small_network)
         assert summary_only.layer_results == ()
         assert summary_only.latency_ms == pytest.approx(detailed.latency_ms)
-
-    def test_simulate_cell_matches_simulate_network(self):
-        simulator = PerformanceSimulator(EDGE_TPU_V2)
-        via_cell = simulator.simulate_cell(SHALLOW_CONV_HEAVY_CELL)
-        via_network = simulator.simulate(build_network(SHALLOW_CONV_HEAVY_CELL))
-        assert via_cell.latency_ms == pytest.approx(via_network.latency_ms)
 
     def test_mismatched_compiled_model_rejected(self, small_network):
         from repro.compiler import compile_model
@@ -169,18 +158,13 @@ class TestBatchEvaluation:
 
     def test_empty_config_list_rejected(self, dataset):
         with pytest.raises(SimulationError):
-            evaluate_dataset(dataset, configs=[])
-
-    def test_simulate_records_returns_details(self, dataset):
-        results = simulate_records(dataset.records[:2], EDGE_TPU_V1)
-        assert len(results) == 2
-        assert all(result.layer_results for result in results)
+            BatchSimulator().evaluate(dataset, configs=[])
 
     def test_caching_ablation_changes_results(self):
         small = NASBenchDataset.generate(num_models=10, seed=2)
-        with_cache = evaluate_dataset(small, configs=[EDGE_TPU_V1])
-        without_cache = evaluate_dataset(
-            small, configs=[EDGE_TPU_V1], enable_parameter_caching=False
+        with_cache = BatchSimulator().evaluate(small, configs=[EDGE_TPU_V1])
+        without_cache = BatchSimulator(enable_parameter_caching=False).evaluate(
+            small, configs=[EDGE_TPU_V1]
         )
         assert without_cache.latencies("V1").mean() >= with_cache.latencies("V1").mean()
 
@@ -241,27 +225,9 @@ class TestProgressReporting:
     def tiny(self):
         return NASBenchDataset.generate(num_models=12, seed=6)
 
-    def test_scalar_strategy_emits_final_tick(self, tiny):
-        # Regression: with total % 500 != 0 the scalar walk previously never
-        # reported completion at all for small populations.
-        recorder = RecordingCallback()
-        evaluate_dataset(
-            tiny, configs=[EDGE_TPU_V1, EDGE_TPU_V2],
-            strategy="scalar", progress_callback=recorder,
-        )
-        assert recorder.ticks == [("V1", 12, 12), ("V2", 12, 12)]
-
     def test_vectorized_strategy_emits_final_tick(self, tiny):
         recorder = RecordingCallback()
-        evaluate_dataset(
-            tiny, configs=[EDGE_TPU_V1], strategy="vectorized",
-            progress_callback=recorder,
+        BatchSimulator().evaluate(
+            tiny, configs=[EDGE_TPU_V1, EDGE_TPU_V2], progress_callback=recorder
         )
-        assert recorder.ticks == [("V1", 12, 12)]
-
-    def test_scalar_and_vectorized_agree_on_completion(self, tiny):
-        scalar, vectorized = RecordingCallback(), RecordingCallback()
-        evaluate_dataset(tiny, configs=[EDGE_TPU_V1], strategy="scalar", progress_callback=scalar)
-        evaluate_dataset(tiny, configs=[EDGE_TPU_V1], strategy="vectorized",
-                         progress_callback=vectorized)
-        assert scalar.ticks[-1] == vectorized.ticks[-1] == ("V1", 12, 12)
+        assert recorder.ticks == [("V1", 12, 12), ("V2", 12, 12)]

@@ -102,12 +102,12 @@ class TestSplit:
 class TestTrainingLoop:
     def test_training_reduces_loss_on_learnable_target(self):
         cells = sample_unique_cells(120, seed=9)
-        graphs = [cell_to_graph(cell) for cell in cells]
+        table = GraphTable.from_graphs([cell_to_graph(cell) for cell in cells])
         raw = np.array([cell.op_count("conv3x3-bn-relu") for cell in cells], dtype=float)
         targets = (raw - raw.mean()) / (raw.std() + 1e-9)
         model = EncodeProcessDecode(seed=2)
         history = train_model(
-            model, graphs, targets, epochs=25, batch_size=16, learning_rate=3e-3, seed=0
+            model, table, targets, epochs=25, batch_size=16, learning_rate=3e-3, seed=0
         )
         assert history.num_epochs == 25
         assert history.train_losses[-1] < history.train_losses[0]
@@ -116,24 +116,25 @@ class TestTrainingLoop:
     def test_validation_losses_recorded(self):
         cells = sample_unique_cells(40, seed=10)
         graphs = [cell_to_graph(cell) for cell in cells]
+        train, validation = GraphTable.from_graphs(graphs[:30]), GraphTable.from_graphs(graphs[30:])
         targets = np.linspace(-1, 1, len(cells))
         model = EncodeProcessDecode(seed=0)
-        history = train_model(model, graphs[:30], targets[:30], graphs[30:], targets[30:], epochs=2)
+        history = train_model(model, train, targets[:30], validation, targets[30:], epochs=2)
         assert len(history.validation_losses) == 2
 
     def test_mismatched_lengths_rejected(self):
         cells = sample_unique_cells(5, seed=1)
-        graphs = [cell_to_graph(cell) for cell in cells]
+        table = GraphTable.from_graphs([cell_to_graph(cell) for cell in cells])
         with pytest.raises(ModelError):
-            train_model(EncodeProcessDecode(seed=0), graphs, np.zeros(3), epochs=1)
+            train_model(EncodeProcessDecode(seed=0), table, np.zeros(3), epochs=1)
 
     def test_evaluate_loss_and_predict_shapes(self):
         cells = sample_unique_cells(20, seed=12)
-        graphs = [cell_to_graph(cell) for cell in cells]
+        table = GraphTable.from_graphs([cell_to_graph(cell) for cell in cells])
         targets = np.zeros(len(cells))
         model = EncodeProcessDecode(seed=0)
-        assert evaluate_loss(model, graphs, targets) >= 0.0
-        assert predict(model, graphs).shape == (20,)
+        assert evaluate_loss(model, table, targets) >= 0.0
+        assert predict(model, table).shape == (20,)
 
 
 class TestMetrics:
