@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from repro import AcceleratorSpace, CoSearchEngine, CoSearchSpec, HardwareFrontier, MeasurementStore
+from repro import AcceleratorSpace, CoSearchEngine, HardwareFrontier, MeasurementStore, SearchSpec
 from repro.hwspace import studied_baselines
 from repro.nasbench import NASBenchDataset
 
@@ -67,7 +67,7 @@ def explore_frontier(num_models: int) -> None:
 
 
 def co_search() -> None:
-    spec = CoSearchSpec(population_size=16, generations=6, seed=0, min_accuracy=0.92)
+    spec = SearchSpec(population_size=16, generations=6, seed=0, min_accuracy=0.92)
     print(
         f"\nco-search: {spec.simulation_budget} pair evaluations over "
         f"{SPACE.size} hardware points x the cell space"

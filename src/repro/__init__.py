@@ -29,7 +29,6 @@ from .hwspace import (
     AcceleratorSpace,
     CoSearchEngine,
     CoSearchResult,
-    CoSearchSpec,
     HardwareFrontier,
     SensitivityPoint,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Cell",
     "CoSearchEngine",
     "CoSearchResult",
-    "CoSearchSpec",
     "CompilationError",
     "ConfigTable",
     "DatasetError",

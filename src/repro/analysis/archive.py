@@ -169,21 +169,6 @@ class ParetoArchive:
         )
         return True
 
-    def update_many(
-        self,
-        cells: list[Cell],
-        costs: np.ndarray,
-        accuracies: np.ndarray,
-        generation: int = 0,
-    ) -> int:
-        """Offer a batch of evaluated points; returns how many were admitted."""
-        if len(cells) != len(costs) or len(cells) != len(accuracies):
-            raise DatasetError("cells, costs and accuracies must have equal length")
-        return sum(
-            self.update(cell, cost, accuracy, generation)
-            for cell, cost, accuracy in zip(cells, costs, accuracies)
-        )
-
     # ------------------------------------------------------------------ #
     # Hypervolume tracking
     # ------------------------------------------------------------------ #

@@ -13,7 +13,6 @@ each configuration's content digest (DESIGN.md §8).
 from .cosearch import (
     CoSearchEngine,
     CoSearchResult,
-    CoSearchSpec,
     PairRecord,
     pair_key,
     studied_baselines,
@@ -32,7 +31,6 @@ __all__ = [
     "COST_PROXIES",
     "CoSearchEngine",
     "CoSearchResult",
-    "CoSearchSpec",
     "ConfigPoint",
     "HardwareFrontier",
     "PERFORMANCE_METRICS",

@@ -4,29 +4,30 @@
 hardware frontier ranks *accelerators* over a frozen population.  The
 co-design question the paper points at — which (model, microarchitecture)
 pairs are jointly optimal — needs both axes searched under one budget.
-:class:`CoSearchEngine` runs regularized evolution over **pairs**: a
-tournament picks a parent pair, and each child either mutates the cell
-(:func:`~repro.nasbench.mutation.mutate_unique`, hardware kept) or takes one
-hardware grid step (:meth:`~repro.hwspace.space.AcceleratorSpace.neighbors`,
-cell kept).  Every generation is evaluated in **one config-axis vectorized
-pass** (:meth:`~repro.simulator.batch.BatchSimulator.evaluate_table_grid`
-over the generation's distinct configurations), selection uses the same
-soft feasibility penalty as the cell-only engine, and a
-:class:`~repro.analysis.ParetoArchive` keyed by ``fingerprint@config-digest``
-tracks the joint (cost ↓, accuracy ↑) frontier.
+:class:`CoSearchEngine` runs the search engine's regularized evolution
+(:class:`~repro.search.engine.Evolution`: tournament, mutation, archive and
+generation bookkeeping) over **pairs**, described by a
+:class:`~repro.search.SearchSpec`.  Only two things are its own: each child
+takes one hardware grid step
+(:meth:`~repro.hwspace.space.AcceleratorSpace.neighbors`, cell kept) with
+probability :data:`HARDWARE_MOVE_PROBABILITY` and otherwise a cell mutation
+(hardware kept), and every generation is evaluated in **one config-axis
+vectorized pass** (:meth:`~repro.simulator.batch.BatchSimulator.evaluate_table_grid`
+over the generation's distinct configurations).  The
+:class:`~repro.analysis.ParetoArchive` is keyed by ``fingerprint@config-digest``
+and tracks the joint (cost ↓, accuracy ↑) frontier.
 
 The simulation budget — ``population_size × generations`` pair evaluations —
 matches a fixed-hardware :class:`~repro.search.SearchEngine` run with the
-same parameters, which is what makes :func:`studied_baselines` a fair
-comparison: the co-search should discover pairs that Pareto-dominate at
-least one of the V1/V2/V3 single-axis winners at equal cost.
+same spec, which is what makes :func:`studied_baselines` a fair comparison:
+the co-search should discover pairs that Pareto-dominate at least one of the
+V1/V2/V3 single-axis winners at equal cost.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,72 +38,21 @@ from ..arch.config import AcceleratorConfig
 from ..errors import DatasetError, SearchError
 from ..nasbench.accuracy import SurrogateAccuracyModel
 from ..nasbench.cell import Cell
-from ..nasbench.generator import random_cell
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import MacroSpec, random_macro
-from ..nasbench.mutation import mutate_macro_unique, mutate_unique
+from ..nasbench.macro import MacroSpec
 from ..nasbench.network import NetworkConfig
-from ..nasbench.ops import MAX_EDGES, MAX_VERTICES
-from ..search.engine import SearchEngine, oracle_accuracy, selection_scores
-from ..search.result import GenerationStats
-from ..search.spec import ARCH_SPACES, SearchSpec
+from ..search.engine import Evolution, SearchEngine, oracle_accuracy
+from ..search.result import GenerationStats, generation_table
+from ..search.spec import SearchSpec
 from ..simulator.batch import BatchSimulator
 from .space import AcceleratorSpace, config_digest
 
-#: Attempts at drawing an unseen random (cell, config) pair before the joint
-#: space is declared exhausted.
-_RANDOM_ATTEMPTS = 500
+#: Probability that a child takes a hardware grid step instead of a cell
+#: mutation (a fixed-hardware search is the 0.0 limit).
+HARDWARE_MOVE_PROBABILITY = 0.5
 
-#: Mutation draws per child before falling back to a fresh random pair.
-_MUTATION_ATTEMPTS = 30
-
-
-@dataclass(frozen=True)
-class CoSearchSpec:
-    """One joint cell × hardware search (budget shared across both axes)."""
-
-    metric: str = "latency"
-    min_accuracy: float = 0.70
-    population_size: int = 16
-    generations: int = 6
-    tournament_size: int = 4
-    #: Probability a child takes a hardware grid step instead of a cell
-    #: mutation (the cell-only engine is the 0.0 limit of this knob).
-    hardware_move_probability: float = 0.5
-    seed: int = 0
-    max_vertices: int = MAX_VERTICES
-    max_edges: int = MAX_EDGES
-    enable_parameter_caching: bool = True
-    #: ``"cell"`` moves over cells on the shared backbone; ``"macro"`` moves
-    #: over staged :class:`~repro.nasbench.macro.MacroSpec` architectures.
-    arch_space: str = "cell"
-
-    def __post_init__(self) -> None:
-        if self.metric not in ("latency", "energy"):
-            raise SearchError(f"unknown metric {self.metric!r}; expected 'latency' or 'energy'")
-        if self.arch_space not in ARCH_SPACES:
-            raise SearchError(
-                f"unknown architecture space {self.arch_space!r}; "
-                f"expected one of {ARCH_SPACES}"
-            )
-        if self.population_size < 2:
-            raise SearchError("population_size must be at least 2")
-        if self.generations < 1:
-            raise SearchError("a co-search needs at least one generation")
-        if self.tournament_size < 1:
-            raise SearchError("tournament_size must be at least 1")
-        if not 0.0 <= self.hardware_move_probability <= 1.0:
-            raise SearchError("hardware_move_probability must be within [0, 1]")
-        if not 3 <= self.max_vertices <= MAX_VERTICES:
-            raise SearchError(f"max_vertices must be in [3, {MAX_VERTICES}]")
-        if not 1 <= self.max_edges <= MAX_EDGES:
-            raise SearchError(f"max_edges must be in [1, {MAX_EDGES}]")
-
-    @property
-    def simulation_budget(self) -> int:
-        """Total pair evaluations — identical to a fixed-hardware search with
-        the same population size and generation count."""
-        return self.population_size * self.generations
+#: One candidate of the co-search: an architecture on a configuration.
+Pair = tuple[Cell | MacroSpec, AcceleratorConfig]
 
 
 @dataclass(frozen=True)
@@ -126,12 +76,11 @@ class PairRecord:
 class CoSearchResult:
     """Everything one :meth:`CoSearchEngine.run` call produced."""
 
-    spec: CoSearchSpec
+    spec: SearchSpec
     space: AcceleratorSpace
     pairs: list[PairRecord]
     objective: np.ndarray
     archive: ParetoArchive
-    configs_by_key: dict[str, AcceleratorConfig]
     generations: list[GenerationStats] = field(default_factory=list)
     best_index: int = -1
     elapsed_seconds: float = 0.0
@@ -178,50 +127,24 @@ class CoSearchResult:
             )
         else:
             verdict = "no feasible pair (every candidate fell below the accuracy floor)"
-        lines = [
+        return [
             f"co-search over {self.space.size} hardware points × cells "
             f"({self.spec.metric}, accuracy >= {self.spec.min_accuracy:.2f}): "
             f"{len(self.pairs)} pairs over {len(self.generations)} generations, "
             f"{verdict}, front {len(self.archive)} points, "
             f"{self.elapsed_seconds:.2f}s",
-            f"{'gen':>4}{'evaluated':>11}{'feasible':>10}"
-            f"{'gen best':>12}{'best so far':>13}{'hypervolume':>13}{'admitted':>10}",
+            *generation_table(self.generations),
         ]
-        for row in self.generations:
-            lines.append(
-                f"{row.generation:>4}{row.evaluated:>11}{row.feasible:>10}"
-                f"{row.generation_best:>12.4f}{row.best_objective:>13.4f}"
-                f"{row.hypervolume:>13.5f}{row.admitted:>10}"
-            )
-        return lines
-
-
-class _CellsOfConfig:
-    """Membership view: has this architecture been paired with a config yet?
-
-    Adapts the co-search's pair-key ``seen`` set to the container interface
-    :func:`mutate_unique` / :func:`mutate_macro_unique` de-duplicate against.
-    """
-
-    def __init__(self, seen: set[str], batch: set[str], digest: str):
-        self._seen = seen
-        self._batch = batch
-        self._digest = digest
-
-    def __contains__(self, cell: object) -> bool:
-        if not isinstance(cell, (Cell, MacroSpec)):
-            return False
-        obs.count("cosearch.candidates_checked")
-        key = pair_key(cell, self._digest)
-        hit = key in self._seen or key in self._batch
-        if hit:
-            obs.count("cosearch.dedup_rejects")
-        return hit
 
 
 def pair_key(cell: Cell | MacroSpec, digest: str) -> str:
     """Identity of one (architecture, configuration) pair (archive/dedup key)."""
     return f"{cell.fingerprint}@{digest}"
+
+
+def _key_of(pair: Pair) -> str:
+    cell, config = pair
+    return pair_key(cell, config_digest(config))
 
 
 class CoSearchEngine:
@@ -230,7 +153,9 @@ class CoSearchEngine:
     Parameters
     ----------
     spec:
-        The co-search to run.
+        The co-search to run: an ``"evolution"`` search spec, whose
+        ``config_name`` the co-search does not read (the hardware axis is
+        *space*).
     space:
         The hardware grid the configuration axis moves over.
     network_config:
@@ -241,11 +166,15 @@ class CoSearchEngine:
 
     def __init__(
         self,
-        spec: CoSearchSpec,
+        spec: SearchSpec,
         space: AcceleratorSpace,
         network_config: NetworkConfig | None = None,
         accuracy_model: SurrogateAccuracyModel | None = None,
     ):
+        if spec.strategy != "evolution":
+            raise SearchError(
+                f"the co-search runs regularized evolution; got strategy {spec.strategy!r}"
+            )
         if space.size < 2:
             raise SearchError(
                 "the hardware space has a single point; use repro.search for "
@@ -264,112 +193,56 @@ class CoSearchEngine:
     def run(self, progress: Callable[[str], None] | None = None) -> CoSearchResult:
         """Run the co-search and return its result."""
         spec = self.spec
-        say = progress or (lambda message: None)
         start = time.perf_counter()
-        rng = np.random.default_rng(spec.seed)
-
-        seen: set[str] = set()
+        evolution = Evolution(spec, self.network_config, progress)
         records: list[PairRecord] = []
-        configs_by_key: dict[str, AcceleratorConfig] = {}
-        population: deque[int] = deque(maxlen=spec.population_size)
-        archive: ParetoArchive | None = None
-        selection: np.ndarray | None = None
-        objective_values: list[float] = []
-        rows: list[GenerationStats] = []
 
         for generation in range(spec.generations):
             with obs.span("cosearch.generation", generation=generation):
                 with obs.span("cosearch.propose", generation=generation):
-                    pairs = self._propose(
-                        generation, rng, seen, records, population, selection
-                    )
+                    pairs = self._propose(generation, evolution, records)
                 with obs.span(
                     "cosearch.evaluate", generation=generation, pairs=len(pairs)
                 ):
                     costs, accuracies = self._evaluate(pairs)
 
-            new_start = len(records)
+            new = len(records)
             for (cell, config), cost, accuracy in zip(pairs, costs, accuracies):
-                key = pair_key(cell, config_digest(config))
-                seen.add(key)
-                configs_by_key[key] = config
                 records.append(
                     PairRecord(
                         index=len(records),
                         cell=cell,
                         config=config,
-                        key=key,
+                        key=_key_of((cell, config)),
                         accuracy=float(accuracy),
                         cost=float(cost),
                         generation=generation,
                     )
                 )
-                feasible = np.isfinite(cost) and accuracy >= spec.min_accuracy
-                objective_values.append(float(cost) if feasible else float("inf"))
-            population.extend(range(new_start, len(records)))
-
-            all_costs = np.array([record.cost for record in records])
-            all_accuracies = np.array([record.accuracy for record in records])
-            selection = selection_scores(all_costs, all_accuracies, spec.min_accuracy)
-
-            if archive is None:
-                finite = costs[np.isfinite(costs)]
-                archive = ParetoArchive(
-                    ref_cost=float(finite.max()) if finite.size else 1.0,
-                    ref_accuracy=0.0,
-                )
-            admitted = 0
-            for record in records[new_start:]:
-                offered = (record.cost if record.accuracy >= spec.min_accuracy else float("inf"))
-                admitted += archive.update(
-                    record.cell,
-                    offered,
-                    record.accuracy,
-                    generation=generation,
-                    key=record.key,
-                )
-            hypervolume = archive.checkpoint()
-
-            objective = np.array(objective_values)
-            generation_slice = objective[new_start:]
-            best_index = int(np.argmin(objective))
-            rows.append(
-                GenerationStats(
-                    generation=generation,
-                    evaluated=len(pairs),
-                    feasible=int(np.isfinite(generation_slice).sum()),
-                    generation_best=float(np.min(generation_slice)),
-                    best_objective=float(objective[best_index]),
-                    hypervolume=hypervolume,
-                    admitted=admitted,
-                )
-            )
-            say(
-                f"generation {generation}: evaluated {len(pairs)}, "
-                f"best {float(objective[best_index]):.4f}, "
-                f"front {len(archive)} (hv {hypervolume:.5f})"
+            evolution.record(
+                generation,
+                [record.cell for record in records[new:]],
+                [record.key for record in records[new:]],
+                np.array([record.cost for record in records]),
+                np.array([record.accuracy for record in records]),
             )
 
-        assert archive is not None
-        objective = np.array(objective_values)
+        assert evolution.archive is not None
         return CoSearchResult(
             spec=spec,
             space=self.space,
             pairs=records,
-            objective=objective,
-            archive=archive,
-            configs_by_key=configs_by_key,
-            generations=rows,
-            best_index=int(np.argmin(objective)),
+            objective=evolution.objective,
+            archive=evolution.archive,
+            generations=evolution.rows,
+            best_index=evolution.best_index,
             elapsed_seconds=time.perf_counter() - start,
         )
 
     # ------------------------------------------------------------------ #
     # Evaluation (one config-axis vectorized pass per generation)
     # ------------------------------------------------------------------ #
-    def _evaluate(
-        self, pairs: Sequence[tuple[Cell | MacroSpec, AcceleratorConfig]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate(self, pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
         """Cost and accuracy arrays of the generation's pairs.
 
         The generation's cells flatten into one :class:`LayerTable` and its
@@ -413,150 +286,59 @@ class CoSearchEngine:
     # Candidate proposal
     # ------------------------------------------------------------------ #
     def _propose(
-        self,
-        generation: int,
-        rng: np.random.Generator,
-        seen: set[str],
-        records: list[PairRecord],
-        population: deque,
-        selection: np.ndarray | None,
-    ) -> list[tuple[Cell | MacroSpec, AcceleratorConfig]]:
+        self, generation: int, evolution: Evolution, records: list[PairRecord]
+    ) -> list[Pair]:
         """The next generation's unique (cell, configuration) pairs."""
-        spec = self.spec
-        batch: list[tuple[Cell | MacroSpec, AcceleratorConfig]] = []
-        batch_keys: set[str] = set()
+        rng = evolution.rng
 
-        def admit(cell: Cell, config: AcceleratorConfig) -> None:
-            batch.append((cell, config))
-            batch_keys.add(pair_key(cell, config_digest(config)))
-
-        if generation == 0:
-            for _ in range(spec.population_size):
-                cell, config = self._random_pair(rng, seen, batch_keys)
-                admit(cell, config)
-            return batch
-        assert selection is not None
-
-        for _ in range(spec.population_size):
-            parent = self._tournament(rng, population, selection, records)
-            child = self._child_of(parent, rng, seen, batch_keys)
-            admit(*child)
-        return batch
-
-    def _tournament(
-        self,
-        rng: np.random.Generator,
-        population: deque,
-        selection: np.ndarray,
-        records: list[PairRecord],
-    ) -> PairRecord:
-        """Best-of-k parent selection over the current (aged) population."""
-        alive = list(population)
-        size = min(self.spec.tournament_size, len(alive))
-        picks = rng.choice(len(alive), size=size, replace=False)
-        best = min(
-            (alive[int(index)] for index in picks),
-            key=lambda pair_index: (selection[pair_index], pair_index),
-        )
-        return records[best]
-
-    def _child_of(
-        self,
-        parent: PairRecord,
-        rng: np.random.Generator,
-        seen: set[str],
-        batch_keys: set[str],
-    ) -> tuple[Cell | MacroSpec, AcceleratorConfig]:
-        """One never-seen child pair: a hardware step or a cell mutation."""
-        spec = self.spec
-        if rng.random() < spec.hardware_move_probability:
-            moves = self.space.neighbors(parent.config)
-            order = rng.permutation(len(moves))
-            for position in order:
-                config = moves[int(position)]
-                key = pair_key(parent.cell, config_digest(config))
-                if key not in seen and key not in batch_keys:
-                    return parent.cell, config
-            # The whole hardware neighborhood of this cell is exhausted;
-            # fall through to a cell mutation on the parent's hardware.
-        parent_digest = config_digest(parent.config)
-        mutate = (
-            mutate_macro_unique if isinstance(parent.cell, MacroSpec) else mutate_unique
-        )
-        try:
-            cell = mutate(
-                parent.cell,
-                rng,
-                _CellsOfConfig(seen, batch_keys, parent_digest),
-                max_vertices=spec.max_vertices,
-                max_edges=spec.max_edges,
-                max_attempts=_MUTATION_ATTEMPTS,
+        def random(batch: set[str]) -> Pair:
+            return evolution.unseen(
+                lambda: (evolution.random_architecture(), self.space.sample(rng)),
+                batch,
+                key=_key_of,
             )
-            return cell, parent.config
-        except DatasetError:
-            # Inject fresh diversity instead of stalling the generation.
-            obs.count("cosearch.random_fallbacks")
-            return self._random_pair(rng, seen, batch_keys)
 
-    def _random_pair(
-        self, rng: np.random.Generator, seen: set[str], batch_keys: set[str]
-    ) -> tuple[Cell | MacroSpec, AcceleratorConfig]:
-        spec = self.spec
-        for _ in range(_RANDOM_ATTEMPTS):
-            arch: Cell | MacroSpec
-            if spec.arch_space == "macro":
-                arch = random_macro(
-                    rng,
-                    max_vertices=spec.max_vertices,
-                    max_edges=spec.max_edges,
-                    stem_channels=self.network_config.stem_channels,
-                    image_size=self.network_config.image_size,
-                    image_channels=self.network_config.image_channels,
-                    num_classes=self.network_config.num_classes,
+        def child(batch: set[str]) -> Pair:
+            """A hardware step or a cell mutation of a tournament winner."""
+            parent = records[evolution.tournament()]
+            if rng.random() < HARDWARE_MOVE_PROBABILITY:
+                moves = self.space.neighbors(parent.config)
+                for position in rng.permutation(len(moves)):
+                    config = moves[int(position)]
+                    if evolution.is_new(_key_of((parent.cell, config)), batch):
+                        return parent.cell, config
+                # The whole hardware neighborhood of this cell is exhausted;
+                # fall through to a cell mutation on the parent's hardware.
+            digest = config_digest(parent.config)
+            try:
+                cell = evolution.mutate(
+                    parent.cell, batch, key=lambda arch: pair_key(arch, digest)
                 )
-            else:
-                arch = random_cell(rng, spec.max_vertices, spec.max_edges)
-            config = self.space.sample(rng)
-            key = pair_key(arch, config_digest(config))
-            if key not in seen and key not in batch_keys:
-                return arch, config
-        raise SearchError(
-            f"could not draw an unseen random pair in {_RANDOM_ATTEMPTS} "
-            "attempts; the joint search space appears exhausted"
-        )
+            except DatasetError:
+                # Inject fresh diversity instead of stalling the generation.
+                obs.count("search.random_fallbacks")
+                return random(batch)
+            return cell, parent.config
+
+        draw = random if generation == 0 else child
+        return evolution.batch(self.spec.population_size, draw, key=_key_of)
 
 
 def studied_baselines(
-    spec: CoSearchSpec,
-    config_names: Sequence[str] = ("V1", "V2", "V3"),
-    strategy: str = "evolution",
+    spec: SearchSpec, config_names: Sequence[str] = ("V1", "V2", "V3")
 ) -> dict[str, tuple[float, float]]:
     """Best ``(cost, accuracy)`` of fixed-hardware searches at the same budget.
 
     Runs one :class:`~repro.search.SearchEngine` per studied configuration
-    with the co-search's population size, generation count, accuracy floor
-    and seed — i.e. the identical simulation budget spent on the cell axis
-    alone.  Configurations that cannot serve the metric (energy on V3) are
-    skipped.  The returned points are what
+    on the co-search's own spec — the identical simulation budget spent on
+    the cell axis alone.  Configurations that cannot serve the metric
+    (energy on V3) are skipped.  The returned points are what
     :meth:`CoSearchResult.dominates` is meant to be checked against.
     """
     baselines: dict[str, tuple[float, float]] = {}
     for name in config_names:
         try:
-            search_spec = SearchSpec(
-                strategy=strategy,
-                config_name=name,
-                metric=spec.metric,
-                min_accuracy=spec.min_accuracy,
-                population_size=spec.population_size,
-                generations=spec.generations,
-                seed=spec.seed,
-                max_vertices=spec.max_vertices,
-                max_edges=spec.max_edges,
-                enable_parameter_caching=spec.enable_parameter_caching,
-                arch_space=spec.arch_space,
-            )
-            result = SearchEngine(search_spec).run()
+            result = SearchEngine(replace(spec, config_name=name)).run()
         except SearchError:
             continue
         if np.isfinite(result.best_objective):

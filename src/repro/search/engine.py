@@ -9,7 +9,10 @@ before the next begins and a killed search resumes with only the missing
 generations simulated), and selected against a scalarized objective — the
 hardware metric, with models below the paper's accuracy floor penalized to
 ``inf``.  A :class:`~repro.analysis.ParetoArchive` tracks the multi-objective
-frontier and its hypervolume per generation.
+frontier and its hypervolume per generation.  :class:`Evolution` holds the
+one copy of regularized evolution — selection, mutation, archive and
+generation bookkeeping — which the hardware co-search
+(:class:`~repro.hwspace.CoSearchEngine`) runs on as well.
 
 Determinism: every stochastic choice draws from a single
 ``numpy.random.Generator`` seeded by the spec, and each generation depends
@@ -23,7 +26,8 @@ from __future__ import annotations
 import tempfile
 import time
 from collections import deque
-from typing import Callable, Iterable
+from operator import attrgetter
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -41,14 +45,15 @@ from ..nasbench.mutation import mutate_macro_unique, mutate_unique
 from ..nasbench.network import NetworkConfig
 from ..service.query import SweepService
 from ..service.store import MeasurementStore
+from ..simulator.runner import MeasurementSet
 from .result import GenerationStats, SearchResult
 from .spec import SearchSpec
 
-#: Attempts at drawing an unseen random cell before the space is declared
-#: exhausted (generous: collisions are rare outside tiny sub-spaces).
+#: Attempts at drawing an unseen random candidate before the space is
+#: declared exhausted (generous: collisions are rare outside tiny sub-spaces).
 _RANDOM_ATTEMPTS = 500
 
-#: Mutation draws per child before falling back to a fresh random cell.
+#: Mutation draws per child before falling back to a fresh random candidate.
 _MUTATION_ATTEMPTS = 30
 
 #: Selection score offset of infeasible models.  Any feasible cost (ms/mJ)
@@ -57,6 +62,11 @@ _MUTATION_ATTEMPTS = 30
 #: selection a gradient *toward* the feasible region instead of the blind
 #: tie an ``inf`` penalty would produce.
 _INFEASIBLE_OFFSET = 1e6
+
+T = TypeVar("T")
+
+#: The key of a cell or macro candidate: its isomorphism fingerprint.
+_fingerprint = attrgetter("fingerprint")
 
 
 def oracle_accuracy(
@@ -84,23 +94,203 @@ def selection_scores(
     return np.where(feasible, costs, _INFEASIBLE_OFFSET + deficit)
 
 
-class _Union:
-    """Membership over several containers, without materializing their union.
+class _Seen:
+    """Has a candidate's key been seen in any of several key sets?
 
-    Every membership probe is one candidate the mutation loop tried; a hit is
-    one duplicate it rejected — counted here so the obs counters see every
-    attempt, not just the survivors the engine returns.
+    The one de-duplication probe mutation runs against.  Every probe is one
+    candidate the mutation loop tried; a hit is one duplicate it rejected —
+    counted here so the obs counters see every attempt, not just the
+    survivors a search keeps.
     """
 
-    def __init__(self, *containers: Iterable):
-        self._containers = containers
+    def __init__(self, key: Callable[[Cell | MacroSpec], str], *key_sets: set[str]):
+        self._key = key
+        self._key_sets = key_sets
 
-    def __contains__(self, item: object) -> bool:
+    def __contains__(self, arch: Cell | MacroSpec) -> bool:
         obs.count("search.candidates_checked")
-        hit = any(item in container for container in self._containers)
+        key = self._key(arch)
+        hit = any(key in keys for keys in self._key_sets)
         if hit:
             obs.count("search.dedup_rejects")
         return hit
+
+
+class Evolution:
+    """Regularized evolution, shared by :class:`SearchEngine` and the co-search.
+
+    It holds what a search carries from one generation to the next: the
+    random generator seeded by the spec (every stochastic choice draws from
+    it), the keys of every evaluated candidate, the aging population, the
+    selection scores, the objective, the Pareto archive and the
+    per-generation rows.  A search proposes each generation with
+    :meth:`batch`, :meth:`tournament`, :meth:`unseen` and :meth:`mutate`,
+    evaluates it its own way, and books it with :meth:`record`.  Candidates
+    are told apart by string keys: the architecture fingerprint in a cell or
+    macro search, the pair key in the co-search.
+    """
+
+    def __init__(
+        self,
+        spec: SearchSpec,
+        network_config: NetworkConfig,
+        progress: Callable[[str], None] | None = None,
+    ):
+        self.spec = spec
+        self.network_config = network_config
+        self._say = progress or (lambda message: None)
+        self.rng = np.random.default_rng(spec.seed)
+        self.seen: set[str] = set()
+        self.population: deque[int] = deque(maxlen=spec.population_size)
+        self.selection = np.empty(0)
+        self.objective = np.empty(0)
+        self.archive: ParetoArchive | None = None
+        self.rows: list[GenerationStats] = []
+
+    # ------------------------------------------------------------------ #
+    # Proposal moves
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def batch(
+        count: int, draw: Callable[[set[str]], T], key: Callable[[T], str] = _fingerprint
+    ) -> list[T]:
+        """*count* candidates, each from ``draw(keys)`` given the keys drawn before it."""
+        batch: list[T] = []
+        keys: set[str] = set()
+        for _ in range(count):
+            candidate = draw(keys)
+            batch.append(candidate)
+            keys.add(key(candidate))
+        return batch
+
+    def is_new(self, key: str, batch: set[str]) -> bool:
+        """Whether *key* is neither evaluated already nor in the *batch* being drawn."""
+        return key not in self.seen and key not in batch
+
+    def tournament(self) -> int:
+        """Best-of-k parent selection over the aging population (a history index)."""
+        alive = list(self.population)
+        size = min(self.spec.tournament_size, len(alive))
+        picks = self.rng.choice(len(alive), size=size, replace=False)
+        return min(
+            (alive[int(index)] for index in picks),
+            key=lambda index: (self.selection[index], index),
+        )
+
+    def random_architecture(self) -> Cell | MacroSpec:
+        """One random cell, or macro in the macro space, within the spec's budget."""
+        spec, network = self.spec, self.network_config
+        if spec.arch_space == "macro":
+            return random_macro(
+                self.rng,
+                max_vertices=spec.max_vertices,
+                max_edges=spec.max_edges,
+                stem_channels=network.stem_channels,
+                image_size=network.image_size,
+                image_channels=network.image_channels,
+                num_classes=network.num_classes,
+            )
+        return random_cell(self.rng, spec.max_vertices, spec.max_edges)
+
+    def unseen(
+        self, draw: Callable[[], T], batch: set[str], key: Callable[[T], str] = _fingerprint
+    ) -> T:
+        """The first ``draw()`` whose key :meth:`is_new`."""
+        for _ in range(_RANDOM_ATTEMPTS):
+            candidate = draw()
+            if self.is_new(key(candidate), batch):
+                return candidate
+        raise SearchError(
+            f"could not draw an unseen random candidate in {_RANDOM_ATTEMPTS} "
+            "attempts; the searched space appears exhausted"
+        )
+
+    def mutate(
+        self,
+        parent: Cell | MacroSpec,
+        batch: set[str],
+        key: Callable[[Cell | MacroSpec], str] = _fingerprint,
+    ) -> Cell | MacroSpec:
+        """One mutant of *parent* whose key :meth:`is_new`.
+
+        Raises :class:`~repro.errors.DatasetError` when every draw was a
+        duplicate (the parent's neighborhood is exhausted), so the caller can
+        fall back to a random draw.
+        """
+        mutate = mutate_macro_unique if isinstance(parent, MacroSpec) else mutate_unique
+        return mutate(
+            parent,
+            self.rng,
+            _Seen(key, self.seen, batch),
+            max_vertices=self.spec.max_vertices,
+            max_edges=self.spec.max_edges,
+            max_attempts=_MUTATION_ATTEMPTS,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Bookkeeping
+    # ------------------------------------------------------------------ #
+    def record(
+        self,
+        generation: int,
+        archs: list[Cell | MacroSpec],
+        keys: list[str],
+        costs: np.ndarray,
+        accuracies: np.ndarray,
+    ) -> None:
+        """Book one evaluated generation.
+
+        *archs* and *keys* are the generation's candidates; *costs* and
+        *accuracies* cover the whole history, the generation last.
+        """
+        spec = self.spec
+        self.seen.update(keys)
+        new = slice(len(costs) - len(archs), len(costs))
+        self.objective = np.where(
+            np.isfinite(costs) & (accuracies >= spec.min_accuracy), costs, np.inf
+        )
+        self.selection = selection_scores(costs, accuracies, spec.min_accuracy)
+        self.population.extend(range(new.start, new.stop))
+        if self.archive is None:
+            # The hypervolume reference is the first generation's worst cost.
+            # Generation 0 depends only on the seed, so a resumed search
+            # tracks the identical reference and hypervolume trajectory.
+            finite = costs[np.isfinite(costs)]
+            self.archive = ParetoArchive(
+                ref_cost=float(finite.max()) if finite.size else 1.0, ref_accuracy=0.0
+            )
+        admitted = sum(
+            self.archive.update(
+                arch,
+                cost if accuracy >= spec.min_accuracy else np.inf,
+                accuracy,
+                generation=generation,
+                key=key,
+            )
+            for arch, key, cost, accuracy in zip(archs, keys, costs[new], accuracies[new])
+        )
+        hypervolume = self.archive.checkpoint()
+        best = float(self.objective[self.best_index])
+        self.rows.append(
+            GenerationStats(
+                generation=generation,
+                evaluated=len(archs),
+                feasible=int(np.isfinite(self.objective[new]).sum()),
+                generation_best=float(np.min(self.objective[new])),
+                best_objective=best,
+                hypervolume=hypervolume,
+                admitted=admitted,
+            )
+        )
+        self._say(
+            f"generation {generation}: evaluated {len(archs)}, best {best:.4f}, "
+            f"front {len(self.archive)} (hv {hypervolume:.5f})"
+        )
+
+    @property
+    def best_index(self) -> int:
+        """History index of the best objective (a feasible one if any exists)."""
+        return int(np.argmin(self.objective))
 
 
 class SearchEngine:
@@ -177,19 +367,11 @@ class SearchEngine:
         run of the same spec) are loaded, only new models are simulated.
         """
         spec = self.spec
-        say = progress or (lambda message: None)
         start = time.perf_counter()
-        rng = np.random.default_rng(spec.seed)
-
-        seen: set[Cell | MacroSpec] = set()
+        evolution = Evolution(spec, self.network_config, progress)
         records: list[ModelRecord] = []
-        population: deque[int] = deque(maxlen=spec.population_size)
-        archive: ParetoArchive | None = None
         dataset: NASBenchDataset | None = None
-        measurements = None
-        objective: np.ndarray | None = None
-        selection: np.ndarray | None = None
-        rows: list[GenerationStats] = []
+        measurements: MeasurementSet | None = None
 
         for generation in range(spec.generations):
             with obs.span(
@@ -197,70 +379,38 @@ class SearchEngine:
             ):
                 with obs.span("search.propose", generation=generation):
                     candidates = self._propose(
-                        generation, rng, seen, records, population, selection,
-                        dataset, measurements,
+                        generation, evolution, records, dataset, measurements
                     )
-                for cell in candidates:
-                    seen.add(cell)
-                    records.append(self._record(cell, len(records)))
+                for arch in candidates:
+                    records.append(self._record(arch, len(records)))
                 dataset = NASBenchDataset(records, self.network_config)
                 with obs.span(
                     "search.simulate", generation=generation, models=len(records)
                 ):
                     measurements = self.store.extend(dataset, configs=[self._config])
-
                 costs = (
                     measurements.latencies(spec.config_name)
                     if spec.metric == "latency"
                     else measurements.energies(spec.config_name)
                 )
-                accuracies = dataset.accuracies()
-                objective = np.where(
-                    np.isfinite(costs) & (accuracies >= spec.min_accuracy), costs, np.inf
-                )
-                selection = selection_scores(costs, accuracies, spec.min_accuracy)
-                new_slice = slice(len(records) - len(candidates), len(records))
-                population.extend(range(new_slice.start, new_slice.stop))
-
-                if archive is None:
-                    archive = self._make_archive(costs)
-                admitted = archive.update_many(
+                evolution.record(
+                    generation,
                     candidates,
-                    np.where(accuracies[new_slice] >= spec.min_accuracy,
-                             costs[new_slice], np.inf),
-                    accuracies[new_slice],
-                    generation=generation,
-                )
-                hypervolume = archive.checkpoint()
-                generation_best = float(np.min(objective[new_slice]))
-                best_index = int(np.argmin(objective))
-                rows.append(
-                    GenerationStats(
-                        generation=generation,
-                        evaluated=len(candidates),
-                        feasible=int(np.isfinite(objective[new_slice]).sum()),
-                        generation_best=generation_best,
-                        best_objective=float(objective[best_index]),
-                        hypervolume=hypervolume,
-                        admitted=admitted,
-                    )
-                )
-                say(
-                    f"generation {generation}: evaluated {len(candidates)}, "
-                    f"best {float(objective[best_index]):.4f}, "
-                    f"front {len(archive)} (hv {hypervolume:.5f})"
+                    [arch.fingerprint for arch in candidates],
+                    costs,
+                    dataset.accuracies(),
                 )
 
         assert dataset is not None and measurements is not None
-        assert objective is not None and archive is not None
+        assert evolution.archive is not None
         return SearchResult(
             spec=spec,
             dataset=dataset,
             measurements=measurements,
-            objective=objective,
-            archive=archive,
-            generations=rows,
-            best_index=int(np.argmin(objective)),
+            objective=evolution.objective,
+            archive=evolution.archive,
+            generations=evolution.rows,
+            best_index=evolution.best_index,
             store_stats=self.store.stats,
             elapsed_seconds=time.perf_counter() - start,
         )
@@ -271,39 +421,36 @@ class SearchEngine:
     def _propose(
         self,
         generation: int,
-        rng: np.random.Generator,
-        seen: set[Cell | MacroSpec],
+        evolution: Evolution,
         records: list[ModelRecord],
-        population: deque,
-        selection: np.ndarray | None,
         dataset: NASBenchDataset | None,
-        measurements,
+        measurements: MeasurementSet | None,
     ) -> list[Cell | MacroSpec]:
         """The next generation's unique candidates (length = generation size)."""
         spec = self.spec
-        if generation == 0 or spec.strategy == "random":
-            return self._random_batch(rng, seen, spec.population_size)
-        assert selection is not None and dataset is not None
 
+        def random(batch: set[str]) -> Cell | MacroSpec:
+            return evolution.unseen(evolution.random_architecture, batch)
+
+        def child(batch: set[str]) -> Cell | MacroSpec:
+            parent = records[evolution.tournament()].architecture
+            try:
+                return evolution.mutate(parent, batch)
+            except DatasetError:
+                # The parent's neighborhood is exhausted (tiny cells, long
+                # runs): inject fresh diversity instead of stalling.
+                obs.count("search.random_fallbacks")
+                return random(batch)
+
+        if generation == 0 or spec.strategy == "random":
+            return evolution.batch(spec.population_size, random)
         if spec.strategy == "evolution":
-            batch: list[Cell | MacroSpec] = []
-            batch_set: set[Cell | MacroSpec] = set()
-            for _ in range(spec.population_size):
-                parent = self._tournament(rng, population, selection, records)
-                child = self._unique_child(parent, rng, seen, batch_set)
-                batch.append(child)
-                batch_set.add(child)
-            return batch
+            return evolution.batch(spec.population_size, child)
 
         # Predictor-guided: mutate a large pool, pre-screen with the learned
         # model trained on everything measured so far, simulate the top slice.
-        pool: list[Cell] = []
-        pool_set: set[Cell] = set()
-        for _ in range(spec.pool_factor * spec.population_size):
-            parent = self._tournament(rng, population, selection, records)
-            child = self._unique_child(parent, rng, seen, pool_set)
-            pool.append(child)
-            pool_set.add(child)
+        assert dataset is not None
+        pool = evolution.batch(spec.pool_factor * spec.population_size, child)
         service = SweepService(
             self.store,
             dataset,
@@ -322,95 +469,6 @@ class SearchEngine:
         order = np.argsort(scores, kind="stable")[: spec.population_size]
         return [pool[int(index)] for index in order]
 
-    def _tournament(
-        self,
-        rng: np.random.Generator,
-        population: deque,
-        selection: np.ndarray,
-        records: list[ModelRecord],
-    ) -> Cell | MacroSpec:
-        """Best-of-k parent selection over the current (aged) population."""
-        alive = list(population)
-        size = min(self.spec.tournament_size, len(alive))
-        picks = rng.choice(len(alive), size=size, replace=False)
-        best = min(
-            (alive[int(index)] for index in picks),
-            key=lambda model_index: (selection[model_index], model_index),
-        )
-        return records[best].architecture
-
-    def _unique_child(
-        self,
-        parent: Cell | MacroSpec,
-        rng: np.random.Generator,
-        seen: set[Cell | MacroSpec],
-        batch_set: set[Cell | MacroSpec],
-    ) -> Cell | MacroSpec:
-        """One never-seen mutant of *parent* (random fallback keeps batches full)."""
-        spec = self.spec
-        try:
-            if isinstance(parent, MacroSpec):
-                return mutate_macro_unique(
-                    parent,
-                    rng,
-                    _Union(seen, batch_set),
-                    max_vertices=spec.max_vertices,
-                    max_edges=spec.max_edges,
-                    max_attempts=_MUTATION_ATTEMPTS,
-                )
-            return mutate_unique(
-                parent,
-                rng,
-                _Union(seen, batch_set),
-                max_vertices=spec.max_vertices,
-                max_edges=spec.max_edges,
-                max_attempts=_MUTATION_ATTEMPTS,
-            )
-        except DatasetError:
-            # The parent's neighborhood is exhausted (tiny cells, long runs):
-            # inject fresh diversity instead of stalling the generation.
-            obs.count("search.random_fallbacks")
-            return self._random_unique(rng, seen, batch_set)
-
-    def _random_batch(
-        self, rng: np.random.Generator, seen: set[Cell | MacroSpec], count: int
-    ) -> list[Cell | MacroSpec]:
-        batch: list[Cell | MacroSpec] = []
-        batch_set: set[Cell | MacroSpec] = set()
-        for _ in range(count):
-            cell = self._random_unique(rng, seen, batch_set)
-            batch.append(cell)
-            batch_set.add(cell)
-        return batch
-
-    def _random_unique(
-        self,
-        rng: np.random.Generator,
-        seen: set[Cell | MacroSpec],
-        batch_set: set[Cell | MacroSpec],
-    ) -> Cell | MacroSpec:
-        spec = self.spec
-        for _ in range(_RANDOM_ATTEMPTS):
-            arch: Cell | MacroSpec
-            if spec.arch_space == "macro":
-                arch = random_macro(
-                    rng,
-                    max_vertices=spec.max_vertices,
-                    max_edges=spec.max_edges,
-                    stem_channels=self.network_config.stem_channels,
-                    image_size=self.network_config.image_size,
-                    image_channels=self.network_config.image_channels,
-                    num_classes=self.network_config.num_classes,
-                )
-            else:
-                arch = random_cell(rng, spec.max_vertices, spec.max_edges)
-            if arch not in seen and arch not in batch_set:
-                return arch
-        raise SearchError(
-            f"could not draw an unseen random architecture in {_RANDOM_ATTEMPTS} "
-            "attempts; the searched sub-space appears exhausted"
-        )
-
     # ------------------------------------------------------------------ #
     # Bookkeeping
     # ------------------------------------------------------------------ #
@@ -426,13 +484,3 @@ class SearchEngine:
         """Build one history record incrementally (see :func:`model_record`),
         so engine histories and bulk-built datasets agree."""
         return model_record(arch, index, self.network_config, self.accuracy_model)
-
-    def _make_archive(self, first_costs: np.ndarray) -> ParetoArchive:
-        """Fix the hypervolume reference at the first generation's worst cost.
-
-        Deterministic (generation 0 depends only on the seed), so a resumed
-        search tracks the identical reference and hypervolume trajectory.
-        """
-        finite = first_costs[np.isfinite(first_costs)]
-        ref_cost = float(finite.max()) if finite.size else 1.0
-        return ParetoArchive(ref_cost=ref_cost, ref_accuracy=0.0)

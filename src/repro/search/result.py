@@ -33,6 +33,20 @@ class GenerationStats:
     admitted: int
 
 
+def generation_table(rows: list[GenerationStats]) -> list[str]:
+    """The per-generation progress table of a search or co-search, header first."""
+    return [
+        f"{'gen':>4}{'evaluated':>11}{'feasible':>10}"
+        f"{'gen best':>12}{'best so far':>13}{'hypervolume':>13}{'admitted':>10}",
+        *(
+            f"{row.generation:>4}{row.evaluated:>11}{row.feasible:>10}"
+            f"{row.generation_best:>12.4f}{row.best_objective:>13.4f}"
+            f"{row.hypervolume:>13.5f}{row.admitted:>10}"
+            for row in rows
+        ),
+    ]
+
+
 @dataclass
 class SearchResult:
     """Everything one :meth:`SearchEngine.run` call produced.
@@ -91,19 +105,11 @@ class SearchResult:
     def summary_lines(self) -> list[str]:
         """Human-readable per-generation progress table."""
         unit = "ms" if self.spec.metric == "latency" else "mJ"
-        lines = [
+        return [
             f"search {self.spec.strategy!r} on {self.spec.config_name} "
             f"({self.spec.metric}, accuracy >= {self.spec.min_accuracy:.2f}): "
             f"{self.num_evaluated} models over {len(self.generations)} generations, "
             f"best {self.best_objective:.4f} {unit}, "
             f"front {len(self.archive)} points, {self.elapsed_seconds:.2f}s",
-            f"{'gen':>4}{'evaluated':>11}{'feasible':>10}"
-            f"{'gen best':>12}{'best so far':>13}{'hypervolume':>13}{'admitted':>10}",
+            *generation_table(self.generations),
         ]
-        for row in self.generations:
-            lines.append(
-                f"{row.generation:>4}{row.evaluated:>11}{row.feasible:>10}"
-                f"{row.generation_best:>12.4f}{row.best_objective:>13.4f}"
-                f"{row.hypervolume:>13.5f}{row.admitted:>10}"
-            )
-        return lines

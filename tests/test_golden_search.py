@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import TrainingSettings
-from repro.hwspace import AcceleratorSpace, CoSearchEngine, CoSearchSpec, studied_baselines
+from repro.hwspace import AcceleratorSpace, CoSearchEngine, studied_baselines
 from repro.nasbench import MAX_EDGES, MAX_VERTICES
 from repro.search import SearchEngine, SearchSpec
 
@@ -63,23 +63,26 @@ def search_spec(**fields) -> SearchSpec:
     return SearchSpec(**parameters)
 
 
-def cosearch_spec(**fields) -> CoSearchSpec:
+def cosearch_spec(**fields) -> SearchSpec:
     """The 8 x 3 co-search at the 0.92 floor, every field explicit."""
     parameters = dict(
+        strategy="evolution",
+        config_name="V1",
         metric="latency",
         min_accuracy=0.92,
         population_size=8,
         generations=3,
         tournament_size=4,
-        hardware_move_probability=0.5,
+        pool_factor=3,
         seed=5,
         max_vertices=MAX_VERTICES,
         max_edges=MAX_EDGES,
+        predictor_settings=TrainingSettings(epochs=4),
         enable_parameter_caching=True,
         arch_space="cell",
     )
     parameters.update(fields)
-    return CoSearchSpec(**parameters)
+    return SearchSpec(**parameters)
 
 
 def _feed(digest, value) -> None:

@@ -11,7 +11,6 @@ from repro.errors import InvalidConfigError, SearchError
 from repro.hwspace import (
     AcceleratorSpace,
     CoSearchEngine,
-    CoSearchSpec,
     HardwareFrontier,
     config_digest,
     pair_key,
@@ -19,6 +18,7 @@ from repro.hwspace import (
 )
 from repro.hwspace.frontier import ConfigPoint
 from repro.nasbench import NASBenchDataset
+from repro.search import SearchSpec
 from repro.service import MeasurementStore
 
 AXES = {
@@ -204,21 +204,16 @@ class TestHardwareFrontier:
 
 
 class TestCoSearch:
-    def test_spec_validation(self):
-        with pytest.raises(SearchError):
-            CoSearchSpec(metric="throughput")
-        with pytest.raises(SearchError):
-            CoSearchSpec(population_size=1)
-        with pytest.raises(SearchError):
-            CoSearchSpec(generations=0)
-        with pytest.raises(SearchError):
-            CoSearchSpec(hardware_move_probability=1.5)
-        assert CoSearchSpec(population_size=10, generations=3).simulation_budget == 30
+    def test_spec_validation(self, space):
+        # The co-search runs on a SearchSpec and only as regularized evolution.
+        for strategy in ("random", "predictor"):
+            with pytest.raises(SearchError, match="regularized evolution"):
+                CoSearchEngine(SearchSpec(strategy=strategy), space)
 
     def test_single_point_space_is_rejected(self):
         space = AcceleratorSpace({"clock_mhz": [800.0]})
         with pytest.raises(SearchError, match="single point"):
-            CoSearchEngine(CoSearchSpec(), space)
+            CoSearchEngine(SearchSpec(), space)
 
     def test_archive_keys_pairs_not_cells(self):
         archive = ParetoArchive(ref_cost=10.0)
@@ -232,7 +227,7 @@ class TestCoSearch:
         assert not archive.update(cell_stub, 5.0, 0.8, key="fp@hw-a")
 
     def test_run_spends_exact_budget_on_unique_pairs(self, space):
-        spec = CoSearchSpec(population_size=8, generations=3, seed=5)
+        spec = SearchSpec(population_size=8, generations=3, seed=5)
         result = CoSearchEngine(spec, space).run()
         assert len(result.pairs) == spec.simulation_budget
         keys = [record.key for record in result.pairs]
@@ -245,7 +240,7 @@ class TestCoSearch:
         assert hypervolumes == sorted(hypervolumes)
 
     def test_run_is_deterministic_in_the_seed(self, space):
-        spec = CoSearchSpec(population_size=8, generations=2, seed=13)
+        spec = SearchSpec(population_size=8, generations=2, seed=13)
         first = CoSearchEngine(spec, space).run()
         second = CoSearchEngine(spec, space).run()
         assert [r.key for r in first.pairs] == [r.key for r in second.pairs]
@@ -263,7 +258,7 @@ class TestCoSearch:
                 "compute_lanes": [32, 64],
             }
         )
-        spec = CoSearchSpec(population_size=16, generations=6, seed=0, min_accuracy=0.92)
+        spec = SearchSpec(population_size=16, generations=6, seed=0, min_accuracy=0.92)
         result = CoSearchEngine(spec, space).run()
         baselines = studied_baselines(spec)
         assert set(baselines) == {"V1", "V2", "V3"}
@@ -273,7 +268,7 @@ class TestCoSearch:
         assert result.best_objective < min(cost for cost, _ in baselines.values())
 
     def test_summary_lines_render(self, space):
-        spec = CoSearchSpec(population_size=8, generations=2, seed=5)
+        spec = SearchSpec(population_size=8, generations=2, seed=5)
         result = CoSearchEngine(spec, space).run()
         lines = result.summary_lines()
         assert "co-search" in lines[0]
@@ -281,7 +276,7 @@ class TestCoSearch:
 
     def test_summary_lines_render_for_infeasible_runs(self, space):
         # The diagnostic table must render exactly when nothing was feasible.
-        spec = CoSearchSpec(population_size=4, generations=1, min_accuracy=0.999)
+        spec = SearchSpec(population_size=4, generations=1, min_accuracy=0.999)
         result = CoSearchEngine(spec, space).run()
         with pytest.raises(SearchError):
             _ = result.best_pair

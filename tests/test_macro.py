@@ -19,7 +19,7 @@ import pytest
 from repro.analysis import ParetoArchive
 from repro.arch import get_config
 from repro.errors import DatasetError, InvalidCellError, SearchError
-from repro.hwspace import AcceleratorSpace, CoSearchEngine, CoSearchSpec
+from repro.hwspace import AcceleratorSpace, CoSearchEngine
 from repro.nasbench import (
     CONV1X1,
     CONV3X3,
@@ -41,7 +41,6 @@ from repro.nasbench import (
     expand_architecture,
     mutate_macro,
     mutate_macro_unique,
-    random_cell,
     random_macro,
 )
 from repro.search import SearchEngine, SearchSpec
@@ -466,9 +465,7 @@ class TestMacroSearch:
 class TestMacroCoSearch:
     def test_macro_pairs_flow_through_the_joint_search(self):
         space = AcceleratorSpace({"pes_x": (4, 8), "batch_size": (1, 2)})
-        spec = CoSearchSpec(
-            population_size=4, generations=2, seed=1, arch_space="macro"
-        )
+        spec = SearchSpec(population_size=4, generations=2, seed=1, arch_space="macro")
         result = CoSearchEngine(spec, space).run()
         assert len(result.pairs) == spec.simulation_budget
         assert all(isinstance(pair.cell, MacroSpec) for pair in result.pairs)
@@ -476,7 +473,3 @@ class TestMacroCoSearch:
             fingerprint, _, digest = pair.key.partition("@")
             assert fingerprint == pair.cell.fingerprint
             assert digest
-
-    def test_cosearch_arch_space_is_validated(self):
-        with pytest.raises(SearchError, match="architecture space"):
-            CoSearchSpec(arch_space="mesh")

@@ -197,11 +197,6 @@ class TestParetoArchive:
         with pytest.raises(DatasetError, match="no archive file"):
             ParetoArchive.load(tmp_path / "absent.npz")
 
-    def test_update_many_validates_lengths(self):
-        archive = ParetoArchive(ref_cost=1.0)
-        with pytest.raises(DatasetError):
-            archive.update_many([_cell_for(CONV3X3)], np.array([1.0, 2.0]), np.array([0.5]))
-
 
 # --------------------------------------------------------------------------- #
 # Spec validation
