@@ -146,11 +146,6 @@ class AcceleratorConfig:
         """Peak off-chip bandwidth in bytes per second."""
         return self.io_bandwidth_gbps * 1e9
 
-    @property
-    def io_bytes_per_cycle(self) -> float:
-        """Peak off-chip bandwidth expressed in bytes per accelerator cycle."""
-        return self.io_bandwidth_bytes_per_second / self.clock_hz
-
     # ------------------------------------------------------------------ #
     # Convenience
     # ------------------------------------------------------------------ #

@@ -181,8 +181,3 @@ class ConfigTable:
     def io_bandwidth_bytes_per_second(self) -> np.ndarray:
         """Per-config peak off-chip bandwidth in B/s, shape ``(C, 1)``."""
         return self.io_bandwidth_gbps * 1e9
-
-    @property
-    def io_bytes_per_cycle(self) -> np.ndarray:
-        """Per-config peak off-chip bytes per cycle, shape ``(C, 1)``."""
-        return self.io_bandwidth_bytes_per_second / self.clock_hz

@@ -49,7 +49,6 @@ from .network import (
     LayerSpec,
     NetworkConfig,
     NetworkSpec,
-    build_cell_layers,
     build_network,
     compute_vertex_channels,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "add_vertex",
     "architecture_from_dict",
     "architecture_to_dict",
-    "build_cell_layers",
     "build_network",
     "cell_fingerprint",
     "compute_metrics",

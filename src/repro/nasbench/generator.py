@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -59,11 +59,7 @@ def _is_pruned_form(matrix: np.ndarray) -> bool:
     return bool((reach_fwd & reach_bwd).all())
 
 
-def enumerate_cells(
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
-) -> Iterator[Cell]:
+def enumerate_cells(max_vertices: int = MAX_VERTICES, max_edges: int = MAX_EDGES) -> Iterator[Cell]:
     """Yield every unique cell with at most *max_vertices* and *max_edges*.
 
     Uniqueness follows NASBench-101: two cells are the same model when their
@@ -88,7 +84,7 @@ def enumerate_cells(
                 continue
             # Labelings are iterated lazily (re-generated per matrix) instead
             # of materializing the full 3^(n-2) product up front.
-            for labeling in itertools.product(interior_ops, repeat=num_interior):
+            for labeling in itertools.product(INTERIOR_OPS, repeat=num_interior):
                 ops = (INPUT, *labeling, OUTPUT)
                 cell = Cell(matrix, ops)
                 if cell.fingerprint in seen:
@@ -106,7 +102,6 @@ def random_cell(
     rng: np.random.Generator,
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
     max_attempts: int = 200,
 ) -> Cell:
     """Draw one random valid cell (already pruned).
@@ -116,7 +111,7 @@ def random_cell(
     is drawn uniformly between a spanning path and the edge budget.
 
     The draws consume the generator exactly as ``rng.choice(vertex_choices,
-    p=weights)`` and ``rng.choice(interior_ops)`` do (one uniform double
+    p=weights)`` and ``rng.choice(INTERIOR_OPS)`` do (one uniform double
     against the normalized CDF; one bounded integer per label), at a
     fraction of their per-call cost, so a seed always yields the same cells.
     """
@@ -129,7 +124,7 @@ def random_cell(
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     cdf = cdf.tolist()
-    num_ops = len(interior_ops)
+    num_ops = len(INTERIOR_OPS)
 
     for _ in range(max_attempts):
         num_vertices = vertex_choices[bisect.bisect_right(cdf, rng.random())]
@@ -147,7 +142,7 @@ def random_cell(
             rows[i][j] = 1
         ops = (
             INPUT,
-            *(str(interior_ops[int(rng.integers(num_ops))]) for _ in range(num_vertices - 2)),
+            *(INTERIOR_OPS[int(rng.integers(num_ops))] for _ in range(num_vertices - 2)),
             OUTPUT,
         )
         cell = Cell._from_rows(tuple(map(tuple, rows)), ops)
@@ -163,7 +158,6 @@ def sample_unique_cells(
     seed: int = 0,
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
     extra_cells: Iterable[Cell] = (),
 ) -> list[Cell]:
     """Draw *count* unique cells (by isomorphism fingerprint) at random.
@@ -215,6 +209,6 @@ def sample_unique_cells(
                 f"{count} after {attempts} attempts; the requested sample may be "
                 "larger than the sub-space"
             )
-        admit(random_cell(rng, max_vertices, max_edges, interior_ops))
+        admit(random_cell(rng, max_vertices, max_edges))
 
     return cells[:count]

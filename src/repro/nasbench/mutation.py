@@ -50,27 +50,18 @@ def flip_edge(cell: Cell, rng: np.random.Generator) -> Cell:
     return Cell(matrix, cell.ops)
 
 
-def swap_op(
-    cell: Cell, rng: np.random.Generator, interior_ops: Sequence[str] = INTERIOR_OPS
-) -> Cell:
+def swap_op(cell: Cell, rng: np.random.Generator) -> Cell:
     """Relabel one random interior vertex with a different operation."""
     if cell.num_vertices <= 2:
         raise InvalidCellError("cell has no interior vertex to relabel")
     vertex = int(rng.integers(1, cell.num_vertices - 1))
-    choices = [op for op in interior_ops if op != cell.ops[vertex]]
-    if not choices:
-        raise InvalidCellError("no alternative operation label is available")
+    choices = [op for op in INTERIOR_OPS if op != cell.ops[vertex]]
     ops = list(cell.ops)
-    ops[vertex] = str(choices[int(rng.integers(len(choices)))])
+    ops[vertex] = choices[int(rng.integers(len(choices)))]
     return Cell(cell.numpy_matrix(), ops)
 
 
-def add_vertex(
-    cell: Cell,
-    rng: np.random.Generator,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
-    max_vertices: int = MAX_VERTICES,
-) -> Cell:
+def add_vertex(cell: Cell, rng: np.random.Generator, max_vertices: int = MAX_VERTICES) -> Cell:
     """Splice a new interior vertex into the DAG at a random position.
 
     The new vertex is wired to one random predecessor and one random
@@ -90,7 +81,7 @@ def add_vertex(
     grown[predecessor, position] = 1
     grown[position, successor] = 1
     ops = list(cell.ops)
-    ops.insert(position, str(interior_ops[int(rng.integers(len(interior_ops)))]))
+    ops.insert(position, INTERIOR_OPS[int(rng.integers(len(INTERIOR_OPS)))])
     return Cell(grown, ops)
 
 
@@ -109,11 +100,7 @@ def remove_vertex(cell: Cell, rng: np.random.Generator) -> Cell:
 # Driver
 # --------------------------------------------------------------------------- #
 def _applicable_kinds(
-    cell: Cell,
-    kinds: Sequence[str],
-    max_vertices: int,
-    max_edges: int,
-    interior_ops: Sequence[str],
+    cell: Cell, kinds: Sequence[str], max_vertices: int, max_edges: int
 ) -> list[str]:
     """The mutation kinds that can possibly produce a valid result for *cell*."""
     applicable = []
@@ -121,7 +108,7 @@ def _applicable_kinds(
         if kind == "edge_flip":
             applicable.append(kind)
         elif kind == "op_swap":
-            if any(any(op != existing for op in interior_ops) for existing in cell.interior_ops):
+            if cell.interior_ops:
                 applicable.append(kind)
         elif kind == "vertex_add":
             if cell.num_vertices < max_vertices and cell.num_edges + 2 <= max_edges:
@@ -139,7 +126,6 @@ def mutate_cell(
     rng: np.random.Generator,
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
     kinds: Sequence[str] = MUTATION_KINDS,
     max_attempts: int = 100,
 ) -> Cell:
@@ -156,7 +142,7 @@ def mutate_cell(
         If no valid, model-changing mutation is found in *max_attempts* draws
         (or no kind is applicable at all).
     """
-    applicable = _applicable_kinds(cell, kinds, max_vertices, max_edges, interior_ops)
+    applicable = _applicable_kinds(cell, kinds, max_vertices, max_edges)
     if not applicable:
         raise DatasetError(f"no mutation kind of {tuple(kinds)} is applicable to {cell}")
     for _ in range(max_attempts):
@@ -165,9 +151,9 @@ def mutate_cell(
             if kind == "edge_flip":
                 mutant = flip_edge(cell, rng)
             elif kind == "op_swap":
-                mutant = swap_op(cell, rng, interior_ops)
+                mutant = swap_op(cell, rng)
             elif kind == "vertex_add":
-                mutant = add_vertex(cell, rng, interior_ops, max_vertices)
+                mutant = add_vertex(cell, rng, max_vertices)
             else:
                 mutant = remove_vertex(cell, rng)
             pruned = mutant.prune()
@@ -189,7 +175,6 @@ def mutate_unique(
     seen: Container[Cell],
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
     kinds: Sequence[str] = MUTATION_KINDS,
     max_attempts: int = 50,
 ) -> Cell:
@@ -206,14 +191,7 @@ def mutate_unique(
         callers typically fall back to a fresh random cell.
     """
     for _ in range(max_attempts):
-        mutant = mutate_cell(
-            cell,
-            rng,
-            max_vertices=max_vertices,
-            max_edges=max_edges,
-            interior_ops=interior_ops,
-            kinds=kinds,
-        )
+        mutant = mutate_cell(cell, rng, max_vertices=max_vertices, max_edges=max_edges, kinds=kinds)
         if mutant not in seen:
             return mutant
     raise DatasetError(
@@ -258,7 +236,6 @@ def mutate_macro(
     rng: np.random.Generator,
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
     kinds: Sequence[str] = MACRO_MUTATION_KINDS,
     max_attempts: int = 100,
 ) -> MacroSpec:
@@ -293,11 +270,7 @@ def mutate_macro(
             if kind == "stage_cell":
                 mutated = StageSpec(
                     cell=mutate_cell(
-                        stage.cell,
-                        rng,
-                        max_vertices=max_vertices,
-                        max_edges=max_edges,
-                        interior_ops=interior_ops,
+                        stage.cell, rng, max_vertices=max_vertices, max_edges=max_edges
                     ),
                     depth=stage.depth,
                     width_multiplier=stage.width_multiplier,
@@ -346,7 +319,6 @@ def mutate_macro_unique(
     seen: Container[MacroSpec],
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
     kinds: Sequence[str] = MACRO_MUTATION_KINDS,
     max_attempts: int = 50,
 ) -> MacroSpec:
@@ -363,12 +335,7 @@ def mutate_macro_unique(
     """
     for _ in range(max_attempts):
         mutant = mutate_macro(
-            macro,
-            rng,
-            max_vertices=max_vertices,
-            max_edges=max_edges,
-            interior_ops=interior_ops,
-            kinds=kinds,
+            macro, rng, max_vertices=max_vertices, max_edges=max_edges, kinds=kinds
         )
         if mutant not in seen:
             return mutant

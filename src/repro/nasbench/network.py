@@ -393,24 +393,6 @@ def blocks_trainable_parameters(blocks: Iterable[LayerBlock]) -> int:
     )
 
 
-def build_cell_layers(
-    cell: Cell,
-    input_channels: int,
-    output_channels: int,
-    height: int,
-    width: int,
-    name_prefix: str,
-) -> list[LayerSpec]:
-    """Expand one (pruned) cell instance into its :class:`LayerSpec` list.
-
-    The named view of :func:`cell_rows`; *height* / *width* are the spatial
-    size of the tensor entering the cell and *name_prefix* (such as
-    ``"stack0/cell1"``) prefixes every layer name.
-    """
-    rows = cell_rows(cell, input_channels, output_channels)
-    return layer_specs([(name_prefix, height, width, rows)])
-
-
 def build_network(cell: Cell, config: NetworkConfig | None = None) -> NetworkSpec:
     """Expand *cell* into the full NASBench-101 CIFAR-10 network.
 
