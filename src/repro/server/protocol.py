@@ -59,10 +59,14 @@ class HttpRequest:
         return self.headers.get("connection", "keep-alive").lower() != "close"
 
     def json(self) -> object:
-        """Decode the body as JSON (``400`` on anything that is not JSON)."""
+        """Decode the body as JSON (``400`` on anything that is not JSON).
+
+        Nesting too deep for the decoder and integers over Python's digit
+        limit are rejected like malformed JSON.
+        """
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
     def param(self, name: str) -> str:
@@ -107,7 +111,10 @@ async def read_request(reader) -> HttpRequest | None:
         if not sep:
             raise ProtocolError(f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unclosed IPv6 host: "http://[::1/"
+        raise ProtocolError(f"malformed request target {target!r}") from exc
     query = {key: value for key, value in parse_qsl(split.query, keep_blank_values=True)}
     body = b""
     raw_length = headers.get("content-length")

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import TrainingSettings
 from repro.nasbench import NASBenchDataset, sample_unique_cells
@@ -76,6 +78,42 @@ def feed(payload: bytes) -> asyncio.StreamReader:
     return reader
 
 
+def framed(line: bytes, headers: list[bytes], body: bytes) -> bytes:
+    """A request with *body* framed by a matching ``Content-Length``."""
+    head = [line, *headers, b"Content-Length: " + str(len(body)).encode()]
+    return b"\r\n".join(head) + b"\r\n\r\n" + body
+
+
+#: A nesting deeper than the JSON decoder's recursion limit (100 KB).
+DEEP_JSON = framed(b"POST /v1/query HTTP/1.1", [], b"[" * 100_000)
+#: An unclosed IPv6 host in the request target.
+BAD_TARGET = b"GET http://[::1/healthz HTTP/1.1\r\n\r\n"
+#: An integer over Python's 4,300-digit string conversion limit.
+HUGE_INTEGER = framed(b"POST /v1/query HTTP/1.1", [], b'{"k": ' + b"9" * 5000 + b"}")
+
+_TOKENS = st.sampled_from(
+    [b"GET", b"POST", b"/v1/query", b"/healthz?x=%ff&y", b"http://[::1/", b"HTTP/1.1", b"HTTP/2"]
+)
+_LINES = st.lists(_TOKENS | st.binary(max_size=12), min_size=1, max_size=4).map(b" ".join)
+_HEADERS = st.lists(
+    st.sampled_from([b"Connection: close", b"Content-Length: -1", b"Host"])
+    | st.binary(max_size=24).filter(lambda header: b"\r\n" not in header),
+    max_size=3,
+)
+_BODIES = (
+    st.binary(max_size=64)
+    | st.text(max_size=32).map(str.encode)
+    | st.integers(0, 5000).map(lambda depth: b"[" * depth)
+)
+REQUEST_BYTES = st.builds(framed, _LINES, _HEADERS, _BODIES) | st.binary(max_size=256)
+
+
+async def parse(raw: bytes) -> None:
+    request = await read_request(feed(raw))
+    if request is not None:
+        request.json()
+
+
 class TestProtocol:
     def test_parses_target_query_and_body(self):
         async def scenario():
@@ -109,6 +147,19 @@ class TestProtocol:
                 )
 
         run(scenario())
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=REQUEST_BYTES)
+    @example(raw=DEEP_JSON)
+    @example(raw=BAD_TARGET)
+    @example(raw=HUGE_INTEGER)
+    def test_any_request_bytes_parse_or_raise_protocol_error(self, raw):
+        # Whatever arrives, framing and JSON decoding either succeed or raise
+        # ProtocolError (answered as a 4xx), never anything that becomes a 500.
+        try:
+            run(parse(raw))
+        except ProtocolError:
+            pass
 
     def test_encode_response_is_parseable_json(self):
         raw = encode_response(200, {"b": 2, "a": 1}, extra_headers={"Retry-After": "1"})
@@ -460,6 +511,24 @@ class TestErrorMapping:
                 await writer.drain()
                 head = await reader.readuntil(b"\r\n\r\n")
                 assert b"400 Bad Request" in head
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+
+    @pytest.mark.parametrize("raw", [DEEP_JSON, BAD_TARGET], ids=["deep-json", "bad-target"])
+    def test_malformed_requests_are_400(self, service, raw):
+        async def scenario():
+            server = await serve(service, cache_size=0)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(raw)
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 Bad Request")
                 writer.close()
                 await writer.wait_closed()
             finally:
