@@ -1,8 +1,9 @@
 """Differential and property tests of the nasbench front-end's fast paths.
 
 Each fast path is checked against a reference kept here: the numpy cell
-predicate and pruning, ``rng.choice`` sampling, and the ``LayerSpec``-based
-network expansion that :meth:`LayerTable.from_networks` flattens.
+predicate and pruning, ``rng.choice`` sampling, the numpy-built mutation
+primitives, and the ``LayerSpec``-based network expansion that
+:meth:`LayerTable.from_networks` flattens.
 """
 
 from __future__ import annotations
@@ -27,13 +28,19 @@ from repro.nasbench import (
     LayerTable,
     NASBenchDataset,
     NetworkConfig,
+    add_vertex,
     build_network,
     count_parameters,
     expand_architecture,
+    flip_edge,
     hash_graph,
+    mutate_cell,
+    permute_cell,
     random_cell,
     random_macro,
+    remove_vertex,
     sample_unique_cells,
+    swap_op,
 )
 from repro.nasbench.ops import HASH_ENCODING, validate_ops
 
@@ -125,6 +132,95 @@ def reference_random_cell(rng, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
             return cell.prune()
 
 
+def reference_flip_edge(cell, rng):
+    """``flip_edge`` over a numpy copy of the matrix."""
+    n = cell.num_vertices
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    i, j = slots[int(rng.integers(len(slots)))]
+    matrix = cell.numpy_matrix()
+    matrix[i, j] = 1 - matrix[i, j]
+    return Cell(matrix, cell.ops)
+
+
+def reference_swap_op(cell, rng):
+    """``swap_op`` over a numpy copy of the matrix."""
+    if cell.num_vertices <= 2:
+        raise InvalidCellError("cell has no interior vertex to relabel")
+    vertex = int(rng.integers(1, cell.num_vertices - 1))
+    choices = [op for op in INTERIOR_OPS if op != cell.ops[vertex]]
+    ops = list(cell.ops)
+    ops[vertex] = choices[int(rng.integers(len(choices)))]
+    return Cell(cell.numpy_matrix(), ops)
+
+
+def reference_add_vertex(cell, rng, max_vertices=MAX_VERTICES):
+    """``add_vertex`` growing a numpy matrix by block copies."""
+    n = cell.num_vertices
+    if n >= max_vertices:
+        raise InvalidCellError(f"cell already has the maximum of {max_vertices} vertices")
+    position = int(rng.integers(1, n))
+    matrix = cell.numpy_matrix()
+    grown = np.zeros((n + 1, n + 1), dtype=np.int8)
+    grown[:position, :position] = matrix[:position, :position]
+    grown[:position, position + 1 :] = matrix[:position, position:]
+    grown[position + 1 :, position + 1 :] = matrix[position:, position:]
+    predecessor = int(rng.integers(0, position))
+    successor = int(rng.integers(position + 1, n + 1))
+    grown[predecessor, position] = 1
+    grown[position, successor] = 1
+    ops = list(cell.ops)
+    ops.insert(position, INTERIOR_OPS[int(rng.integers(len(INTERIOR_OPS)))])
+    return Cell(grown, ops)
+
+
+def reference_remove_vertex(cell, rng):
+    """``remove_vertex`` selecting the kept rows with ``np.ix_``."""
+    if cell.num_vertices <= 2:
+        raise InvalidCellError("cell has no interior vertex to remove")
+    vertex = int(rng.integers(1, cell.num_vertices - 1))
+    keep = [i for i in range(cell.num_vertices) if i != vertex]
+    matrix = cell.numpy_matrix()[np.ix_(keep, keep)]
+    ops = [cell.ops[i] for i in keep]
+    return Cell(matrix, ops)
+
+
+@st.composite
+def valid_cells(draw, max_vertices=MAX_VERTICES):
+    """Connected cells within the budget, pruned or carrying dangling vertices.
+
+    One input-to-output path through a drawn subset of the interior vertices
+    makes every cell connected; further edges are drawn from the other slots.
+    """
+    n = draw(st.integers(2, max_vertices))
+    on_path = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+    path = [0, *(v for v, kept in enumerate(on_path, start=1) if kept), n - 1]
+    edges = set(zip(path, path[1:]))
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    if others:
+        room = MAX_EDGES - len(edges)
+        edges.update(draw(st.lists(st.sampled_from(others), unique=True, max_size=room)))
+    matrix = [[int((i, j) in edges) for j in range(n)] for i in range(n)]
+    interior = draw(st.lists(st.sampled_from(INTERIOR_OPS), min_size=n - 2, max_size=n - 2))
+    return Cell(matrix, [INPUT, *interior, OUTPUT])
+
+
+@st.composite
+def topological_orders(draw, cell):
+    """A vertex order of *cell* that keeps the input first, the output last and
+    every edge pointing forward (a valid :func:`permute_cell` argument)."""
+    n = cell.num_vertices
+    priority = draw(st.permutations(range(n)))
+    placed: list[int] = [0]
+    while len(placed) < n - 1:
+        ready = [
+            v
+            for v in range(1, n - 1)
+            if v not in placed and all(u in placed for u in range(v) if cell.matrix[u][v])
+        ]
+        placed.append(min(ready, key=priority.__getitem__))
+    return [*placed, n - 1]
+
+
 @st.composite
 def cell_inputs(draw):
     """Square matrices of 2-8 vertices with entries in {-1, 0, 1, 2}, plus op lists."""
@@ -190,6 +286,79 @@ def test_hash_graph_list_and_array_inputs_agree():
         as_list = hash_graph([list(row) for row in cell.matrix], labels)
         assert as_list == hash_graph(cell.numpy_matrix(), labels)
         assert as_list == hash_graph(cell.matrix, labels) == cell.fingerprint
+
+
+# --------------------------------------------------------------------------- #
+# Mutation primitives and the mutate_cell driver
+# --------------------------------------------------------------------------- #
+PRIMITIVES = {
+    "flip_edge": (flip_edge, reference_flip_edge),
+    "swap_op": (swap_op, reference_swap_op),
+    "add_vertex": (add_vertex, reference_add_vertex),
+    "remove_vertex": (remove_vertex, reference_remove_vertex),
+}
+
+
+def _apply(primitive, cell, rng, *args):
+    """The child's ``(matrix, ops)`` (``None`` if it raised) and the stream state after."""
+    try:
+        child = primitive(cell, rng, *args)
+    except InvalidCellError:
+        return None, rng.bit_generator.state
+    return (child.matrix, child.ops), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", list(PRIMITIVES))
+@settings(max_examples=100, deadline=None)
+@given(
+    cell=valid_cells(),
+    seed=st.integers(0, 2**32 - 1),
+    max_vertices=st.integers(2, MAX_VERTICES),
+)
+def test_mutation_primitives_match_numpy_references(name, cell, seed, max_vertices):
+    primitive, reference = PRIMITIVES[name]
+    args = (max_vertices,) if primitive is add_vertex else ()
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert _apply(primitive, cell, fast, *args) == _apply(reference, cell, slow, *args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), cell=valid_cells(), seed=st.integers(0, 2**32 - 1))
+def test_mutation_chains_stay_valid_pruned_in_budget_and_leave_the_parent(data, cell, seed):
+    start = cell.prune()
+    max_vertices = data.draw(st.integers(max(3, start.num_vertices), MAX_VERTICES))
+    max_edges = data.draw(st.integers(max(2, start.num_edges), MAX_EDGES))
+    rng = np.random.default_rng(seed)
+    parent = cell
+    for _ in range(12):
+        try:
+            child = mutate_cell(parent, rng, max_vertices=max_vertices, max_edges=max_edges)
+        except DatasetError:
+            break  # an exhausted neighbourhood is the documented way out
+        assert child.is_valid() and child.prune() is child
+        assert child.num_vertices <= max_vertices and child.num_edges <= max_edges
+        assert child.fingerprint != parent.fingerprint
+        parent = child
+
+
+def _size_and_ops(cell):
+    pruned = cell.prune()
+    return pruned.num_vertices, pruned.num_edges, sorted(pruned.ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    cells=st.lists(st.one_of(valid_cells(max_vertices=4), valid_cells()), min_size=2, max_size=6),
+)
+def test_equal_fingerprints_have_equal_sizes_and_ops(data, cells):
+    copies = [permute_cell(cell, data.draw(topological_orders(cell))) for cell in cells]
+    for cell, copy in zip(cells, copies):
+        assert copy.fingerprint == cell.fingerprint
+    for a, b in itertools.combinations([*cells, *copies], 2):
+        if a.fingerprint == b.fingerprint:
+            assert _size_and_ops(a) == _size_and_ops(b)
 
 
 # --------------------------------------------------------------------------- #
