@@ -39,15 +39,18 @@ MACRO_MUTATION_KINDS: tuple[str, ...] = ("stage_cell", "stage_depth", "stage_wid
 # --------------------------------------------------------------------------- #
 # Primitive mutations.  Each returns an *unpruned* candidate; structural
 # validity (connectivity, budgets) is enforced by the mutate_cell driver.
+# Children are built over the parent's row tuples (``Cell._from_rows`` still
+# validates them).
 # --------------------------------------------------------------------------- #
 def flip_edge(cell: Cell, rng: np.random.Generator) -> Cell:
     """Toggle one random slot of the upper-triangular adjacency matrix."""
     n = cell.num_vertices
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     i, j = slots[int(rng.integers(len(slots)))]
-    matrix = cell.numpy_matrix()
-    matrix[i, j] = 1 - matrix[i, j]
-    return Cell(matrix, cell.ops)
+    rows = list(cell.matrix)
+    row = rows[i]
+    rows[i] = (*row[:j], 1 - row[j], *row[j + 1 :])
+    return Cell._from_rows(tuple(rows), cell.ops)
 
 
 def swap_op(cell: Cell, rng: np.random.Generator) -> Cell:
@@ -58,7 +61,7 @@ def swap_op(cell: Cell, rng: np.random.Generator) -> Cell:
     choices = [op for op in INTERIOR_OPS if op != cell.ops[vertex]]
     ops = list(cell.ops)
     ops[vertex] = choices[int(rng.integers(len(choices)))]
-    return Cell(cell.numpy_matrix(), ops)
+    return Cell._from_rows(cell.matrix, ops)
 
 
 def add_vertex(cell: Cell, rng: np.random.Generator, max_vertices: int = MAX_VERTICES) -> Cell:
@@ -71,18 +74,18 @@ def add_vertex(cell: Cell, rng: np.random.Generator, max_vertices: int = MAX_VER
     if n >= max_vertices:
         raise InvalidCellError(f"cell already has the maximum of {max_vertices} vertices")
     position = int(rng.integers(1, n))  # insert before this index, keeps 0 first
-    matrix = cell.numpy_matrix()
-    grown = np.zeros((n + 1, n + 1), dtype=np.int8)
-    grown[:position, :position] = matrix[:position, :position]
-    grown[:position, position + 1 :] = matrix[:position, position:]
-    grown[position + 1 :, position + 1 :] = matrix[position:, position:]
     predecessor = int(rng.integers(0, position))
     successor = int(rng.integers(position + 1, n + 1))
-    grown[predecessor, position] = 1
-    grown[position, successor] = 1
+    op = INTERIOR_OPS[int(rng.integers(len(INTERIOR_OPS)))]
+    # Every old row gains a zero column at *position*; the rows below it keep
+    # only zeros left of their diagonal, so this is the whole splice.
+    rows = [(*row[:position], 0, *row[position:]) for row in cell.matrix]
+    row = rows[predecessor]
+    rows[predecessor] = (*row[:position], 1, *row[position + 1 :])
+    rows.insert(position, tuple(int(column == successor) for column in range(n + 1)))
     ops = list(cell.ops)
-    ops.insert(position, INTERIOR_OPS[int(rng.integers(len(INTERIOR_OPS)))])
-    return Cell(grown, ops)
+    ops.insert(position, op)
+    return Cell._from_rows(tuple(rows), ops)
 
 
 def remove_vertex(cell: Cell, rng: np.random.Generator) -> Cell:
@@ -90,10 +93,12 @@ def remove_vertex(cell: Cell, rng: np.random.Generator) -> Cell:
     if cell.num_vertices <= 2:
         raise InvalidCellError("cell has no interior vertex to remove")
     vertex = int(rng.integers(1, cell.num_vertices - 1))
-    keep = [i for i in range(cell.num_vertices) if i != vertex]
-    matrix = cell.numpy_matrix()[np.ix_(keep, keep)]
-    ops = [cell.ops[i] for i in keep]
-    return Cell(matrix, ops)
+    rows = tuple(
+        (*row[:vertex], *row[vertex + 1 :])
+        for index, row in enumerate(cell.matrix)
+        if index != vertex
+    )
+    return Cell._from_rows(rows, cell.ops[:vertex] + cell.ops[vertex + 1 :])
 
 
 # --------------------------------------------------------------------------- #
@@ -145,6 +150,19 @@ def mutate_cell(
     applicable = _applicable_kinds(cell, kinds, max_vertices, max_edges)
     if not applicable:
         raise DatasetError(f"no mutation kind of {tuple(kinds)} is applicable to {cell}")
+    # Equal fingerprints imply the same multiset of per-vertex (out-degree,
+    # in-degree, op) hash seeds, so a mutant can be isomorphic to its parent
+    # only if their pruned forms agree on vertex count, edge count and sorted
+    # ops; the graph hash runs only when all three do.  On a pruned parent
+    # every primitive changes one of them (an edge flip the edge count, since
+    # pruning only drops more edges; an op swap the op multiset; a vertex add
+    # or remove the vertex count), so a search's mutations hash nothing.
+    try:
+        parent = cell.prune()
+    except InvalidCellError:  # disconnected: no connected mutant is isomorphic to it
+        parent_shape = None
+    else:
+        parent_shape = (parent.num_vertices, parent.num_edges, sorted(parent.ops))
     for _ in range(max_attempts):
         kind = applicable[int(rng.integers(len(applicable)))]
         try:
@@ -159,9 +177,13 @@ def mutate_cell(
             pruned = mutant.prune()
         except InvalidCellError:
             continue
-        if pruned.num_vertices > max_vertices or pruned.num_edges > max_edges:
+        num_edges = pruned.num_edges
+        if pruned.num_vertices > max_vertices or num_edges > max_edges:
             continue
-        if pruned == cell:  # isomorphic to the parent: not a new model
+        if (
+            (pruned.num_vertices, num_edges, sorted(pruned.ops)) == parent_shape
+            and pruned == cell
+        ):  # isomorphic to the parent: not a new model
             continue
         return pruned
     raise DatasetError(

@@ -68,6 +68,9 @@ T = TypeVar("T")
 #: The key of a cell or macro candidate: its isomorphism fingerprint.
 _fingerprint = attrgetter("fingerprint")
 
+#: A pruned cell's ``(matrix, ops)`` tuples.
+_Form = tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]
+
 
 def oracle_accuracy(
     arch: Cell | MacroSpec,
@@ -141,6 +144,8 @@ class Evolution:
         self._say = progress or (lambda message: None)
         self.rng = np.random.default_rng(spec.seed)
         self.seen: set[str] = set()
+        #: Fingerprint of every pruned cell form the dedup probes met this run.
+        self._fingerprints: dict[_Form, str] = {}
         self.population: deque[int] = deque(maxlen=spec.population_size)
         self.selection = np.empty(0)
         self.objective = np.empty(0)
@@ -150,6 +155,24 @@ class Evolution:
     # ------------------------------------------------------------------ #
     # Proposal moves
     # ------------------------------------------------------------------ #
+    def _fingerprinted(self, arch: T) -> T:
+        """*arch* with its fingerprint cached, hashing each cell form once a run.
+
+        A random draw or mutant is a new :class:`Cell` even when the search
+        has already met its pruned form; equal forms have equal fingerprints,
+        so the known one is copied into the cell's cache instead of hashing
+        the graph again.
+        """
+        if isinstance(arch, Cell):
+            pruned = arch.prune()
+            form = (pruned.matrix, pruned.ops)
+            known = self._fingerprints.get(form)
+            if known is None:
+                self._fingerprints[form] = arch.fingerprint
+            else:
+                object.__setattr__(arch, "_fingerprint", known)
+        return arch
+
     @staticmethod
     def batch(
         count: int, draw: Callable[[set[str]], T], key: Callable[[T], str] = _fingerprint
@@ -197,7 +220,7 @@ class Evolution:
     ) -> T:
         """The first ``draw()`` whose key :meth:`is_new`."""
         for _ in range(_RANDOM_ATTEMPTS):
-            candidate = draw()
+            candidate = self._fingerprinted(draw())
             if self.is_new(key(candidate), batch):
                 return candidate
         raise SearchError(
@@ -221,7 +244,7 @@ class Evolution:
         return mutate(
             parent,
             self.rng,
-            _Seen(key, self.seen, batch),
+            _Seen(lambda arch: key(self._fingerprinted(arch)), self.seen, batch),
             max_vertices=self.spec.max_vertices,
             max_edges=self.spec.max_edges,
             max_attempts=_MUTATION_ATTEMPTS,

@@ -24,6 +24,7 @@ from repro.nasbench import (
     CONV3X3,
     INPUT,
     OUTPUT,
+    hashing,
     mutate_cell,
     mutate_unique,
     random_cell,
@@ -310,6 +311,21 @@ class TestSearchEngine:
         store = MeasurementStore(tmp_path, shard_size=12, enable_parameter_caching=False)
         with pytest.raises(SearchError, match="parameter"):
             SearchEngine(small_spec("evolution"), store=store)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_no_form_is_hashed_twice_in_one_run(self, strategy, monkeypatch):
+        engine = SearchEngine(small_spec(strategy))
+        hashed = []
+        hash_graph = hashing.hash_graph
+
+        def recording(matrix, labels):
+            hashed.append((tuple(map(tuple, matrix)), tuple(labels)))
+            return hash_graph(matrix, labels)
+
+        monkeypatch.setattr(hashing, "hash_graph", recording)
+        engine.run()
+        assert hashed
+        assert len(hashed) == len(set(hashed))
 
     def test_summary_lines_render(self):
         result = SearchEngine(small_spec("random", generations=2)).run()
