@@ -8,7 +8,7 @@ import pytest
 from repro.analysis import latency_accuracy_frontier, top_models_by_accuracy
 from repro.arch import EDGE_TPU_V2, STUDIED_CONFIGS
 from repro.core import TrainingSettings
-from repro.errors import ServiceError
+from repro.errors import InvalidCellError, ServiceError
 from repro.nasbench import NASBenchDataset, sample_unique_cells
 from repro.service import MeasurementStore, SweepService
 from repro.service.api import (
@@ -99,6 +99,15 @@ class TestRequestRoundTrips:
     )
     def test_malformed_payloads_raise_service_error(self, payload):
         with pytest.raises(ServiceError):
+            request_from_dict(payload)
+
+    def test_non_integral_matrix_entry_is_not_read_as_an_edge(self):
+        payload = {
+            "kind": "predict",
+            "config_name": "V1",
+            "cells": [{"matrix": [[0, 1.7], [0, 0]], "ops": ["input", "output"]}],
+        }
+        with pytest.raises(InvalidCellError, match="1.7"):
             request_from_dict(payload)
 
     def test_eager_validation(self):

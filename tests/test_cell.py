@@ -81,6 +81,20 @@ class TestCellValidation:
         with pytest.raises(InvalidCellError):
             Cell([[0, 2], [0, 0]], [INPUT, OUTPUT])
 
+    @pytest.mark.parametrize("entry", [1.7, 0.5, "1", np.float64(0.9)])
+    def test_rejects_entries_that_are_not_their_int8_value(self, entry):
+        with pytest.raises(InvalidCellError, match="must be 0 or 1"):
+            Cell([[0, entry], [0, 0]], [INPUT, OUTPUT])
+
+    def test_rejects_array_entries_that_wrap_in_int8(self):
+        with pytest.raises(InvalidCellError, match="257"):
+            Cell(np.array([[0, 257], [0, 0]]), [INPUT, OUTPUT])
+
+    def test_accepts_integral_floats_and_booleans(self):
+        edge = Cell([[0, 1], [0, 0]], [INPUT, OUTPUT])
+        for matrix in ([[0, 1.0], [0, 0]], [[False, True], [False, False]], np.eye(2, k=1)):
+            assert Cell(matrix, [INPUT, OUTPUT]).matrix == edge.matrix
+
 
 class TestPruning:
     def test_prune_keeps_connected_cell(self):
