@@ -95,7 +95,9 @@ def read_npz(path: Path) -> dict[str, np.ndarray] | None:
     if not path.exists():
         return None
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # Opened here, not by np.load: on a truncated archive NpzFile raises
+        # before it keeps the handle, and nothing would close it.
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             return {name: archive[name] for name in archive.files}
     except (OSError, ValueError, zipfile.BadZipFile):
         quarantine = path.with_name(path.name + ".corrupt")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import shutil
 import tempfile
+import warnings
 import zipfile
 
 import numpy as np
@@ -184,6 +186,15 @@ class TestMeasurementStore:
         clean = make_store(tmp_path)
         clean.extend(store_dataset, configs=("V1",))
         assert clean.stats.pairs_simulated == 0
+
+    def test_corrupt_npz_read_closes_its_file(self, tmp_path):
+        path = store_module.write_npz(tmp_path / "pair.npz", {"values": np.arange(64.0)})
+        path.write_bytes(path.read_bytes()[:40])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert store_module.read_npz(path) is None
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_colliding_keys_never_mislabel(
         self, tmp_path, store_dataset, direct_measurements, monkeypatch
