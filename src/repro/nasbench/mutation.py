@@ -180,10 +180,8 @@ def mutate_cell(
         num_edges = pruned.num_edges
         if pruned.num_vertices > max_vertices or num_edges > max_edges:
             continue
-        if (
-            (pruned.num_vertices, num_edges, sorted(pruned.ops)) == parent_shape
-            and pruned == cell
-        ):  # isomorphic to the parent: not a new model
+        shape = (pruned.num_vertices, num_edges, sorted(pruned.ops))
+        if shape == parent_shape and pruned == cell:  # isomorphic to the parent: no new model
             continue
         return pruned
     raise DatasetError(
