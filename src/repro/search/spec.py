@@ -118,8 +118,11 @@ class SearchSpec:
             )
         if not 3 <= self.max_vertices <= MAX_VERTICES:
             raise SearchError(f"max_vertices must be in [3, {MAX_VERTICES}]")
-        if not 1 <= self.max_edges <= MAX_EDGES:
-            raise SearchError(f"max_edges must be in [1, {MAX_EDGES}]")
+        if not 2 <= self.max_edges <= MAX_EDGES:
+            raise SearchError(
+                f"max_edges must be in [2, {MAX_EDGES}]: a random draw has at least "
+                "3 vertices, so it needs at least 2 edges"
+            )
 
     @property
     def simulation_budget(self) -> int:

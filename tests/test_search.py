@@ -219,6 +219,16 @@ class TestSearchSpec:
         with pytest.raises(SearchError):
             SearchSpec(strategy="predictor", population_size=8)
 
+    def test_rejects_an_edge_budget_no_random_draw_fits(self):
+        with pytest.raises(SearchError, match="at least 2 edges"):
+            SearchSpec(max_edges=1)
+
+    def test_smallest_budget_searches_its_whole_space(self):
+        # Three vertices and two edges: the 0 -> 1 cell and one chain per op.
+        spec = small_spec("random", max_vertices=3, max_edges=2, population_size=2, generations=2)
+        result = SearchEngine(spec).run()
+        assert len({record.fingerprint for record in result.dataset}) == 4
+
     def test_energy_objective_requires_an_energy_model(self):
         with pytest.raises(SearchError, match="no energy model"):
             SearchEngine(small_spec("evolution", metric="energy", config_name="V3"))
