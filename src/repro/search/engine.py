@@ -68,9 +68,6 @@ T = TypeVar("T")
 #: The key of a cell or macro candidate: its isomorphism fingerprint.
 _fingerprint = attrgetter("fingerprint")
 
-#: A pruned cell's ``(matrix, ops)`` tuples.
-_Form = tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]
-
 
 def oracle_accuracy(
     arch: Cell | MacroSpec,
@@ -124,13 +121,14 @@ class Evolution:
 
     It holds what a search carries from one generation to the next: the
     random generator seeded by the spec (every stochastic choice draws from
-    it), the keys of every evaluated candidate, the aging population, the
-    selection scores, the objective, the Pareto archive and the
-    per-generation rows.  A search proposes each generation with
-    :meth:`batch`, :meth:`tournament`, :meth:`unseen` and :meth:`mutate`,
-    evaluates it its own way, and books it with :meth:`record`.  Candidates
-    are told apart by string keys: the architecture fingerprint in a cell or
-    macro search, the pair key in the co-search.
+    it), the keys of every evaluated candidate, the fingerprint of every cell
+    form it has met, the aging population, the selection scores, the
+    objective, the Pareto archive and the per-generation rows.  A search
+    proposes each generation with :meth:`batch`, :meth:`tournament`,
+    :meth:`unseen` and :meth:`mutate`, evaluates it its own way, and books it
+    with :meth:`record`.  Candidates are told apart by string keys: the
+    architecture fingerprint in a cell or macro search, the pair key in the
+    co-search.
     """
 
     def __init__(
@@ -144,8 +142,9 @@ class Evolution:
         self._say = progress or (lambda message: None)
         self.rng = np.random.default_rng(spec.seed)
         self.seen: set[str] = set()
-        #: Fingerprint of every pruned cell form the dedup probes met this run.
-        self._fingerprints: dict[_Form, str] = {}
+        #: Pruned ``(matrix, ops)`` form → fingerprint of every cell the dedup
+        #: probes met this run.
+        self._fingerprints: dict[tuple, str] = {}
         self.population: deque[int] = deque(maxlen=spec.population_size)
         self.selection = np.empty(0)
         self.objective = np.empty(0)
@@ -170,7 +169,7 @@ class Evolution:
             if known is None:
                 self._fingerprints[form] = arch.fingerprint
             else:
-                object.__setattr__(arch, "_fingerprint", known)
+                object.__setattr__(arch, "_fingerprint", known)  # Cell is frozen
         return arch
 
     @staticmethod
