@@ -28,20 +28,19 @@ from .ops import MAX_EDGES, MAX_VERTICES
 def _as_rows(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Square adjacency rows of Python ints (``int8`` semantics, as numpy casts).
 
-    An entry whose ``int8`` value differs from it (``1.7``, ``0.5``, ``"1"``)
-    is rejected rather than read as an edge or no edge; ``1.0`` and booleans
-    equal their value and pass.
+    An entry whose ``int8`` value differs from it (``1.7``, ``0.5``, ``"1"``,
+    a wrapped ``257``) is rejected rather than read as an edge or no edge;
+    ``1.0`` and booleans equal their value and pass.
     """
     array = np.asarray(matrix, dtype=np.int8)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise InvalidCellError(f"adjacency matrix must be square, got shape {array.shape}")
-    entries = np.asarray(matrix)
-    changed = entries != array
-    if changed.any():
-        raise InvalidCellError(
-            f"adjacency matrix entries must be 0 or 1, got {entries[changed][0].item()!r}"
-        )
-    return tuple(map(tuple, array.tolist()))
+    rows = tuple(map(tuple, array.tolist()))
+    for row, given in zip(rows, matrix):
+        for value, entry in zip(row, given):
+            if value != entry:
+                raise InvalidCellError(f"adjacency matrix entries must be 0 or 1, got {entry!r}")
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

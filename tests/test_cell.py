@@ -83,8 +83,9 @@ class TestCellValidation:
 
     @pytest.mark.parametrize("entry", [1.7, 0.5, "1", np.float64(0.9)])
     def test_rejects_entries_that_are_not_their_int8_value(self, entry):
-        with pytest.raises(InvalidCellError, match="must be 0 or 1"):
+        with pytest.raises(InvalidCellError, match="must be 0 or 1, got") as raised:
             Cell([[0, entry], [0, 0]], [INPUT, OUTPUT])
+        assert str(raised.value).endswith(repr(entry))
 
     def test_rejects_array_entries_that_wrap_in_int8(self):
         with pytest.raises(InvalidCellError, match="257"):

@@ -223,10 +223,10 @@ class TestSearchSpec:
         with pytest.raises(SearchError, match="at least 2 edges"):
             SearchSpec(max_edges=1)
 
-    def test_smallest_budget_searches_its_whole_space(self):
+    def test_smallest_budget_searches_its_whole_space(self, tmp_path):
         # Three vertices and two edges: the 0 -> 1 cell and one chain per op.
         spec = small_spec("random", max_vertices=3, max_edges=2, population_size=2, generations=2)
-        result = SearchEngine(spec).run()
+        result = SearchEngine(spec, store=MeasurementStore(tmp_path, shard_size=2)).run()
         assert len({record.fingerprint for record in result.dataset}) == 4
 
     def test_energy_objective_requires_an_energy_model(self):
@@ -323,8 +323,10 @@ class TestSearchEngine:
             SearchEngine(small_spec("evolution"), store=store)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_no_form_is_hashed_twice_in_one_run(self, strategy, monkeypatch):
-        engine = SearchEngine(small_spec(strategy))
+    def test_no_form_is_hashed_twice_in_one_run(self, strategy, monkeypatch, tmp_path):
+        spec = small_spec(strategy)
+        store = MeasurementStore(tmp_path, shard_size=spec.population_size)
+        engine = SearchEngine(spec, store=store)
         hashed = []
         hash_graph = hashing.hash_graph
 
