@@ -206,8 +206,10 @@ def valid_cells(draw, max_vertices=MAX_VERTICES):
 
 @st.composite
 def topological_orders(draw, cell):
-    """A vertex order of *cell* that keeps the input first, the output last and
-    every edge pointing forward (a valid :func:`permute_cell` argument)."""
+    """A :func:`permute_cell` order of *cell*'s vertices.
+
+    The input stays first, the output last, and every edge points forward.
+    """
     n = cell.num_vertices
     priority = draw(st.permutations(range(n)))
     placed: list[int] = [0]
