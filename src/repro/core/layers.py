@@ -61,20 +61,25 @@ class Module:
         return [parameter.data.copy() for parameter in self.parameters()]
 
     def load_arrays(self, arrays: list[np.ndarray]) -> None:
-        """Restore parameters previously produced by :meth:`export_arrays`."""
+        """Restore parameters previously produced by :meth:`export_arrays`.
+
+        Every count and shape is checked before any parameter is written, so
+        a rejected load leaves the module as it was.
+        """
         parameters = list(self.parameters())
         if len(parameters) != len(arrays):
             raise ModelError(
                 f"cannot load {len(arrays)} arrays into a module with "
                 f"{len(parameters)} parameters"
             )
+        arrays = [np.asarray(array, dtype=np.float64) for array in arrays]
         for parameter, array in zip(parameters, arrays):
-            array = np.asarray(array, dtype=np.float64)
             if parameter.data.shape != array.shape:
                 raise ModelError(
                     f"shape mismatch while loading weights: expected "
                     f"{parameter.data.shape}, got {array.shape}"
                 )
+        for parameter, array in zip(parameters, arrays):
             parameter.data[...] = array
 
     def zero_grad(self) -> None:

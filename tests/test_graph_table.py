@@ -219,3 +219,29 @@ class TestPredictorEquivalence:
         different = sample_unique_cells(2 * len(cells), seed=123)[len(cells):]
         with pytest.raises(ModelError, match="digest"):
             other.restore_state(GraphTable.from_cells(different), state)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            # 56 weight arrays against the default model's 38.
+            (dict(use_layer_norm=True), "cannot load 56 arrays"),
+            # Arrays 0 and 1 fit; array 2 is the first of another shape.
+            (dict(latent_size=8), "shape mismatch"),
+        ],
+        ids=["count", "shape"],
+    )
+    def test_rejected_restore_leaves_the_model_unchanged(self, cells, shape, message):
+        table = GraphTable.from_cells(cells)
+        targets = np.linspace(1.0, 2.0, len(cells))
+        model = LearnedPerformanceModel("V1", TrainingSettings(epochs=1, seed=0))
+        model.fit_table(table, targets)
+        other = LearnedPerformanceModel("V1", TrainingSettings(epochs=1, seed=0, **shape))
+        other.fit_table(table, targets)
+        weights = model.model.export_arrays()
+        predictions = model.predict_cells(cells[:6])
+
+        with pytest.raises(ModelError, match=message):
+            model.restore_state(table, other.export_state())
+        for array, before in zip(model.model.export_arrays(), weights, strict=True):
+            assert np.array_equal(array, before)
+        assert np.array_equal(model.predict_cells(cells[:6]), predictions)
