@@ -180,6 +180,10 @@ def evaluate_loss(
 ) -> float:
     """Average per-step MSE of *model* on a dataset (no gradient updates)."""
     targets = np.asarray(targets, dtype=float)
+    if len(targets) != table.num_graphs:
+        raise ModelError(
+            f"{len(targets)} targets for a table of {table.num_graphs} graphs"
+        )
     total = 0.0
     for indices, batch in _batches(table, batch_size):
         total += step.batch_loss(model, batch, targets[indices]) * len(indices)
@@ -207,10 +211,12 @@ def train_model(
     num_train = table.num_graphs
     if num_train != len(train_targets):
         raise ModelError("training graphs and targets must have the same length")
+    has_validation = validation_table is not None and validation_targets is not None
+    if has_validation and validation_table.num_graphs != len(validation_targets):
+        raise ModelError("validation graphs and targets must have the same length")
 
     history = TrainingHistory()
     train_targets = np.asarray(train_targets, dtype=float)
-    has_validation = validation_table is not None and validation_targets is not None
 
     with obs.span("core.train", graphs=num_train, epochs=epochs, batch_size=batch_size):
         optimizer = Adam(model.parameters(), learning_rate=learning_rate)

@@ -128,6 +128,20 @@ class TestTrainingLoop:
         with pytest.raises(ModelError):
             train_model(EncodeProcessDecode(seed=0), table, np.zeros(3), epochs=1)
 
+    @pytest.mark.parametrize("count", [10, 2], ids=["more", "fewer"])
+    def test_evaluate_loss_rejects_a_target_count_unlike_the_table(self, count):
+        table = GraphTable.from_cells(sample_unique_cells(4, seed=1))
+        with pytest.raises(ModelError, match=f"{count} targets for a table of 4 graphs"):
+            evaluate_loss(EncodeProcessDecode(seed=0), table, np.zeros(count))
+
+    def test_mismatched_validation_lengths_rejected(self):
+        cells = sample_unique_cells(9, seed=1)
+        train, validation = GraphTable.from_cells(cells[:5]), GraphTable.from_cells(cells[5:])
+        with pytest.raises(ModelError, match="validation graphs and targets"):
+            train_model(
+                EncodeProcessDecode(seed=0), train, np.zeros(5), validation, np.zeros(7), epochs=1
+            )
+
     def test_evaluate_loss_and_predict_shapes(self):
         cells = sample_unique_cells(20, seed=12)
         table = GraphTable.from_graphs([cell_to_graph(cell) for cell in cells])
