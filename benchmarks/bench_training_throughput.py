@@ -6,12 +6,13 @@ model side of the stack:
 * **featurize + pack** — graphs/sec to encode a population (Figure 4
   featurization) and the one-time cost of packing it into a `GraphTable`;
 * **batch formation** — forming one epoch of shuffled mini-batches
-  (`slice_batch` vs per-step `batch_graphs` list concatenation), and forming
-  the whole-population batch used by single-pass inference (`to_batched`,
-  O(1), vs re-concatenating every graph);
+  (`slice_batch` vs packing each step's list with `GraphTable.from_graphs`),
+  and forming the whole-population batch used by single-pass inference
+  (`to_batched`, O(1), vs re-packing every graph);
 * **training** — wall-clock per epoch for `train_model` (the written-out
   step of `repro.core.step`) vs the same loop recorded on the autodiff tape
-  (`tape_train` below). Both arms must end with bit-identical weights;
+  (`tape.train` of `tests/tape.py`). Both arms must end with bit-identical
+  weights;
 * **store + model** — the Table 8 workflow over one store directory, cold
   then warm: sample, `MeasurementStore.extend` (label), then
   `SweepService.model(...)` (fit, or restore the cached weights) and
@@ -25,18 +26,17 @@ Population and epochs scale down with ``REPRO_BENCH_TRAIN_MODELS`` /
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.core import (
-    Adam,
     EncodeProcessDecode,
     GraphTable,
     LearnedPerformanceModel,
     TrainingSettings,
-    batch_graphs,
-    batched_loss,
     featurize_cells,
     train_model,
 )
@@ -45,25 +45,16 @@ from repro.service import MeasurementStore, SweepService
 
 from _reporting import report
 
+# The tape oracle lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import tape  # noqa: E402
+
 NUM_MODELS = int(os.environ.get("REPRO_BENCH_TRAIN_MODELS", "400"))
 EPOCHS = int(os.environ.get("REPRO_BENCH_TRAIN_EPOCHS", "5"))
 BATCH_SIZE = 16
 SEED = 2022
 #: Rounds used to time the (fast) batch-formation loops stably.
 FORMATION_ROUNDS = 5
-
-
-def tape_train(model, table, targets, epochs, batch_size, seed):
-    """`train_model`'s loop with every step recorded on the autodiff tape."""
-    optimizer = Adam(model.parameters())
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        order = rng.permutation(table.num_graphs)
-        for start in range(0, len(order), batch_size):
-            indices = order[start : start + batch_size]
-            optimizer.zero_grad()
-            batched_loss(model, table.slice_batch(indices), targets[indices]).backward()
-            optimizer.step()
 
 
 def _epoch_orders(num_graphs: int) -> list[np.ndarray]:
@@ -105,7 +96,7 @@ def test_training_throughput(benchmark, tmp_path, monkeypatch):
     for order in orders:
         for position in range(0, len(order), BATCH_SIZE):
             indices = order[position : position + BATCH_SIZE]
-            batch_graphs([graphs[i] for i in indices])
+            GraphTable.from_graphs([graphs[i] for i in indices]).to_batched()
     legacy_epoch_batching = (time.perf_counter() - start) / FORMATION_ROUNDS
 
     start = time.perf_counter()
@@ -117,7 +108,7 @@ def test_training_throughput(benchmark, tmp_path, monkeypatch):
     # --- whole-population batch (single-pass inference input) -------------
     start = time.perf_counter()
     for _ in range(FORMATION_ROUNDS):
-        batch_graphs(graphs)
+        GraphTable.from_graphs(graphs).to_batched()
     legacy_full_batch = (time.perf_counter() - start) / FORMATION_ROUNDS
     start = time.perf_counter()
     for _ in range(FORMATION_ROUNDS):
@@ -127,7 +118,7 @@ def test_training_throughput(benchmark, tmp_path, monkeypatch):
     # --- training: the written-out step vs the recorded tape ---------------
     tape_model = EncodeProcessDecode(seed=1)
     start = time.perf_counter()
-    tape_train(tape_model, table, targets, EPOCHS, BATCH_SIZE, seed=0)
+    tape.train(tape_model, table, targets, epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0)
     tape_elapsed = time.perf_counter() - start
 
     models = []
@@ -187,7 +178,7 @@ def test_training_throughput(benchmark, tmp_path, monkeypatch):
         f"{tape_elapsed / EPOCHS:>12.3f}{tape_elapsed / packed_train:>10.1f}",
         f"{'extend + model run (s)':<36}{warm_run:>12.3f}"
         f"{cold_run:>12.3f}{cold_run / warm_run:>10.1f}",
-        "(references: per-step batch_graphs list concatenation for batch formation,",
+        "(references: packing each step's list with GraphTable.from_graphs for batch formation,",
         " the autodiff tape for the train epoch, the cold run for extend + model,",
         " where 'packed' is the warm re-run over the same store)",
     ]
@@ -200,8 +191,7 @@ def test_training_throughput(benchmark, tmp_path, monkeypatch):
     # enough that formation cost dominates fixed numpy call overhead, so in
     # smoke mode (tiny populations on noisy CI runners) they are reported via
     # extra_info but not asserted.
-    for weights, tape_weights in zip(trained.parameters(), tape_model.parameters()):
-        assert np.array_equal(weights.data, tape_weights.data), "training arms diverged"
+    assert np.array_equal(trained.values, tape_model.values), "training arms diverged"
     assert warm_run < cold_run, (
         f"warm store + model run ({warm_run:.3f}s) not faster than cold ({cold_run:.3f}s)"
     )

@@ -1,14 +1,14 @@
 """Learned performance model: graph network, written-out training step, metrics.
 
-The numpy autodiff tape (:mod:`.autodiff`) is the reference the written-out
-step (:mod:`.step`) is tested against.
+The model (:mod:`.model`) holds its parameters as named views of one flat
+vector; :mod:`.step` is its forward pass, loss and gradients written out on
+numpy arrays, and :mod:`.trainer` trains it with the flat :class:`Adam`.
+The autodiff tape this step is tested against lives in the tests
+(``tests/tape.py``).
 """
 
-from .autodiff import Tensor, mse_loss
 from .features import GraphTuple, cell_to_graph, featurize_cells
-from .graph_net import BatchedGraphs, GraphNetBlock, IndependentBlock, batch_graphs
 from .graph_table import GraphTable
-from .layers import MLP, LayerNorm, Linear, Module
 from .metrics import (
     EstimationReport,
     estimation_accuracy,
@@ -29,7 +29,6 @@ from .trainer import (
     DatasetSplit,
     TargetNormalizer,
     TrainingHistory,
-    batched_loss,
     evaluate_loss,
     split_dataset,
     train_model,
@@ -37,33 +36,22 @@ from .trainer import (
 
 __all__ = [
     "Adam",
-    "BatchedGraphs",
     "DatasetSplit",
     "EncodeProcessDecode",
     "EstimationReport",
-    "GraphNetBlock",
     "GraphTable",
     "GraphTuple",
-    "IndependentBlock",
-    "LayerNorm",
     "LearnedPerformanceModel",
-    "Linear",
-    "MLP",
-    "Module",
     "SUPPORTED_METRICS",
     "TargetNormalizer",
-    "Tensor",
     "TrainingHistory",
     "TrainingSettings",
-    "batch_graphs",
-    "batched_loss",
     "cell_to_graph",
     "estimation_accuracy",
     "evaluate_loss",
     "evaluate_predictions",
     "featurize_cells",
     "metric_targets",
-    "mse_loss",
     "pearson_correlation",
     "spearman_correlation",
     "split_dataset",

@@ -6,13 +6,12 @@ features, edge endpoints and per-graph segment offsets are flattened **once
 per dataset** into aligned NumPy arrays.  Mini-batches are then O(batch)
 fancy-indexed *slices* of those arrays — no per-step Python list walking or
 re-concatenation of :class:`~repro.core.features.GraphTuple` objects — and the
-whole dataset is one :class:`~repro.core.graph_net.BatchedGraphs`, so
-whole-population inference is a single forward pass.
+whole dataset is one :class:`~repro.core.step.GraphBatch`, so whole-population
+inference is a single forward pass.
 
 Slicing is pure row selection and integer rebasing (no float arithmetic), so
-a sliced batch is bit-for-bit identical to packing the same graphs with
-:func:`~repro.core.graph_net.batch_graphs`; the equivalence is enforced by
-``tests/test_graph_table.py``.
+a sliced batch is bit-for-bit identical to packing the same graphs one list
+at a time; ``tests/test_graph_table.py`` checks it against such a loop.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import numpy as np
 
 from ..errors import ModelError
 from ..nasbench.cell import Cell
-from .autodiff import Tensor
 from .features import GraphTuple, featurize_cells
+from .step import GraphBatch
 
 
 def _segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -122,14 +121,12 @@ class GraphTable:
     # ------------------------------------------------------------------ #
     # Batch views
     # ------------------------------------------------------------------ #
-    def to_batched(self):
-        """The whole table as one :class:`BatchedGraphs` (no copies)."""
-        from .graph_net import BatchedGraphs  # deferred: batch_graphs wraps us
-
-        return BatchedGraphs(
-            nodes=Tensor(self.nodes),
-            edges=Tensor(self.edges),
-            globals_=Tensor(self.globals_),
+    def to_batched(self) -> GraphBatch:
+        """The whole table as one :class:`GraphBatch` (no feature copies)."""
+        return GraphBatch(
+            nodes=self.nodes,
+            edges=self.edges,
+            globals_=self.globals_,
             senders=self.senders,
             receivers=self.receivers,
             node_graph_ids=np.repeat(
@@ -141,22 +138,20 @@ class GraphTable:
             num_graphs=self.num_graphs,
         )
 
-    def slice_batch(self, indices: np.ndarray | Sequence[int]):
-        """Mini-batch of the graphs at *indices* as a :class:`BatchedGraphs`.
+    def slice_batch(self, indices: np.ndarray | Sequence[int]) -> GraphBatch:
+        """Mini-batch of the graphs at *indices* as a :class:`GraphBatch`.
 
         Pure row gathering plus integer rebasing of the edge endpoints, so the
-        result is bit-for-bit what :func:`batch_graphs` would build from the
-        same graphs — without touching Python lists.
+        result is bit-for-bit what packing the same graphs would build —
+        without touching Python lists.
         """
-        from .graph_net import BatchedGraphs  # deferred: batch_graphs wraps us
-
         rows = self._gathered_rows(indices)
         (indices, node_rows, edge_rows, node_counts, edge_counts, senders, receivers) = rows
         batch = len(indices)
-        return BatchedGraphs(
-            nodes=Tensor(self.nodes[node_rows]),
-            edges=Tensor(self.edges[edge_rows]),
-            globals_=Tensor(self.globals_[indices]),
+        return GraphBatch(
+            nodes=self.nodes[node_rows],
+            edges=self.edges[edge_rows],
+            globals_=self.globals_[indices],
             senders=senders,
             receivers=receivers,
             node_graph_ids=np.repeat(np.arange(batch, dtype=np.int64), node_counts),

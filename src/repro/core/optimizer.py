@@ -2,78 +2,48 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from ..errors import ModelError
-from .autodiff import Tensor
 
 
 class Adam:
-    """Adam optimizer over one flat buffer holding every parameter.
+    """Adam optimizer over one flat parameter vector, updated in place.
 
     The paper trains its graph network with Adam at a learning rate of 1e-3
     and otherwise default hyperparameters; those are the defaults here.
 
-    Construction moves the parameters into one flat array: each parameter's
-    ``data`` becomes a view of its slice, so a step is a handful of numpy
-    calls over the whole model instead of a handful per parameter. The
-    update is elementwise, so every element gets exactly the arithmetic of
-    a per-parameter Adam. :attr:`slots` holds a view of the flat
-    :attr:`gradient` buffer per parameter, for code that writes gradients
-    directly; a parameter that never gets a gradient keeps a zero slot and
-    its value exactly (``p - 0.0 == p``).
+    The model holds every parameter as a view of one flat vector
+    (:attr:`~repro.core.model.EncodeProcessDecode.values`), so a step is a
+    handful of numpy calls over the whole model. The update is elementwise,
+    so every element gets exactly the arithmetic of a per-parameter Adam; an
+    element whose gradient stays zero keeps its value exactly
+    (``p - 0.0 == p``).
     """
 
     def __init__(
         self,
-        parameters: Iterable[Tensor],
+        values: np.ndarray,
         learning_rate: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ):
-        self.parameters: list[Tensor] = list(parameters)
-        if not self.parameters:
+        if values.size == 0:
             raise ModelError("Adam received no parameters to optimize")
         if learning_rate <= 0:
             raise ModelError("learning rate must be positive")
+        self.values = values
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self._step = 0
-        self._values = np.concatenate([p.data.ravel() for p in self.parameters])
-        self.gradient = np.zeros_like(self._values)
-        self.slots: dict[Tensor, np.ndarray] = {}
-        start = 0
-        for parameter in self.parameters:
-            shape, stop = parameter.data.shape, start + parameter.data.size
-            parameter.data = self._values[start:stop].reshape(shape)
-            self.slots[parameter] = self.gradient[start:stop].reshape(shape)
-            start = stop
-        self._first_moment = np.zeros_like(self._values)
-        self._second_moment = np.zeros_like(self._values)
+        self._first_moment = np.zeros_like(values)
+        self._second_moment = np.zeros_like(values)
 
-    def zero_grad(self) -> None:
-        """Clear the tape gradients of every tracked parameter."""
-        for parameter in self.parameters:
-            parameter.zero_grad()
-
-    def step(self, gradient: np.ndarray | None = None) -> None:
-        """Apply one Adam update.
-
-        *gradient* is the flat gradient in parameter order, normally
-        :attr:`gradient` after its slots were written. By default it is
-        gathered from each parameter's tape gradient, with zeros for a
-        parameter that has none.
-        """
-        if gradient is None:
-            for parameter in self.parameters:
-                slot = self.slots[parameter]
-                slot[...] = 0.0 if parameter.grad is None else parameter.grad
-            gradient = self.gradient
+    def step(self, gradient: np.ndarray) -> None:
+        """Apply one Adam update for *gradient*, laid out like :attr:`values`."""
         self._step += 1
         bias_correction1 = 1.0 - self.beta1**self._step
         bias_correction2 = 1.0 - self.beta2**self._step
@@ -85,4 +55,4 @@ class Adam:
         v += (1.0 - self.beta2) * gradient**2
         m_hat = m / bias_correction1
         v_hat = v / bias_correction2
-        self._values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self.values -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)

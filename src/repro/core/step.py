@@ -1,12 +1,12 @@
 """The learned model's training step, written out on numpy arrays.
 
-:mod:`repro.core.autodiff` records every operation of a step on a dynamic
-tape and walks it back; this module is the same encode-process-decode
-forward pass, per-step MSE loss and parameter gradients written out by hand
-ahead of time (source transformation in the manner of Myia, instead of a
-recorded tape). The tape stays as the readable oracle: the losses, every
-gradient, the trained weights and the predictions here are bit-identical to
-it, which ``tests/test_step.py`` and ``tests/test_golden_training.py`` check.
+The encode-process-decode forward pass of :mod:`repro.core.model`, the
+per-step MSE loss and every parameter gradient, written out by hand ahead
+of time (source transformation in the manner of Myia, instead of a recorded
+tape). The tests keep a dynamic autodiff tape as the readable oracle
+(``tests/tape.py``): the losses, every gradient, the trained weights and
+the predictions here are bit-identical to it, which ``tests/test_step.py``
+and ``tests/test_golden_training.py`` check.
 
 Three things keep it bit-identical while doing less work:
 
@@ -29,16 +29,17 @@ Three things keep it bit-identical while doing less work:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .autodiff import LAYER_NORM_EPSILON, Tensor, _sum_segments
-from .graph_net import BatchedGraphs
-from .layers import MLP
 from .model import EncodeProcessDecode
+
+#: Variance offset of the layer normalization.
+LAYER_NORM_EPSILON = 1e-5
+
 
 def _scatter_matrix(ids: np.ndarray, rows: int, sorted_ids: bool = False) -> csr_matrix:
     """``(rows, len(ids))`` 0/1 matrix ``S`` with ``S[ids[j], j] = 1``.
@@ -55,22 +56,24 @@ def _scatter_matrix(ids: np.ndarray, rows: int, sorted_ids: bool = False) -> csr
     )
 
 
+@dataclass(eq=False)
 class GraphBatch:
-    """One batch's feature and index arrays, plus its scatter transposes.
+    """One batch of packed graphs, plus its scatter transposes.
 
-    The transposes are built on first use and then shared by every
-    message-passing step and by the forward and backward passes.
+    ``senders``/``receivers`` index the batch's node rows; the graph ids are
+    non-decreasing (graphs are packed in order). The transposes are built on
+    first use and then shared by every message-passing step and by the
+    forward and backward passes.
     """
 
-    def __init__(self, batched: BatchedGraphs):
-        self.nodes = batched.nodes.data
-        self.edges = batched.edges.data
-        self.globals_ = batched.globals_.data
-        self.senders = batched.senders
-        self.receivers = batched.receivers
-        self.node_graph_ids = batched.node_graph_ids
-        self.edge_graph_ids = batched.edge_graph_ids
-        self.num_graphs = batched.num_graphs
+    nodes: np.ndarray
+    edges: np.ndarray
+    globals_: np.ndarray
+    senders: np.ndarray
+    receivers: np.ndarray
+    node_graph_ids: np.ndarray
+    edge_graph_ids: np.ndarray
+    num_graphs: int
 
     @cached_property
     def sender_scatter(self) -> csr_matrix:
@@ -89,43 +92,49 @@ class GraphBatch:
         return _scatter_matrix(self.node_graph_ids, self.num_graphs, sorted_ids=True)
 
     @cached_property
-    def _edge_starts(self) -> np.ndarray | None:
-        return _segment_starts(self.edge_graph_ids, self.num_graphs)
+    def _edge_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _runs(self.edge_graph_ids, self.num_graphs)
 
     @cached_property
-    def _node_starts(self) -> np.ndarray | None:
-        return _segment_starts(self.node_graph_ids, self.num_graphs)
+    def _node_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _runs(self.node_graph_ids, self.num_graphs)
 
     def edge_graph_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-graph sums of edge rows (the tape's sorted ``segment_sum``)."""
-        return _segment_sum(values, self.edge_graph_ids, self.num_graphs, self._edge_starts)
+        """Per-graph sums of edge rows."""
+        return _segment_sum(values, self.num_graphs, *self._edge_runs)
 
     def node_graph_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-graph sums of node rows (the tape's sorted ``segment_sum``)."""
-        return _segment_sum(values, self.node_graph_ids, self.num_graphs, self._node_starts)
+        """Per-graph sums of node rows."""
+        return _segment_sum(values, self.num_graphs, *self._node_runs)
 
 
-def _segment_starts(ids: np.ndarray, segments: int) -> np.ndarray | None:
-    """First row of each segment of sorted *ids*; ``None`` if one is empty."""
+def _runs(ids: np.ndarray, segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which segments of sorted *ids* have rows, and the first row of each."""
     counts = np.bincount(ids, minlength=segments)
-    if len(ids) == 0 or not counts.all():
-        return None
-    return np.concatenate(([0], np.cumsum(counts)[:-1]))
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    nonempty = counts > 0
+    return nonempty, starts[nonempty]
 
 
 def _segment_sum(
-    values: np.ndarray, ids: np.ndarray, segments: int, starts: np.ndarray | None
+    values: np.ndarray, segments: int, nonempty: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
-    """``autodiff._sum_segments``'s sorted ``reduceat`` path, same bits."""
-    if starts is not None:
+    """Row sums of each run of sorted ids, by ``np.add.reduceat``.
+
+    An empty segment (a graph without edges) sums to zero rows.
+    """
+    if nonempty.all():
         return np.add.reduceat(values, starts, axis=0)
-    return _sum_segments(values, ids, segments, sorted_ids=True)
+    out = np.zeros((segments, values.shape[1]))
+    if len(starts):
+        out[nonempty] = np.add.reduceat(values, starts, axis=0)
+    return out
 
 
 def _row_sum(grad: np.ndarray) -> np.ndarray:
     """Gradient of a ``(1, k)`` parameter broadcast over rows.
 
-    ``autodiff._unbroadcast`` for that shape: a single row is kept as is.
+    A single row is kept as is, as the tape keeps it.
     """
     return grad if grad.shape[0] == 1 else grad.sum(axis=0, keepdims=True)
 
@@ -138,21 +147,23 @@ def _column_sum(grad: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 # MLP blocks
 # ---------------------------------------------------------------------- #
-def _mlp_forward(mlp: MLP, x: np.ndarray, saved: list | None) -> np.ndarray:
-    """``mlp(x)``; appends what :func:`_mlp_backward` needs to *saved*."""
-    pre = x @ mlp.hidden.weight.data + mlp.hidden.bias.data
+def _mlp_forward(
+    params: dict[str, np.ndarray], name: str, x: np.ndarray, saved: list | None
+) -> np.ndarray:
+    """The MLP *name* applied to *x*; appends what :func:`_mlp_backward` needs."""
+    pre = x @ params[f"{name}/hidden/weight"] + params[f"{name}/hidden/bias"]
     mask = pre > 0
     hidden = pre * mask
-    out = hidden @ mlp.output.weight.data + mlp.output.bias.data
+    out = hidden @ params[f"{name}/output/weight"] + params[f"{name}/output/bias"]
     norm = None
-    if mlp.norm is not None:
+    if f"{name}/norm/scale" in params:
         inv_count = 1.0 / out.shape[-1]
         centered = out - out.sum(axis=-1, keepdims=True) * inv_count
         shifted = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
         shifted = shifted + LAYER_NORM_EPSILON
         inv_std = shifted**-0.5
         normalized = centered * inv_std
-        out = normalized * mlp.norm.scale.data + mlp.norm.offset.data
+        out = normalized * params[f"{name}/norm/scale"] + params[f"{name}/norm/offset"]
         norm = (inv_count, centered, shifted, inv_std, normalized)
     if saved is not None:
         saved.append((x, mask, hidden, norm))
@@ -160,7 +171,8 @@ def _mlp_forward(mlp: MLP, x: np.ndarray, saved: list | None) -> np.ndarray:
 
 
 def _mlp_backward(
-    mlp: MLP,
+    params: dict[str, np.ndarray],
+    name: str,
     saved: tuple,
     grad: np.ndarray,
     deposit,
@@ -169,15 +181,15 @@ def _mlp_backward(
 ) -> np.ndarray | None:
     """Gradients of one :func:`_mlp_forward` call, in the tape's order.
 
-    Parameter gradients go to ``deposit(parameter, value, first)``; the
+    Parameter gradients go to ``deposit(parameter name, value, first)``; the
     input's gradient is returned when *input_grad* is set.
     """
     x, mask, hidden, norm = saved
     if norm is not None:
         inv_count, centered, shifted, inv_std, normalized = norm
-        deposit(mlp.norm.offset, _row_sum(grad), first)
-        grad_normalized = grad * mlp.norm.scale.data
-        deposit(mlp.norm.scale, _row_sum(grad * normalized), first)
+        deposit(f"{name}/norm/offset", _row_sum(grad), first)
+        grad_normalized = grad * params[f"{name}/norm/scale"]
+        deposit(f"{name}/norm/scale", _row_sum(grad * normalized), first)
         grad_centered = grad_normalized * inv_std
         grad_inv_std = _column_sum(grad_normalized * centered)
         grad_variance = grad_inv_std * -0.5 * shifted**-1.5
@@ -188,15 +200,13 @@ def _mlp_backward(
         grad_centered += square
         grad_mean = _column_sum(-grad_centered) * inv_count
         grad = grad_centered + grad_mean
-    output = mlp.output
-    deposit(output.bias, _row_sum(grad), first)
-    grad_hidden = grad @ output.weight.data.T
-    deposit(output.weight, hidden.T @ grad, first)
+    deposit(f"{name}/output/bias", _row_sum(grad), first)
+    grad_hidden = grad @ params[f"{name}/output/weight"].T
+    deposit(f"{name}/output/weight", hidden.T @ grad, first)
     grad_pre = grad_hidden * mask
-    hidden_layer = mlp.hidden
-    deposit(hidden_layer.bias, _row_sum(grad_pre), first)
-    grad_x = grad_pre @ hidden_layer.weight.data.T if input_grad else None
-    deposit(hidden_layer.weight, x.T @ grad_pre, first)
+    deposit(f"{name}/hidden/bias", _row_sum(grad_pre), first)
+    grad_x = grad_pre @ params[f"{name}/hidden/weight"].T if input_grad else None
+    deposit(f"{name}/hidden/weight", x.T @ grad_pre, first)
     return grad_x
 
 
@@ -207,12 +217,11 @@ def _forward(
     model: EncodeProcessDecode, batch: GraphBatch, saved: list | None, every_step: bool
 ) -> list[np.ndarray]:
     """Predictions of every step (or only the last); fills *saved* if given."""
-    encoder, core = model.encoder, model.core
-    decoder = model.decoder.global_model
-    weight, bias = model.readout.weight.data, model.readout.bias.data
-    enc_edges = _mlp_forward(encoder.edge_model, batch.edges, saved)
-    enc_nodes = _mlp_forward(encoder.node_model, batch.nodes, saved)
-    enc_globals = _mlp_forward(encoder.global_model, batch.globals_, saved)
+    params = model.params
+    weight, bias = params["readout/weight"], params["readout/bias"]
+    enc_edges = _mlp_forward(params, "encoder/edge", batch.edges, saved)
+    enc_nodes = _mlp_forward(params, "encoder/node", batch.nodes, saved)
+    enc_globals = _mlp_forward(params, "encoder/global", batch.globals_, saved)
     edges, nodes, globals_ = enc_edges, enc_nodes, enc_globals
     steps = model.num_message_passing_steps
     predictions = []
@@ -229,17 +238,17 @@ def _forward(
             ],
             axis=1,
         )
-        edges = _mlp_forward(core.edge_model, edge_inputs, saved)
+        edges = _mlp_forward(params, "core/edge", edge_inputs, saved)
         node_inputs = np.concatenate(
             [nodes, batch.receiver_scatter @ edges, globals_[batch.node_graph_ids]], axis=1
         )
-        nodes = _mlp_forward(core.node_model, node_inputs, saved)
+        nodes = _mlp_forward(params, "core/node", node_inputs, saved)
         global_inputs = np.concatenate(
             [globals_, batch.edge_graph_sum(edges), batch.node_graph_sum(nodes)], axis=1
         )
-        globals_ = _mlp_forward(core.global_model, global_inputs, saved)
+        globals_ = _mlp_forward(params, "core/global", global_inputs, saved)
         if every_step or step == steps - 1:
-            decoded = _mlp_forward(decoder, globals_, saved)
+            decoded = _mlp_forward(params, "decoder/global", globals_, saved)
             predictions.append(decoded @ weight + bias)
             if saved is not None:
                 saved.append(decoded)
@@ -247,7 +256,7 @@ def _forward(
 
 
 def _mean_squared_errors(predictions: list[np.ndarray], targets: np.ndarray):
-    """The tape's ``batched_loss``: per-step MSE, averaged over steps."""
+    """Per-step MSE, averaged over steps, in the tape's order of operations."""
     diffs = [prediction - targets for prediction in predictions]
     scale = 1.0 / diffs[0].size
     loss = (diffs[0] * diffs[0]).sum() * scale
@@ -260,27 +269,26 @@ def loss_and_gradients(
     model: EncodeProcessDecode,
     batch: GraphBatch,
     targets: np.ndarray,
-    slots: Mapping[Tensor, np.ndarray],
+    grads: dict[str, np.ndarray],
 ) -> float:
-    """Loss of one batch; writes every parameter gradient into its slot.
+    """Loss of one batch; writes every parameter gradient into *grads*.
 
-    *slots* maps each parameter that reaches the loss to an array of its
-    shape (a view into the optimizer's flat gradient buffer); parameters of
-    the decoder's edge and node MLPs are left untouched.
+    *grads* holds one array per parameter name, normally
+    ``model.views(gradient)`` of a flat gradient vector. The parameters of
+    the decoder's edge and node MLPs never reach the loss; their arrays are
+    left untouched.
     """
     saved: list = []
     predictions = _forward(model, batch, saved, every_step=True)
     loss, diffs = _mean_squared_errors(predictions, targets.reshape(-1, 1))
 
-    def deposit(parameter: Tensor, value: np.ndarray, first: bool) -> None:
-        slot = slots[parameter]
+    def deposit(name: str, value: np.ndarray, first: bool) -> None:
         if first:
-            slot[...] = value
+            grads[name][...] = value
         else:
-            slot += value
+            grads[name] += value
 
-    encoder, core = model.encoder, model.core
-    decoder, readout = model.decoder.global_model, model.readout
+    params = model.params
     steps = model.num_message_passing_steps
     # Core inputs concatenate [encoder output, latent state]: 2 * latent wide.
     latent = model.latent_size
@@ -299,15 +307,19 @@ def loss_and_gradients(
         ]
         term = grad_square * diffs[step]
         grad_prediction = term + term
-        deposit(readout.bias, _row_sum(grad_prediction), first)
-        grad_decoded = grad_prediction @ readout.weight.data.T
-        deposit(readout.weight, decoded.T @ grad_prediction, first)
-        grad_globals = _mlp_backward(decoder, decoder_saved, grad_decoded, deposit, first)
+        deposit("readout/bias", _row_sum(grad_prediction), first)
+        grad_decoded = grad_prediction @ params["readout/weight"].T
+        deposit("readout/weight", decoded.T @ grad_prediction, first)
+        grad_globals = _mlp_backward(
+            params, "decoder/global", decoder_saved, grad_decoded, deposit, first
+        )
         if next_globals is not None:
             grad_globals = next_globals + grad_globals
 
         # Global update inputs: [globals (wide), edge sums, node sums].
-        grad_inputs = _mlp_backward(core.global_model, global_saved, grad_globals, deposit, first)
+        grad_inputs = _mlp_backward(
+            params, "core/global", global_saved, grad_globals, deposit, first
+        )
         grad_core_globals = grad_inputs[:, :wide]
         grad_edge_sums = grad_inputs[:, wide : wide + latent]
         grad_nodes = grad_inputs[:, wide + latent :][batch.node_graph_ids]
@@ -315,7 +327,7 @@ def loss_and_gradients(
             grad_nodes = next_nodes + grad_nodes
 
         # Node update inputs: [nodes (wide), incoming edges, globals (wide)].
-        grad_inputs = _mlp_backward(core.node_model, node_saved, grad_nodes, deposit, first)
+        grad_inputs = _mlp_backward(params, "core/node", node_saved, grad_nodes, deposit, first)
         grad_core_nodes = grad_inputs[:, :wide]
         grad_edges = grad_inputs[:, wide : wide + latent][batch.receivers]
         grad_core_globals = grad_core_globals + (
@@ -326,7 +338,7 @@ def loss_and_gradients(
         grad_edges = grad_edges + grad_edge_sums[batch.edge_graph_ids]
 
         # Edge update inputs: [edges, senders, receivers, globals], each wide.
-        grad_inputs = _mlp_backward(core.edge_model, edge_saved, grad_edges, deposit, first)
+        grad_inputs = _mlp_backward(params, "core/edge", edge_saved, grad_edges, deposit, first)
         grad_core_edges = grad_inputs[:, :wide]
         grad_core_globals = grad_core_globals + (
             batch.edge_graph_scatter @ grad_inputs[:, 3 * wide :]
@@ -353,12 +365,12 @@ def loss_and_gradients(
             pieces.append((encoded, grad[:, latent:]))
         (enc_nodes, next_nodes), (enc_edges, next_edges), (enc_globals, next_globals) = pieces
 
-    for mlp, record, grad in (
-        (encoder.node_model, saved[1], enc_nodes),
-        (encoder.edge_model, saved[0], enc_edges),
-        (encoder.global_model, saved[2], enc_globals),
+    for name, record, grad in (
+        ("encoder/node", saved[1], enc_nodes),
+        ("encoder/edge", saved[0], enc_edges),
+        ("encoder/global", saved[2], enc_globals),
     ):
-        _mlp_backward(mlp, record, grad, deposit, True, input_grad=False)
+        _mlp_backward(params, name, record, grad, deposit, True, input_grad=False)
     return float(loss)
 
 

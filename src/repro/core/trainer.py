@@ -9,10 +9,11 @@ quickly at all depths.
 The loop runs on the pack-once :class:`~repro.core.graph_table.GraphTable`
 representation: the dataset's graphs are flattened into shared arrays a single
 time and every mini-batch is an array slice of that table. Each step is the
-written-out forward/backward pass of :mod:`repro.core.step` feeding the flat
-:class:`~repro.core.optimizer.Adam`. The recorded tape of
-:mod:`repro.core.autodiff` (:func:`batched_loss` plus ``loss.backward()``) is
-the reference it is tested against, bit for bit; it trains nothing here.
+written-out forward/backward pass of :mod:`repro.core.step`: it writes the
+gradients into named views of one flat gradient vector, which
+:class:`~repro.core.optimizer.Adam` applies to the model's flat parameter
+vector in place. The autodiff tape of ``tests/tape.py`` is the reference it
+is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import numpy as np
 from .. import obs
 from ..errors import ModelError
 from . import step
-from .autodiff import Tensor, mse_loss
-from .graph_net import BatchedGraphs
 from .graph_table import GraphTable
 from .model import EncodeProcessDecode
 from .optimizer import Adam
@@ -149,27 +148,11 @@ class TrainingHistory:
         return len(self.train_losses)
 
 
-def batched_loss(
-    model: EncodeProcessDecode, batched: BatchedGraphs, targets: np.ndarray
-) -> Tensor:
-    """Loss of one batch on the tape: MSE averaged over message-passing steps.
-
-    This is the reference :func:`repro.core.step.loss_and_gradients` must
-    match bit for bit; training itself records no tape.
-    """
-    predictions = model(batched)
-    target_tensor = Tensor(np.asarray(targets, dtype=float).reshape(-1, 1))
-    loss = mse_loss(predictions[0], target_tensor)
-    for prediction in predictions[1:]:
-        loss = loss + mse_loss(prediction, target_tensor)
-    return loss * Tensor(1.0 / len(predictions))
-
-
 def _batches(table: GraphTable, batch_size: int):
     """Consecutive batches of *table*, with their graph indices."""
     for start in range(0, table.num_graphs, batch_size):
         indices = np.arange(start, min(start + batch_size, table.num_graphs))
-        yield indices, step.GraphBatch(table.slice_batch(indices))
+        yield indices, table.slice_batch(indices)
 
 
 def evaluate_loss(
@@ -219,7 +202,9 @@ def train_model(
     train_targets = np.asarray(train_targets, dtype=float)
 
     with obs.span("core.train", graphs=num_train, epochs=epochs, batch_size=batch_size):
-        optimizer = Adam(model.parameters(), learning_rate=learning_rate)
+        optimizer = Adam(model.values, learning_rate=learning_rate)
+        gradient = np.zeros_like(model.values)
+        grads = model.views(gradient)
         rng = np.random.default_rng(seed)
         steps = 0
         for _ in range(epochs):
@@ -227,11 +212,10 @@ def train_model(
             epoch_loss, batches = 0.0, 0
             for start in range(0, num_train, batch_size):
                 indices = order[start : start + batch_size]
-                batch = step.GraphBatch(table.slice_batch(indices))
                 epoch_loss += step.loss_and_gradients(
-                    model, batch, train_targets[indices], optimizer.slots
+                    model, table.slice_batch(indices), train_targets[indices], grads
                 )
-                optimizer.step(optimizer.gradient)
+                optimizer.step(gradient)
                 batches += 1
             steps += batches
             history.train_losses.append(epoch_loss / max(batches, 1))
@@ -253,7 +237,7 @@ def predict(
     batch size to chunk very large populations.
     """
     if batch_size is None:
-        return step.predict(model, step.GraphBatch(table.to_batched()))
+        return step.predict(model, table.to_batched())
     return np.concatenate(
         [step.predict(model, batch) for _, batch in _batches(table, batch_size)]
     )

@@ -1,9 +1,9 @@
-"""Equivalence tests: pack-once GraphTable vs the legacy per-list path.
+"""Equivalence tests: pack-once GraphTable vs packing one list at a time.
 
-The packed representation must be a pure re-arrangement of the legacy one:
-slicing the table produces bit-for-bit the arrays ``batch_graphs`` builds
-from the corresponding Python list. Training through ``train_model``
-reproduces the tape-driven reference loop of ``tests/test_step.py`` exactly
+The packed representation must be a pure re-arrangement of the per-list
+one: slicing the table produces bit-for-bit the arrays :func:`list_batch`
+builds from the corresponding Python list. Training through ``train_model``
+reproduces the tape-driven reference loop of ``tests/tape.py`` exactly
 (same losses, same weights, same predictions) given the same seed.
 """
 
@@ -12,19 +12,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tape
 from repro.core import (
     EncodeProcessDecode,
     GraphTable,
     LearnedPerformanceModel,
     TrainingSettings,
-    batch_graphs,
     featurize_cells,
     train_model,
 )
+from repro.core.step import GraphBatch
 from repro.core.trainer import evaluate_loss, predict
 from repro.errors import ModelError
 from repro.nasbench import sample_unique_cells
-from test_step import tape_train
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +42,28 @@ def table(graphs):
     return GraphTable.from_graphs(graphs)
 
 
+def list_batch(graphs):
+    """Pack *graphs* one at a time: each graph's endpoints offset by the nodes before it."""
+    offsets = np.cumsum([0] + [graph.num_nodes for graph in graphs])
+    return GraphBatch(
+        nodes=np.concatenate([graph.nodes for graph in graphs]),
+        edges=np.concatenate([graph.edges for graph in graphs]),
+        globals_=np.concatenate([graph.globals_ for graph in graphs]),
+        senders=np.concatenate([g.senders + o for g, o in zip(graphs, offsets)]),
+        receivers=np.concatenate([g.receivers + o for g, o in zip(graphs, offsets)]),
+        node_graph_ids=np.concatenate([[i] * g.num_nodes for i, g in enumerate(graphs)]),
+        edge_graph_ids=np.concatenate([[i] * g.num_edges for i, g in enumerate(graphs)]),
+        num_graphs=len(graphs),
+    )
+
+
 def assert_batches_equal(packed, legacy):
     assert packed.num_graphs == legacy.num_graphs
-    for name in ("senders", "receivers", "node_graph_ids", "edge_graph_ids"):
+    for name in (
+        "senders", "receivers", "node_graph_ids", "edge_graph_ids", "nodes", "edges", "globals_"
+    ):
         assert np.array_equal(getattr(packed, name), getattr(legacy, name)), name
-    for name in ("nodes", "edges", "globals_"):
-        assert np.array_equal(getattr(packed, name).data, getattr(legacy, name).data), name
+        assert getattr(packed, name).dtype == getattr(legacy, name).dtype, name
 
 
 class TestPacking:
@@ -65,7 +81,7 @@ class TestPacking:
         assert np.array_equal(direct.node_offsets, table.node_offsets)
 
     def test_to_batched_matches_batch_graphs(self, table, graphs):
-        assert_batches_equal(table.to_batched(), batch_graphs(graphs))
+        assert_batches_equal(table.to_batched(), list_batch(graphs))
 
     def test_empty_table_rejected(self):
         with pytest.raises(ModelError):
@@ -85,7 +101,7 @@ class TestSlicing:
     )
     def test_slice_matches_legacy_batching(self, table, graphs, indices):
         packed = table.slice_batch(np.asarray(indices))
-        legacy = batch_graphs([graphs[i] for i in indices])
+        legacy = list_batch([graphs[i] for i in indices])
         assert_batches_equal(packed, legacy)
 
     def test_random_slices_match_legacy_batching(self, table, graphs):
@@ -94,7 +110,7 @@ class TestSlicing:
             indices = rng.integers(0, len(graphs), size=rng.integers(1, 40))
             assert_batches_equal(
                 table.slice_batch(indices),
-                batch_graphs([graphs[i] for i in indices]),
+                list_batch([graphs[i] for i in indices]),
             )
 
     def test_subset_matches_repacking(self, table, graphs):
@@ -123,14 +139,13 @@ class TestTrainingEquivalence:
         packed_history = train_model(
             packed_model, GraphTable.from_graphs(graphs), targets, epochs=4, batch_size=16, seed=1
         )
-        tape_history = tape_train(
-            tape_model, table, targets, epochs=4, batch_size=16, seed=1
-        )
+        tape_history = tape.train(tape_model, table, targets, epochs=4, batch_size=16, seed=1)
 
         assert packed_history.train_losses == tape_history.train_losses
-        for packed_param, tape_param in zip(packed_model.parameters(), tape_model.parameters()):
-            assert np.array_equal(packed_param.data, tape_param.data)
-        assert np.array_equal(predict(packed_model, table), tape_model.predict(table.to_batched()))
+        assert np.array_equal(packed_model.values, tape_model.values)
+        assert np.array_equal(
+            predict(packed_model, table), tape.predict(tape_model, table.to_batched())
+        )
 
     def test_validation_losses_match(self, table, graphs):
         targets = np.linspace(0.5, -0.5, len(graphs))
@@ -148,7 +163,7 @@ class TestTrainingEquivalence:
             epochs=2,
             seed=0,
         )
-        tape_history = tape_train(
+        tape_history = tape.train(
             tape_model,
             table.subset(train_indices),
             targets[train_indices],

@@ -1,11 +1,11 @@
 """The written-out training step against the autodiff tape, bit for bit.
 
 :mod:`repro.core.step` computes the forward pass, the loss and every
-parameter gradient by hand; :mod:`repro.core.autodiff` records the same step
-on a tape. Hypothesis draws batches (single-graph ones included), step
+parameter gradient by hand; the oracle in ``tests/tape.py`` records the same
+step on a tape. Hypothesis draws batches (single-graph ones included), step
 counts, widths and layer norm on or off, and every loss, gradient, trained
 weight and prediction must be ``np.array_equal`` to the tape's. Both must
-also match central finite differences. :func:`tape_train` is the tape-driven
+also match central finite differences. :func:`tape.train` is the tape-driven
 training loop that ``train_model`` must reproduce exactly.
 """
 
@@ -15,77 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import (
-    Adam,
-    EncodeProcessDecode,
-    GraphTable,
-    TrainingHistory,
-    batched_loss,
-    train_model,
-)
+import tape
+from repro.core import Adam, EncodeProcessDecode, GraphTable, train_model
 from repro import obs
 from repro.core import step
 from repro.core.trainer import evaluate_loss, predict
 from repro.nasbench import sample_unique_cells
 
 
-# ---------------------------------------------------------------------- #
-# The tape reference
-# ---------------------------------------------------------------------- #
-def tape_loss_and_gradients(model, batched, targets):
-    """Loss and per-parameter gradients (``None`` if unreached) on the tape."""
-    model.zero_grad()
-    loss = batched_loss(model, batched, targets)
-    loss.backward()
-    return loss.item(), [parameter.grad for parameter in model.parameters()]
-
-
-def tape_evaluate_loss(model, table, targets, batch_size=256):
-    total = 0.0
-    for start in range(0, table.num_graphs, batch_size):
-        indices = np.arange(start, min(start + batch_size, table.num_graphs))
-        loss = batched_loss(model, table.slice_batch(indices), targets[indices])
-        total += loss.item() * len(indices)
-    return total / table.num_graphs
-
-
-def tape_train(
-    model,
-    table,
-    targets,
-    validation=None,
-    epochs=3,
-    batch_size=16,
-    learning_rate=1e-3,
-    seed=0,
-):
-    """``train_model``'s loop with every step recorded on the tape.
-
-    *validation* is an optional ``(table, targets)`` pair.
-    """
-    optimizer = Adam(model.parameters(), learning_rate=learning_rate)
-    rng = np.random.default_rng(seed)
-    history = TrainingHistory()
-    for _ in range(epochs):
-        order = rng.permutation(table.num_graphs)
-        epoch_loss, batches = 0.0, 0
-        for start in range(0, len(order), batch_size):
-            indices = order[start : start + batch_size]
-            optimizer.zero_grad()
-            loss = batched_loss(model, table.slice_batch(indices), targets[indices])
-            loss.backward()
-            optimizer.step()
-            epoch_loss += loss.item()
-            batches += 1
-        history.train_losses.append(epoch_loss / batches)
-        if validation is not None:
-            history.validation_losses.append(tape_evaluate_loss(model, *validation))
-    return history
-
-
-# ---------------------------------------------------------------------- #
-# Helpers
-# ---------------------------------------------------------------------- #
 def make_model(steps, latent, hidden, layer_norm, seed=0):
     return EncodeProcessDecode(
         latent_size=latent,
@@ -96,10 +33,10 @@ def make_model(steps, latent, hidden, layer_norm, seed=0):
     )
 
 
-def written_out_loss_and_gradients(model, batched, targets):
-    slots = {parameter: np.zeros_like(parameter.data) for parameter in model.parameters()}
-    loss = step.loss_and_gradients(model, step.GraphBatch(batched), targets, slots)
-    return loss, [slots[parameter] for parameter in model.parameters()]
+def written_out_loss_and_gradients(model, batch, targets):
+    grads = model.views(np.zeros_like(model.values))
+    loss = step.loss_and_gradients(model, batch, targets, grads)
+    return loss, grads
 
 
 model_shapes = {
@@ -131,37 +68,37 @@ class TestStepMatchesTape:
         model = make_model(steps, latent, hidden, layer_norm, seed=seed)
         # Nonzero biases keep pre-activations off the ReLU kink, where the
         # tape's subgradient (zero) and a central difference disagree.
-        for parameter in model.parameters():
-            parameter.data += rng.normal(scale=0.1, size=parameter.shape)
-        batched = table.to_batched()
+        model.values += rng.normal(scale=0.1, size=model.values.size)
+        batch = table.to_batched()
 
-        tape_loss, tape_grads = tape_loss_and_gradients(model, batched, targets)
-        loss, grads = written_out_loss_and_gradients(model, batched, targets)
+        tape_loss, tape_grads = tape.loss_and_gradients(model, batch, targets)
+        loss, grads = written_out_loss_and_gradients(model, batch, targets)
 
         assert loss == tape_loss
-        for index, (grad, tape_grad) in enumerate(zip(grads, tape_grads)):
-            if tape_grad is None:  # the decoder's edge and node MLPs
-                assert not grad.any(), index
+        assert list(grads) == list(tape_grads)
+        for name, grad in grads.items():
+            if tape_grads[name] is None:  # the decoder's edge and node MLPs
+                assert not grad.any(), name
             else:
-                assert np.array_equal(grad, tape_grad), index
+                assert np.array_equal(grad, tape_grads[name]), name
 
         # Central differences on sampled coordinates, through the tape's
         # forward pass; unreached parameters must show a zero slope.
-        parameters = list(model.parameters())
+        names = list(model.params)
         for _ in range(6):
-            index = int(rng.integers(len(parameters)))
-            flat = parameters[index].data.reshape(-1)
+            name = names[int(rng.integers(len(names)))]
+            flat = model.params[name].reshape(-1)
             coordinate = int(rng.integers(flat.size))
             original = flat[coordinate]
             values = []
             for delta in (1e-7, -1e-7):
                 flat[coordinate] = original + delta
-                values.append(batched_loss(model, batched, targets).item())
+                values.append(tape.loss(model, batch, targets).item())
             flat[coordinate] = original
             slope = (values[0] - values[1]) / 2e-7
-            assert grads[index].reshape(-1)[coordinate] == pytest.approx(
+            assert grads[name].reshape(-1)[coordinate] == pytest.approx(
                 slope, rel=1e-4, abs=1e-6
-            ), (index, coordinate)
+            ), (name, coordinate)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(
@@ -175,10 +112,10 @@ class TestStepMatchesTape:
         table = GraphTable.from_cells(sample_unique_cells(num_graphs, seed=seed))
         targets = np.random.default_rng(seed).normal(size=num_graphs)
         model = make_model(steps, latent, hidden, layer_norm, seed=seed)
-        assert evaluate_loss(model, table, targets, batch_size=5) == tape_evaluate_loss(
+        assert evaluate_loss(model, table, targets, batch_size=5) == tape.evaluate_loss(
             model, table, targets, batch_size=5
         )
-        assert np.array_equal(predict(model, table), model.predict(table.to_batched()))
+        assert np.array_equal(predict(model, table), tape.predict(model, table.to_batched()))
 
 
 # ---------------------------------------------------------------------- #
@@ -207,19 +144,18 @@ class TestTrainingMatchesTape:
             model, table, targets, validation, validation_targets,
             epochs=3, batch_size=batch_size, learning_rate=3e-3, seed=seed,
         )
-        expected = tape_train(
+        expected = tape.train(
             reference, table, targets, (validation, validation_targets),
             epochs=3, batch_size=batch_size, learning_rate=3e-3, seed=seed,
         )
 
         assert history.train_losses == expected.train_losses
         assert history.validation_losses == expected.validation_losses
-        for weights, reference_weights in zip(model.parameters(), reference.parameters()):
-            assert np.array_equal(weights.data, reference_weights.data)
-        assert evaluate_loss(model, validation, validation_targets) == tape_evaluate_loss(
+        assert np.array_equal(model.values, reference.values)
+        assert evaluate_loss(model, validation, validation_targets) == tape.evaluate_loss(
             reference, validation, validation_targets
         )
-        assert np.array_equal(predict(model, table), reference.predict(table.to_batched()))
+        assert np.array_equal(predict(model, table), tape.predict(reference, table.to_batched()))
 
 
 class TestScatterMatrix:
@@ -241,22 +177,29 @@ class TestScatterMatrix:
 
 class TestAdam:
     def test_parameters_become_views_of_one_buffer(self):
-        model = make_model(2, 4, 4, False)
-        before = [parameter.data.copy() for parameter in model.parameters()]
-        optimizer = Adam(model.parameters())
-        for parameter, value in zip(model.parameters(), before):
-            assert np.shares_memory(parameter.data, optimizer._values)
-            assert np.array_equal(parameter.data, value)
+        model = make_model(2, 4, 4, True)
+        # The views tile the flat vector in order, with no gap or overlap.
+        start = 0
+        for name, view in model.params.items():
+            assert np.shares_memory(view, model.values), name
+            assert np.array_equal(view.reshape(-1), model.values[start : start + view.size])
+            start += view.size
+        assert start == model.values.size
+        before = [view.copy() for view in model.params.values()]
+        Adam(model.values).step(np.ones_like(model.values))
+        for view, value in zip(model.params.values(), before):
+            assert not np.array_equal(view, value)
 
     def test_a_zero_slot_leaves_its_parameter_exactly(self):
         model = make_model(2, 4, 4, False)
-        optimizer = Adam(model.parameters(), learning_rate=0.1)
-        parameters = list(model.parameters())
-        optimizer.slots[parameters[0]][...] = 1.0
-        stepped, untouched = parameters[0].data.copy(), parameters[1].data.copy()
-        optimizer.step(optimizer.gradient)
-        assert not np.array_equal(parameters[0].data, stepped)
-        assert np.array_equal(parameters[1].data, untouched)
+        optimizer = Adam(model.values, learning_rate=0.1)
+        gradient = np.zeros_like(model.values)
+        model.views(gradient)["encoder/edge/hidden/weight"][...] = 1.0
+        stepped = model.params["encoder/edge/hidden/weight"].copy()
+        untouched = model.params["encoder/edge/hidden/bias"].copy()
+        optimizer.step(gradient)
+        assert not np.array_equal(model.params["encoder/edge/hidden/weight"], stepped)
+        assert np.array_equal(model.params["encoder/edge/hidden/bias"], untouched)
 
 
 class TestObservability:
