@@ -93,7 +93,6 @@ class EncodeProcessDecode:
             raise ModelError("the core must run at least one message-passing step")
         self.num_message_passing_steps = num_message_passing_steps
         self.latent_size = latent_size
-        self.use_layer_norm = use_layer_norm
 
         latent = latent_size
         input_sizes = {
