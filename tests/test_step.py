@@ -16,7 +16,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tape
-from repro.core import Adam, EncodeProcessDecode, GraphTable, train_model
+from repro.core import (
+    Adam,
+    EncodeProcessDecode,
+    GraphTable,
+    GraphTuple,
+    featurize_cells,
+    train_model,
+)
 from repro import obs
 from repro.core import step
 from repro.core.trainer import evaluate_loss, predict
@@ -116,6 +123,29 @@ class TestStepMatchesTape:
             model, table, targets, batch_size=5
         )
         assert np.array_equal(predict(model, table), tape.predict(model, table.to_batched()))
+
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_an_edgeless_graph_matches_the_tape(self, layer_norm):
+        """A graph without edges sums to zero rows in the per-graph edge sums."""
+        edgeless = GraphTuple(
+            nodes=np.array([[1.0], [5.0]]),
+            edges=np.zeros((0, 1)),
+            senders=np.zeros(0, dtype=np.int64),
+            receivers=np.zeros(0, dtype=np.int64),
+            globals_=np.ones((1, 1)),
+        )
+        graphs = featurize_cells(sample_unique_cells(3, seed=8))
+        model = make_model(2, 4, 4, layer_norm, seed=8)
+        for batch_graphs in ([graphs[0], edgeless, *graphs[1:]], [edgeless]):
+            batch = GraphTable.from_graphs(batch_graphs).to_batched()
+            targets = np.linspace(-1.0, 1.0, len(batch_graphs))
+            loss, grads = written_out_loss_and_gradients(model, batch, targets)
+            tape_loss, tape_grads = tape.loss_and_gradients(model, batch, targets)
+            assert loss == tape_loss
+            for name, grad in grads.items():
+                if tape_grads[name] is not None:
+                    assert np.array_equal(grad, tape_grads[name]), name
+            assert np.array_equal(step.predict(model, batch), tape.predict(model, batch))
 
 
 # ---------------------------------------------------------------------- #
