@@ -123,7 +123,7 @@ def _segment_sum(
 
     An empty segment (a graph without edges) sums to zero rows.
     """
-    if nonempty.all():
+    if len(starts) == segments:
         return np.add.reduceat(values, starts, axis=0)
     out = np.zeros((segments, values.shape[1]))
     if len(starts):
