@@ -2,7 +2,9 @@
 
 The project keeps its metadata here (no pyproject.toml yet); the hard
 runtime dependencies are NumPy (compiler/simulator array kernels, analysis)
-and SciPy (the Table 8 correlation metrics in ``repro.core.metrics``).
+and SciPy (the Table 8 correlation metrics in ``repro.core.metrics``, and
+the ``scipy.sparse`` scatter matrices of the learned model's training step
+in ``repro.core.step``).
 """
 
 from setuptools import find_packages, setup
