@@ -260,3 +260,25 @@ class TestPredictorEquivalence:
         for array, before in zip(model.model.export_arrays(), weights, strict=True):
             assert np.array_equal(array, before)
         assert np.array_equal(model.predict_cells(cells[:6]), predictions)
+
+    @pytest.mark.parametrize("missing", ["train_losses", "table_digest"])
+    def test_state_without_an_entry_leaves_the_model_unchanged(self, cells, missing):
+        table = GraphTable.from_cells(cells)
+        targets = np.linspace(1.0, 2.0, len(cells))
+        model = LearnedPerformanceModel("V1", TrainingSettings(epochs=1, seed=0))
+        model.fit_table(table, targets)
+        other = LearnedPerformanceModel("V1", TrainingSettings(epochs=2, seed=1))
+        other.fit_table(table, targets)
+        state = other.export_state()
+        del state[missing]
+        weights = model.model.export_arrays()
+        predictions = model.predict_cells(cells[:6])
+        history = model.history
+
+        with pytest.raises(ModelError, match=missing):
+            model.restore_state(table, state)
+        for array, before in zip(model.model.export_arrays(), weights, strict=True):
+            assert np.array_equal(array, before)
+        assert np.array_equal(model.predict_cells(cells[:6]), predictions)
+        assert model.history is history
+        assert len(model.history.train_losses) == 1

@@ -137,6 +137,20 @@ class TestTrainingLoop:
                 EncodeProcessDecode(seed=0), train, np.zeros(5), validation, np.zeros(7), epochs=1
             )
 
+    def test_validation_table_without_targets_rejected(self):
+        cells = sample_unique_cells(15, seed=1)
+        train, validation = GraphTable.from_cells(cells[:5]), GraphTable.from_cells(cells[5:])
+        with pytest.raises(ModelError, match="given together"):
+            train_model(EncodeProcessDecode(seed=0), train, np.zeros(5), validation, epochs=1)
+
+    def test_validation_targets_without_table_rejected(self):
+        train = GraphTable.from_cells(sample_unique_cells(5, seed=1))
+        with pytest.raises(ModelError, match="given together"):
+            train_model(
+                EncodeProcessDecode(seed=0), train, np.zeros(5), validation_targets=np.zeros(10),
+                epochs=1,
+            )
+
     def test_evaluate_loss_and_predict_shapes(self):
         cells = sample_unique_cells(20, seed=12)
         table = GraphTable.from_graphs([cell_to_graph(cell) for cell in cells])
