@@ -55,6 +55,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Metrics a learned model can be trained on (one model per config × metric).
 SUPPORTED_METRICS = ("latency", "energy")
 
+#: The non-weight entries of an exported state (see ``export_state``).
+_STATE_ENTRIES = (
+    "table_digest",
+    "targets",
+    "split_train",
+    "split_validation",
+    "split_test",
+    "train_losses",
+    "validation_losses",
+    "normalizer",
+)
+
 
 @dataclass(frozen=True)
 class TrainingSettings:
@@ -261,7 +273,14 @@ class LearnedPerformanceModel:
     def restore_state(
         self, table: GraphTable, state: dict[str, np.ndarray]
     ) -> None:
-        """Restore a previously exported model against its (re-packed) table."""
+        """Restore a previously exported model against its (re-packed) table.
+
+        Every entry is read and checked before the weights are written, so a
+        rejected state leaves the model as it was.
+        """
+        missing = [key for key in _STATE_ENTRIES if key not in state]
+        if missing:
+            raise ModelError(f"cached state lacks the entries {missing}")
         targets = np.asarray(state["targets"], dtype=float)
         if table.num_graphs != len(targets):
             raise ModelError(
@@ -273,19 +292,22 @@ class LearnedPerformanceModel:
                 "cached state was trained on a different population than the "
                 "given graph table (feature digest mismatch)"
             )
-        weight_keys = sorted(key for key in state if key.startswith("weight_"))
-        self.model.load_arrays([state[key] for key in weight_keys])
         mean, std, log_flag = np.asarray(state["normalizer"], dtype=float)
-        self.normalizer = TargetNormalizer.from_stats(mean, std, bool(log_flag))
-        self.split = DatasetSplit(
+        normalizer = TargetNormalizer.from_stats(mean, std, bool(log_flag))
+        split = DatasetSplit(
             train=np.asarray(state["split_train"], dtype=np.int64),
             validation=np.asarray(state["split_validation"], dtype=np.int64),
             test=np.asarray(state["split_test"], dtype=np.int64),
         )
-        self.history = TrainingHistory(
+        history = TrainingHistory(
             train_losses=[float(v) for v in state["train_losses"]],
             validation_losses=[float(v) for v in state["validation_losses"]],
         )
+        weight_keys = sorted(key for key in state if key.startswith("weight_"))
+        self.model.load_arrays([state[key] for key in weight_keys])
+        self.normalizer = normalizer
+        self.split = split
+        self.history = history
         self._table = table
         self._targets = targets
 

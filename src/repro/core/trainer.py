@@ -188,13 +188,16 @@ def train_model(
 
     Targets are expected to be already normalized (see
     :class:`TargetNormalizer`). Every mini-batch is a slice of the packed
-    training *table*; the validation loss is recorded per epoch when both
-    *validation_table* and *validation_targets* are given.
+    training *table*; the validation loss is recorded per epoch when
+    *validation_table* and *validation_targets* are given, and they are
+    given together or not at all.
     """
     num_train = table.num_graphs
     if num_train != len(train_targets):
         raise ModelError("training graphs and targets must have the same length")
-    has_validation = validation_table is not None and validation_targets is not None
+    has_validation = validation_table is not None
+    if has_validation != (validation_targets is not None):
+        raise ModelError("validation_table and validation_targets must be given together")
     if has_validation and validation_table.num_graphs != len(validation_targets):
         raise ModelError("validation graphs and targets must have the same length")
 
