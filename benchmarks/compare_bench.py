@@ -4,7 +4,7 @@
 Usage (from the repository root)::
 
     python benchmarks/compare_bench.py                    # all baselines
-    python benchmarks/compare_bench.py backend_fusion     # one experiment
+    python benchmarks/compare_bench.py macro_sweep        # one experiment
     python benchmarks/compare_bench.py --tolerance 0.15
 
 Every committed ``benchmarks/baselines/BENCH_<name>.json`` is matched against

@@ -30,7 +30,6 @@ from .hwspace import (
     CoSearchEngine,
     CoSearchResult,
     HardwareFrontier,
-    SensitivityPoint,
 )
 from .analysis import ParetoArchive
 from .core import GraphTable, LearnedPerformanceModel, TrainingSettings
@@ -68,7 +67,6 @@ from .service import (
 )
 from .simulator import (
     BatchSimulator,
-    FusedGridResult,
     MeasurementSet,
     PerformanceSimulator,
     compile_and_time_table,
@@ -89,7 +87,6 @@ __all__ = [
     "EDGE_TPU_V1",
     "EDGE_TPU_V2",
     "EDGE_TPU_V3",
-    "FusedGridResult",
     "GraphTable",
     "HardwareFrontier",
     "InvalidCellError",
@@ -113,7 +110,6 @@ __all__ = [
     "SearchError",
     "SearchResult",
     "SearchSpec",
-    "SensitivityPoint",
     "ServerConfig",
     "ServiceClient",
     "ServiceError",

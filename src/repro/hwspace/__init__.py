@@ -22,7 +22,6 @@ from .frontier import (
     PERFORMANCE_METRICS,
     ConfigPoint,
     HardwareFrontier,
-    SensitivityPoint,
 )
 from .space import SEARCHABLE_FIELDS, AcceleratorSpace, config_digest
 
@@ -36,7 +35,6 @@ __all__ = [
     "PERFORMANCE_METRICS",
     "PairRecord",
     "SEARCHABLE_FIELDS",
-    "SensitivityPoint",
     "config_digest",
     "pair_key",
     "studied_baselines",

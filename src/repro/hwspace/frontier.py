@@ -30,10 +30,8 @@ from ..analysis.pareto import pareto_front_mask
 from ..arch.config import MIB, AcceleratorConfig
 from ..errors import InvalidConfigError
 from ..nasbench.dataset import NASBenchDataset
-from ..nasbench.layer_table import LayerTable
 from ..service.store import MeasurementStore
 from ..simulator.batch import BatchSimulator
-from ..simulator.fused import compile_and_time_table
 from ..simulator.runner import MeasurementSet
 from .space import config_digest
 
@@ -58,36 +56,6 @@ class ConfigPoint:
     mean_energy_mj: float
     peak_tops: float
     total_sram_mib: float
-
-
-@dataclass(frozen=True)
-class SensitivityPoint:
-    """Forward-mode config sensitivities of one design point.
-
-    Produced by :meth:`HardwareFrontier.sensitivity_report` from the dual
-    columns of :func:`~repro.simulator.fused.compile_and_time_table`.  The
-    derivatives answer the architect's marginal questions directly: how much
-    latency does the next 100 MHz buy, and how much does the next MiB of
-    SRAM?  Both are population summaries over the accuracy-filtered models
-    (negative values mean the resource reduces latency).
-    """
-
-    config: AcceleratorConfig
-    digest: str
-    #: Models of the population meeting the accuracy floor (summary basis).
-    num_models: int
-    mean_latency_ms: float
-    #: Population mean of d latency_ms / d clock_ghz.
-    mean_dlatency_dclock_ghz: float
-    #: Largest-magnitude d latency_ms / d clock_ghz over the population.
-    peak_dlatency_dclock_ghz: float
-    #: Population mean of d latency_ms / d SRAM MiB (relaxed cache model).
-    mean_dlatency_dsram_mib: float
-    #: Largest-magnitude d latency_ms / d SRAM MiB over the population.
-    peak_dlatency_dsram_mib: float
-    #: Fraction of models whose latency responds to SRAM at all (models
-    #: whose weights are fully cached or never cached report zero).
-    sram_sensitive_fraction: float
 
 
 class HardwareFrontier:
@@ -176,47 +144,6 @@ class HardwareFrontier:
                     ),
                     peak_tops=float(config.peak_tops),
                     total_sram_mib=config.total_on_chip_memory_bytes / MIB,
-                )
-            )
-        return points
-
-    def sensitivity_report(
-        self, configs: Sequence[AcceleratorConfig]
-    ) -> list[SensitivityPoint]:
-        """One :class:`SensitivityPoint` per configuration of the grid.
-
-        Runs the fused kernel with forward-mode dual propagation — the
-        sensitivities cost one extra chunked pass on top of the sweep, not a
-        finite-difference re-sweep per perturbed field.  Summaries cover the
-        same accuracy-filtered models as :meth:`summarize`.
-        """
-        configs = list(configs)
-        table = LayerTable.from_architectures(
-            [record.architecture for record in self.dataset], self.dataset.network_config
-        )
-        result = compile_and_time_table(
-            table,
-            configs,
-            enable_parameter_caching=self._simulator.enable_parameter_caching,
-            sensitivities=True,
-        )
-        mask = self._mask
-        points = []
-        for index, config in enumerate(configs):
-            latency = result.latency_ms[index][mask]
-            dclock = result.dlatency_dclock_ghz[index][mask]
-            dsram_mib = result.dlatency_dsram_byte[index][mask] * MIB
-            points.append(
-                SensitivityPoint(
-                    config=config,
-                    digest=config_digest(config),
-                    num_models=int(mask.sum()),
-                    mean_latency_ms=float(latency.mean()),
-                    mean_dlatency_dclock_ghz=float(dclock.mean()),
-                    peak_dlatency_dclock_ghz=float(dclock[np.argmax(np.abs(dclock))]),
-                    mean_dlatency_dsram_mib=float(dsram_mib.mean()),
-                    peak_dlatency_dsram_mib=float(dsram_mib[np.argmax(np.abs(dsram_mib))]),
-                    sram_sensitive_fraction=float((dsram_mib != 0).mean()),
                 )
             )
         return points

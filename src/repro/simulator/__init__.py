@@ -2,7 +2,7 @@
 
 from .batch import BatchSimulator
 from .engine import PerformanceSimulator
-from .fused import FusedGridResult, compile_and_time_table
+from .fused import compile_and_time_table
 from .latency import (
     LayerTiming,
     activation_spill_bytes,
@@ -15,7 +15,6 @@ from .runner import MeasurementSet, MeasurementSubset
 
 __all__ = [
     "BatchSimulator",
-    "FusedGridResult",
     "LayerResult",
     "LayerTiming",
     "MeasurementSet",

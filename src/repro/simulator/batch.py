@@ -155,7 +155,6 @@ class BatchSimulator:
             layers=table.num_layers,
         ):
             obs.count("sim.rows_processed", len(config_table) * table.num_layers)
-            result = compile_and_time_table(
+            return compile_and_time_table(
                 table, config_table, enable_parameter_caching=self.enable_parameter_caching
             )
-            return result.latency_ms, result.energy_mj

@@ -1,4 +1,4 @@
-"""Fused mapping→cache→timing→energy grid kernel with config sensitivities.
+"""Fused mapping→cache→timing→energy grid kernel.
 
 :func:`compile_and_time_table` is the one table implementation of the cost
 model; :meth:`~repro.simulator.batch.BatchSimulator.evaluate_table_grid` and
@@ -17,29 +17,6 @@ two agree to 1e-9 relative (only the association order of the per-model
 float sums differs).  Within the kernel a configuration's row does not depend
 on the rest of the grid or on the chunk size, so a one-config call and a
 wide grid give the same bits.
-
-On top of the fused primal, the kernel optionally propagates forward-mode
-dual numbers through the timing chain, yielding two per-(config, model)
-sensitivity columns:
-
-``d latency / d clock_ghz``
-    Exact for the real pipeline: no discrete compiler decision reads the
-    clock (it is in neither ``MAPPING_CONFIG_FIELDS`` nor
-    ``CACHE_CONFIG_FIELDS``), so away from branch ties the dual equals the
-    true derivative of ``evaluate_table_grid`` in the clock.
-``d latency / d sram_byte``
-    Defined under a documented *relaxed* cache model: discrete decisions
-    (greedy layer selection, spill thresholds, capacity truncation) are
-    frozen at the planned operating point, and a marginal byte of effective
-    capacity displaces streamed DRAM traffic proportionally to each layer's
-    share of the streamed bytes.  The ``sram_scale`` knob evaluates the same
-    relaxed, frozen-plan chain at a scaled SRAM size — it is exactly linear
-    in the scale, which is what the central-finite-difference validation
-    tests exploit.
-
-Branch conventions for the duals (ties resolved as the primal ``max`` does):
-the memory term is active when ``memory_cycles > compute_cycles``, and within
-it the DRAM term when ``dram_cycles >= refill_cycles``.
 """
 
 from __future__ import annotations
@@ -72,23 +49,6 @@ _PJ_TO_MJ = 1e-9
 
 
 @dataclass(frozen=True)
-class FusedGridResult:
-    """Outputs of one fused grid evaluation, all shaped ``(C, M)``.
-
-    The sensitivity columns are ``None`` unless the kernel was asked for
-    them; energy rows of configurations without a published energy model are
-    NaN, matching the scalar simulator.
-    """
-
-    latency_ms: np.ndarray
-    energy_mj: np.ndarray
-    #: d latency_ms / d clock_ghz (frozen-branch forward-mode dual).
-    dlatency_dclock_ghz: np.ndarray | None = None
-    #: d latency_ms / d on-chip SRAM byte (relaxed frozen-plan model).
-    dlatency_dsram_byte: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class _UniqueLevelArrays:
     """Everything the chunk loop gathers, at unique-sub-config resolution.
 
@@ -116,8 +76,6 @@ class _UniqueLevelArrays:
     inverse_mapping: np.ndarray
     #: (C,) rows into the cache-unique arrays.
     inverse_cache: np.ndarray
-    #: (Cc, L) float64 — d streamed_bytes / d sram_scale (sensitivity runs).
-    dstreamed_dscale: np.ndarray | None = None
 
 
 def _auto_chunk(num_configs: int, num_layers: int) -> int:
@@ -134,7 +92,6 @@ def _unique_level_arrays(
     table: LayerTable,
     configs: ConfigTable,
     enable_parameter_caching: bool,
-    need_slope: bool,
 ) -> _UniqueLevelArrays:
     """Run the factorized mapping/cache front end of the fused kernel.
 
@@ -146,7 +103,6 @@ def _unique_level_arrays(
     bit-width scaling and the per-width greedy grouping cannot drift between
     the kernel and its reference.
     """
-    starts = table.segment_starts
     working_set = table.input_activation_bytes + table.output_activation_bytes
     first_rows = table.model_offsets[:-1]
     last_rows = table.model_offsets[1:] - 1
@@ -188,23 +144,6 @@ def _unique_level_arrays(
     extra[..., last_rows] += output_scaled[..., last_rows]
     act_dram = np.ascontiguousarray(spill + extra, dtype=np.int64)
 
-    dstreamed_dscale = None
-    if need_slope:
-        if enable_parameter_caching:
-            max_activation = np.maximum.reduceat(act_scaled, starts, axis=-1)
-            dstreamed_dscale = _relaxed_streamed_slope(
-                unique_c,
-                table,
-                streamed,
-                cache.total_weight_bytes,
-                max_activation,
-                cache.capacity_bytes,
-                cache.effective_capacity_bytes,
-            )
-        else:
-            # No caching: streamed bytes never react to the SRAM size (the
-            # spill threshold is a frozen discrete decision).
-            dstreamed_dscale = np.zeros(streamed.shape, dtype=np.float64)
     return _UniqueLevelArrays(
         compute_cycles=compute_cycles,
         idle_slots=idle_slots,
@@ -214,58 +153,7 @@ def _unique_level_arrays(
         sram_act_bytes=np.ascontiguousarray(act_scaled, dtype=np.int64),
         inverse_mapping=inverse_m,
         inverse_cache=inverse_c,
-        dstreamed_dscale=dstreamed_dscale,
     )
-
-
-def _relaxed_streamed_slope(
-    unique_c: ConfigTable,
-    table: LayerTable,
-    streamed: np.ndarray,
-    total_weight: np.ndarray,
-    max_activation: np.ndarray,
-    capacity: np.ndarray,
-    effective: np.ndarray,
-) -> np.ndarray:
-    """Per-layer ``d streamed_bytes / d sram_scale`` under the relaxed model.
-
-    ``sram_scale`` multiplies every SRAM capacity (PE and core memories)
-    uniformly.  With the greedy plan frozen, the chain is
-
-    ``scale → cache capacity → effective capacity → streamed bytes``
-
-    with each link linearized at the operating point:
-
-    * capacity: when the activation reserve binds on the PE memory, scaling
-      buys nothing cacheable, so the PE term contributes only where the
-      reserve left headroom; the core memories always contribute their full
-      size.  Truncation to whole bytes is relaxed to continuous.
-    * effective capacity: slope 1 while the weights fit, 1.5 in the
-      linear-decay region (a capacity byte also retires half an overflow
-      byte's worth of decay), 0 once the cache has fully collapsed.
-    * streamed bytes: a marginal effective-capacity byte displaces streamed
-      DRAM traffic proportionally to each layer's share of its model's
-      streamed bytes (zero for fully-cached models).
-    """
-    pe_total = unique_c.total_pe_memory_bytes
-    reserve = np.minimum(2 * max_activation, pe_total)
-    dcapacity = (
-        unique_c.pe_memory_cache_fraction
-        * pe_total
-        * ((2 * max_activation <= pe_total) & (pe_total - reserve > 0))
-        + unique_c.total_core_memory_bytes
-    )
-    deffective = np.where(
-        capacity <= 0,
-        0.0,
-        np.where(total_weight <= capacity, 1.0, np.where(effective > 0, 1.5, 0.0)),
-    )
-    deffective_dscale = deffective * dcapacity  # (Cc, M)
-
-    streamed_total = np.add.reduceat(streamed, table.segment_starts, axis=-1)
-    model_ids = table.model_ids
-    share = streamed / np.maximum(streamed_total[..., model_ids], 1)
-    return -share * deffective_dscale[..., model_ids]
 
 
 def compile_and_time_table(
@@ -273,24 +161,18 @@ def compile_and_time_table(
     configs: "Sequence[AcceleratorConfig] | ConfigTable",
     enable_parameter_caching: bool = True,
     config_chunk: int | None = None,
-    sensitivities: bool = False,
-    sram_scale: float = 1.0,
-) -> FusedGridResult:
-    """Fused grid evaluation: latency, energy and optional sensitivities.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fused grid evaluation: ``(latency_ms, energy_mj)``, both ``(C, M)``.
 
-    ``latency_ms``/``energy_mj`` match the scalar simulator's
-    ``simulate(network)`` per (config, model) to 1e-9 relative when
-    ``sram_scale`` is exactly ``1.0`` (the default; any other value evaluates
-    the relaxed frozen-plan cache model documented in the module docstring).
+    Both match the scalar simulator's ``simulate(network)`` per (config,
+    model) to 1e-9 relative.  Energy rows of configurations without a
+    published energy model are NaN, matching the scalar simulator's ``None``.
 
     Parameters
     ----------
     config_chunk:
         Config rows processed per scratch buffer; defaults to a size that
         keeps the scratch near cache-resident.
-    sensitivities:
-        Also propagate the forward-mode duals and fill the two
-        ``dlatency_*`` columns.
     """
     config_table = ConfigTable.from_configs(configs)
     num_configs = len(config_table)
@@ -298,8 +180,7 @@ def compile_and_time_table(
     num_layers = len(table)
     if num_models == 0 or num_layers == 0:
         empty = np.zeros((num_configs, num_models), dtype=np.float64)
-        zeros = (np.zeros_like(empty), np.zeros_like(empty)) if sensitivities else (None, None)
-        return FusedGridResult(empty, np.full_like(empty, np.nan), *zeros)
+        return empty, np.full_like(empty, np.nan)
 
     with obs.span(
         "sim.fused",
@@ -307,12 +188,9 @@ def compile_and_time_table(
         models=num_models,
         layers=num_layers,
     ):
-        unique = _unique_level_arrays(
-            table, config_table, enable_parameter_caching, sensitivities or sram_scale != 1.0
-        )
+        unique = _unique_level_arrays(table, config_table, enable_parameter_caching)
         chunk = config_chunk or _auto_chunk(num_configs, num_layers)
-        result = _fused_time_energy(unique, table, config_table, chunk, sensitivities, sram_scale)
-    return result
+        return _fused_time_energy(unique, table, config_table, chunk)
 
 
 def _fused_time_energy(
@@ -320,9 +198,7 @@ def _fused_time_energy(
     table: LayerTable,
     config_table: ConfigTable,
     chunk: int,
-    sensitivities: bool,
-    sram_scale: float,
-) -> FusedGridResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Timing/energy back end of the fused kernel (split out for tracing)."""
     num_configs = len(config_table)
     num_models = table.num_models
@@ -357,27 +233,12 @@ def _fused_time_energy(
             clock_hz,
             static_power,
             macs,
-            sram_scale,
             latency_ms,
             energy_mj,
         )
         energy_mj[~params.available] = np.nan
 
-    dlat_dclock = dlat_dsram = None
-    if sensitivities:
-        with obs.span("sim.sensitivities"):
-            dlat_dclock, dlat_dsram = _sensitivity_pass(
-                unique,
-                table,
-                chunk,
-                batch,
-                sustained,
-                on_chip,
-                clock_hz,
-                np.ravel(config_table.total_on_chip_memory_bytes).astype(np.float64),
-                latency_ms,
-            )
-    return FusedGridResult(latency_ms, energy_mj, dlat_dclock, dlat_dsram)
+    return latency_ms, energy_mj
 
 
 def _fused_rows_numpy(
@@ -392,7 +253,6 @@ def _fused_rows_numpy(
     clock_hz: np.ndarray,
     static_power: np.ndarray,
     macs: np.ndarray,
-    sram_scale: float,
     latency_ms: np.ndarray,
     energy_mj: np.ndarray,
 ) -> None:
@@ -400,10 +260,10 @@ def _fused_rows_numpy(
 
     Six gather buffers and two float work buffers of shape ``(chunk, L)``
     are threaded through the whole timing+energy chain with ``out=`` kernels
-    — no temporary of that shape is allocated inside the loop on the exact
-    (``sram_scale == 1``) path.  All batch multiplies happen on the integer
-    gathers before the float coefficients touch them, preserving the scalar
-    formulas' ``pj * int`` association order.
+    — no temporary of that shape is allocated inside the loop.  All batch
+    multiplies happen on the integer gathers before the float coefficients
+    touch them, preserving the scalar formulas' ``pj * int`` association
+    order.
     """
     num_configs = latency_ms.shape[0]
     num_layers = unique.compute_cycles.shape[-1]
@@ -417,7 +277,6 @@ def _fused_rows_numpy(
     g_sram = np.empty((chunk, num_layers), dtype=np.int64)
     work_a = np.empty((chunk, num_layers), dtype=np.float64)
     work_b = np.empty((chunk, num_layers), dtype=np.float64)
-    relaxed = sram_scale != 1.0
 
     for begin in range(0, num_configs, chunk):
         end = min(begin + chunk, num_configs)
@@ -442,20 +301,9 @@ def _fused_rows_numpy(
 
         dram_cycles = np.divide(db, sus, out=work_a[rows])
         refill_cycles = np.divide(g_refill[rows], ocb, out=work_b[rows])
-        if relaxed:
-            # Frozen-plan relaxation: branch masks come from the scale-1
-            # operating point, the streamed bytes move linearly with scale.
-            shift = unique.dstreamed_dscale[rows_c] * (sram_scale - 1.0)
-            dram_mask = dram_cycles >= refill_cycles
-            memory_mask = np.maximum(dram_cycles, refill_cycles) > cc
-            memory = np.where(
-                dram_mask, (db + shift) / sus, (g_refill[rows] - shift) / ocb
-            )
-            total = np.where(memory_mask, memory, cc) + layer_overhead[begin:end, None]
-        else:
-            memory = np.maximum(dram_cycles, refill_cycles, out=work_a[rows])
-            total = np.maximum(cc, memory, out=work_a[rows])
-            total += layer_overhead[begin:end, None]
+        memory = np.maximum(dram_cycles, refill_cycles, out=work_a[rows])
+        total = np.maximum(cc, memory, out=work_a[rows])
+        total += layer_overhead[begin:end, None]
         model_cycles = inference_overhead[begin:end, None] + np.add.reduceat(
             total, starts, axis=-1
         )
@@ -482,65 +330,3 @@ def _fused_rows_numpy(
             static_power[begin:end, None] * latency_ms[begin:end],
             out=energy_mj[begin:end],
         )
-
-
-def _sensitivity_pass(
-    unique: _UniqueLevelArrays,
-    table: LayerTable,
-    chunk: int,
-    batch: np.ndarray,
-    sustained: np.ndarray,
-    on_chip: np.ndarray,
-    clock_hz: np.ndarray,
-    total_sram_bytes: np.ndarray,
-    latency_ms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-mode dual propagation for the two config sensitivities.
-
-    Runs after (and independently of) the primal chunks: the duals need the
-    branch masks, which are recomputed here from the same gathered rows, so
-    the primal scratch discipline stays untouched.
-    """
-    num_configs, num_models = latency_ms.shape
-    starts = table.segment_starts
-    dlat_dclock = np.empty((num_configs, num_models), dtype=np.float64)
-    dlat_dsram = np.empty((num_configs, num_models), dtype=np.float64)
-
-    for begin in range(0, num_configs, chunk):
-        end = min(begin + chunk, num_configs)
-        rows_m = unique.inverse_mapping[begin:end]
-        rows_c = unique.inverse_cache[begin:end]
-        b = batch[begin:end, None]
-        cc = b * unique.compute_cycles[rows_m]
-        d_stream = unique.dstreamed_dscale[rows_c]
-        sus = sustained[begin:end, None]
-        ocb = on_chip[begin:end, None]
-        clock = clock_hz[begin:end, None]
-
-        dram_bytes = unique.stream_bytes[rows_c] + b * unique.act_dram_bytes[rows_c]
-        dram_cycles = dram_bytes / sus
-        refill_cycles = unique.refill_bytes[rows_c] / ocb
-        dram_mask = dram_cycles >= refill_cycles
-        memory_mask = np.maximum(dram_cycles, refill_cycles) > cc
-
-        # Clock dual: dram_cycles scale linearly with the clock (sustained
-        # bytes/cycle carry a 1/clock factor), refill and compute do not.
-        dcycles_dclock = np.where(memory_mask & dram_mask, dram_cycles / clock, 0.0)
-        dtotal_dclock = np.add.reduceat(dcycles_dclock, starts, axis=-1)
-        # latency_ms = cycles * 1e3 / clock_hz; the quotient rule gives the
-        # propagated term minus the direct 1/clock term; 1e9 Hz per GHz.
-        dlat_dclock[begin:end] = (
-            dtotal_dclock * 1e3 / clock - latency_ms[begin:end] / clock
-        ) * 1e9
-
-        # SRAM dual: streamed bytes move with the scale, refill bytes move
-        # opposite; the frozen masks pick which term reaches the latency.
-        dmem_dscale = np.where(dram_mask, d_stream / sus, -d_stream / ocb)
-        dcycles_dscale = np.where(memory_mask, dmem_dscale, 0.0)
-        dtotal_dscale = np.add.reduceat(dcycles_dscale, starts, axis=-1)
-        # One unit of scale is total_sram_bytes actual bytes.
-        dlat_dsram[begin:end] = (
-            dtotal_dscale * 1e3 / clock / total_sram_bytes[begin:end, None]
-        )
-    return dlat_dclock, dlat_dsram
-

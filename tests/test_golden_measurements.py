@@ -19,7 +19,7 @@ from repro.arch import EDGE_TPU_V1, EDGE_TPU_V2, EDGE_TPU_V3, STUDIED_CONFIGS
 from repro.hwspace import AcceleratorSpace
 from repro.nasbench import NASBenchDataset, random_macro, sample_unique_cells
 from repro.nasbench.layer_table import LayerTable
-from repro.simulator import BatchSimulator, compile_and_time_table
+from repro.simulator import BatchSimulator
 
 #: The 120-point lifecycle-benchmark grid: clock x PE geometry x cores x
 #: lanes x I/O bandwidth around V1.
@@ -44,7 +44,6 @@ GOLDEN = {
     "evaluate-no-caching": "028d12cefc49c2cf125d9daa91c5cc36f03b5a3667cacd1a3e9dd38ad6f69b7e",
     "grid-120": "bb1f86f77a4a5ae13ddb5c1c29a56f851268cae806ce1a2740037c4d79e30cda",
     "macro-scenarios": "d35bf13ad53f0a2a13f3bedfe31110b9e7b14a79706b3320becd5ff5e5cbe188",
-    "sensitivities": "589aeb0bcbcff6845bdd951241c5622114c9983a472078c468b9d1cffa5451d2",
     "evaluate-cells": "9cf6e3ba3c40612b32b8914e8479a9a6d60b9579a443d49f407deb6c9eb3d6b5",
 }
 
@@ -91,14 +90,6 @@ def test_macro_scenario_digest():
     table = LayerTable.from_architectures([random_macro(rng) for _ in range(6)])
     latency, energy = BatchSimulator().evaluate_table_grid(table, SCENARIO_CONFIGS)
     assert float_digest(latency, energy) == GOLDEN["macro-scenarios"]
-
-
-def test_sensitivity_digest(grid_table, grid_configs):
-    result = compile_and_time_table(grid_table, grid_configs[:24], sensitivities=True)
-    assert (
-        float_digest(result.dlatency_dclock_ghz, result.dlatency_dsram_byte)
-        == GOLDEN["sensitivities"]
-    )
 
 
 def test_evaluate_cells_digest():
