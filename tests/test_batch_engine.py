@@ -32,9 +32,15 @@ from repro.nasbench import (
     random_cell,
 )
 from repro.simulator import BatchSimulator, MeasurementSet, PerformanceSimulator
+from test_frontend_equivalence import valid_cells
 
 RTOL = 1e-9
 CONFIG_NAMES = ("V1", "V2", "V3")
+
+#: Cells as the dataset samples them, one per drawn seed.
+SAMPLED_CELLS = st.integers(min_value=0, max_value=10**6).map(
+    lambda seed: random_cell(np.random.default_rng(seed))
+)
 
 
 @st.composite
@@ -207,13 +213,17 @@ class TestBatchSimulatorEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        seed=st.integers(min_value=0, max_value=10**6),
+        cell=st.one_of(valid_cells(), SAMPLED_CELLS),
         config=accelerator_configs(),
         caching=st.booleans(),
     )
-    def test_random_cells_property(self, seed, config, caching):
-        """Any sampled cell on any valid config times identically on both paths."""
-        network = build_network(random_cell(np.random.default_rng(seed)))
+    def test_random_cells_property(self, cell, config, caching):
+        """Any drawn or sampled cell on any valid config times identically on both paths.
+
+        Drawn cells reach what sampling never does: two vertices, and
+        vertices that pruning removes.
+        """
+        network = build_network(cell)
         configs = [config] + [c for c in STUDIED_CONFIGS.values() if c.name != config.name]
         simulator = BatchSimulator(enable_parameter_caching=caching)
         latency, energy = simulator.evaluate_table_grid(network.to_layer_table(), configs)
