@@ -55,18 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Metrics a learned model can be trained on (one model per config × metric).
 SUPPORTED_METRICS = ("latency", "energy")
 
-#: The non-weight entries of an exported state (see ``export_state``).
-_STATE_ENTRIES = (
-    "table_digest",
-    "targets",
-    "split_train",
-    "split_validation",
-    "split_test",
-    "train_losses",
-    "validation_losses",
-    "normalizer",
-)
-
 
 @dataclass(frozen=True)
 class TrainingSettings:
@@ -278,30 +266,34 @@ class LearnedPerformanceModel:
         Every entry is read and checked before the weights are written, so a
         rejected state leaves the model as it was.
         """
-        missing = [key for key in _STATE_ENTRIES if key not in state]
-        if missing:
-            raise ModelError(f"cached state lacks the entries {missing}")
-        targets = np.asarray(state["targets"], dtype=float)
+
+        def entry(key: str) -> np.ndarray:
+            try:
+                return state[key]
+            except KeyError:
+                raise ModelError(f"cached state lacks the {key!r} entry") from None
+
+        targets = np.asarray(entry("targets"), dtype=float)
         if table.num_graphs != len(targets):
             raise ModelError(
                 "cached state does not match the graph table "
                 f"({len(targets)} targets for {table.num_graphs} graphs)"
             )
-        if str(state["table_digest"]) != table_digest(table):
+        if str(entry("table_digest")) != table_digest(table):
             raise ModelError(
                 "cached state was trained on a different population than the "
                 "given graph table (feature digest mismatch)"
             )
-        mean, std, log_flag = np.asarray(state["normalizer"], dtype=float)
+        mean, std, log_flag = np.asarray(entry("normalizer"), dtype=float)
         normalizer = TargetNormalizer.from_stats(mean, std, bool(log_flag))
         split = DatasetSplit(
-            train=np.asarray(state["split_train"], dtype=np.int64),
-            validation=np.asarray(state["split_validation"], dtype=np.int64),
-            test=np.asarray(state["split_test"], dtype=np.int64),
+            train=np.asarray(entry("split_train"), dtype=np.int64),
+            validation=np.asarray(entry("split_validation"), dtype=np.int64),
+            test=np.asarray(entry("split_test"), dtype=np.int64),
         )
         history = TrainingHistory(
-            train_losses=[float(v) for v in state["train_losses"]],
-            validation_losses=[float(v) for v in state["validation_losses"]],
+            train_losses=[float(v) for v in entry("train_losses")],
+            validation_losses=[float(v) for v in entry("validation_losses")],
         )
         weight_keys = sorted(key for key in state if key.startswith("weight_"))
         self.model.load_arrays([state[key] for key in weight_keys])

@@ -147,8 +147,7 @@ class TestTrainingLoop:
         train = GraphTable.from_cells(sample_unique_cells(5, seed=1))
         with pytest.raises(ModelError, match="given together"):
             train_model(
-                EncodeProcessDecode(seed=0), train, np.zeros(5), validation_targets=np.zeros(10),
-                epochs=1,
+                EncodeProcessDecode(seed=0), train, np.zeros(5), validation_targets=np.zeros(10)
             )
 
     def test_evaluate_loss_and_predict_shapes(self):
