@@ -282,3 +282,46 @@ class TestPredictorEquivalence:
         assert np.array_equal(model.predict_cells(cells[:6]), predictions)
         assert model.history is history
         assert len(model.history.train_losses) == 1
+
+    @staticmethod
+    def _assert_rejected_unchanged(cells, edit, match):
+        """A state edited by *edit* raises ``ModelError`` and changes nothing."""
+        table = GraphTable.from_cells(cells)
+        targets = np.linspace(1.0, 2.0, len(cells))
+        model = LearnedPerformanceModel("V1", TrainingSettings(epochs=1, seed=0))
+        model.fit_table(table, targets)
+        other = LearnedPerformanceModel("V1", TrainingSettings(epochs=2, seed=1))
+        other.fit_table(table, targets)
+        state = other.export_state()
+        edit(state, table)
+        weights = model.model.export_arrays()
+        predictions = model.predict_cells(cells[:6])
+        history, split = model.history, model.split
+
+        with pytest.raises(ModelError, match=match):
+            model.restore_state(table, state)
+        for array, before in zip(model.model.export_arrays(), weights, strict=True):
+            assert np.array_equal(array, before)
+        assert np.array_equal(model.predict_cells(cells[:6]), predictions)
+        assert model.history is history and model.split is split
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda v: v[:2], lambda v: np.append(v, 1.0), lambda v: v.reshape(1, 3)],
+        ids=["two", "four", "row"],
+    )
+    def test_state_with_a_misshapen_normalizer_leaves_the_model_unchanged(self, cells, reshape):
+        def edit(state, _table):
+            state["normalizer"] = reshape(np.asarray(state["normalizer"]))
+
+        self._assert_rejected_unchanged(cells, edit, "normalizer")
+
+    @pytest.mark.parametrize("key", ["split_train", "split_validation", "split_test"])
+    def test_split_indices_outside_the_table_leave_the_model_unchanged(self, cells, key):
+        for bad in (1_000_000, len(cells), -1):
+
+            def edit(state, table, bad=bad):
+                assert table.num_graphs == len(cells)
+                state[key] = np.append(np.asarray(state[key], dtype=np.int64), bad)
+
+            self._assert_rejected_unchanged(cells, edit, key)

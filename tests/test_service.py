@@ -672,6 +672,27 @@ class TestSweepService:
         assert refitted.evaluate("test") == fitted.evaluate("test")
         assert "train_losses" in store_module.read_npz(path)
 
+    def test_weight_file_with_a_short_normalizer_is_refitted_and_rewritten(
+        self, warm_root, store_dataset, fits
+    ):
+        def service():
+            return SweepService(
+                make_store(warm_root),
+                store_dataset,
+                configs=CONFIGS,
+                settings=TrainingSettings(epochs=2, seed=0),
+            )
+
+        fitted = service().model("V1")
+        path = service().model_state_path("V1")
+        state = store_module.read_npz(path)
+        state["normalizer"] = state["normalizer"][:2]
+        store_module.write_npz(path, state)
+        refitted = service().model("V1")
+        assert fits == ["V1", "V1"]
+        assert refitted.evaluate("test") == fitted.evaluate("test")
+        assert store_module.read_npz(path)["normalizer"].shape == (3,)
+
     def test_model_cache_does_not_pollute_shard_namespace(self, warm_root, store_dataset):
         # Regression: cached weights used to land next to the shard files and
         # match the shard filename pattern, surfacing a phantom "model"
