@@ -284,12 +284,27 @@ class LearnedPerformanceModel:
                 "cached state was trained on a different population than the "
                 "given graph table (feature digest mismatch)"
             )
-        mean, std, log_flag = np.asarray(entry("normalizer"), dtype=float)
+        stats = np.asarray(entry("normalizer"), dtype=float)
+        if stats.shape != (3,):
+            raise ModelError(
+                f"cached state's 'normalizer' entry has shape {stats.shape}, expected (3,)"
+            )
+        mean, std, log_flag = stats
         normalizer = TargetNormalizer.from_stats(mean, std, bool(log_flag))
+
+        def indices(key: str) -> np.ndarray:
+            values = np.asarray(entry(key), dtype=np.int64)
+            if values.size and not (0 <= values.min() and values.max() < table.num_graphs):
+                raise ModelError(
+                    f"cached state's {key!r} entry indexes outside a table of "
+                    f"{table.num_graphs} graphs"
+                )
+            return values
+
         split = DatasetSplit(
-            train=np.asarray(entry("split_train"), dtype=np.int64),
-            validation=np.asarray(entry("split_validation"), dtype=np.int64),
-            test=np.asarray(entry("split_test"), dtype=np.int64),
+            train=indices("split_train"),
+            validation=indices("split_validation"),
+            test=indices("split_test"),
         )
         history = TrainingHistory(
             train_losses=[float(v) for v in entry("train_losses")],
