@@ -10,7 +10,10 @@ The class in this module stores the upper-triangular adjacency matrix and the
 operation labels, validates the structural constraints, and implements the
 same *pruning* rule NASBench-101 applies: vertices that are not on any path
 from the input to the output do not affect the computed function and are
-removed before hashing or expanding the cell into a full network.
+removed before hashing or expanding the cell into a full network.  The check
+and the rule are functions over row tuples (:func:`validate_rows`,
+:func:`prune_rows`), so the sampler and the enumeration apply the same ones
+without building a :class:`Cell`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,73 @@ def _as_rows(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
             if value != entry:
                 raise InvalidCellError(f"adjacency matrix entries must be 0 or 1, got {entry!r}")
     return rows
+
+
+def validate_rows(rows: tuple[tuple[int, ...], ...], ops: Sequence[str]) -> None:
+    """Raise :class:`InvalidCellError` unless *rows* and *ops* form a cell of the space.
+
+    The one structural check, shared by :class:`Cell` construction and the
+    sampler's draws: matching vertex and op counts, at most
+    :data:`~repro.nasbench.ops.MAX_VERTICES` vertices and
+    :data:`~repro.nasbench.ops.MAX_EDGES` edges, 0/1 entries, a strictly
+    upper-triangular matrix and valid labels.  *rows* are square tuples of
+    Python ints; it is a pure function of them and *ops*.
+    """
+    num_vertices = len(rows)
+    if num_vertices != len(ops):
+        raise InvalidCellError(
+            f"matrix has {num_vertices} vertices but {len(ops)} ops were given"
+        )
+    if num_vertices < 2:
+        raise InvalidCellError("a cell needs at least an input and an output vertex")
+    if num_vertices > MAX_VERTICES:
+        raise InvalidCellError(f"cell has {num_vertices} vertices, the maximum is {MAX_VERTICES}")
+    if not set().union(*rows) <= {0, 1}:
+        raise InvalidCellError("adjacency matrix entries must be 0 or 1")
+    if any(any(row[: index + 1]) for index, row in enumerate(rows)):
+        raise InvalidCellError(
+            "adjacency matrix must be strictly upper triangular "
+            "(vertices in topological order)"
+        )
+    num_edges = sum(map(sum, rows))
+    if num_edges > MAX_EDGES:
+        raise InvalidCellError(f"cell has {num_edges} edges, the maximum is {MAX_EDGES}")
+    try:
+        op_vocab.validate_ops(ops)
+    except ValueError as exc:
+        raise InvalidCellError(str(exc)) from exc
+
+
+def prune_rows(
+    rows: tuple[tuple[int, ...], ...], ops: tuple[str, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]] | None:
+    """The pruned ``(rows, ops)`` form of a valid cell, or ``None`` if disconnected.
+
+    The one pruning rule (NASBench-101's), shared by :meth:`Cell.prune`, the
+    sampler and the enumeration: keep the vertices on some input-to-output
+    path.  Vertices are topologically ordered, so one pass over the edges in
+    source order settles reachability from the input, and one pass in
+    reverse settles reaching the output.  A form that loses no vertex is
+    returned as the given *rows* and *ops* objects.
+    """
+    n = len(rows)
+    edges = [(src, dst) for src, row in enumerate(rows) for dst in range(src + 1, n) if row[dst]]
+    forward = [False] * n
+    forward[0] = True
+    for src, dst in edges:
+        if forward[src]:
+            forward[dst] = True
+    backward = [False] * n
+    backward[-1] = True
+    for src, dst in reversed(edges):
+        if backward[dst]:
+            backward[src] = True
+    if not (forward[-1] and backward[0]):
+        return None
+    keep = [v for v in range(n) if forward[v] and backward[v]]
+    if len(keep) == n:
+        return rows, ops
+    return tuple(tuple(rows[i][j] for j in keep) for i in keep), tuple(ops[i] for i in keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,18 +149,26 @@ class Cell:
         self._assign(_as_rows(matrix), tuple(ops))
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[int, ...], ...], ops: Sequence[str]) -> "Cell":
-        """Construct from rows that are already square tuples of Python ints."""
+    def _from_rows(
+        cls, rows: tuple[tuple[int, ...], ...], ops: Sequence[str], pruned: bool = False
+    ) -> "Cell":
+        """Construct from rows that are already square tuples of Python ints.
+
+        ``pruned=True`` records that the rows are their own pruned form (the
+        caller has pruned them), so :meth:`prune` returns the cell itself.
+        """
         cell = cls.__new__(cls)
         cell._assign(rows, tuple(ops))
+        if pruned:
+            object.__setattr__(cell, "_pruned", True)
         return cell
 
     def _assign(self, rows: tuple[tuple[int, ...], ...], ops: tuple[str, ...]) -> None:
+        validate_rows(rows, ops)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "_fingerprint", None)
         object.__setattr__(self, "_pruned", None)
-        self._validate()
 
     # ------------------------------------------------------------------ #
     # Model identity
@@ -123,37 +201,6 @@ class Cell:
 
     def __hash__(self) -> int:
         return hash(self.fingerprint)
-
-    # ------------------------------------------------------------------ #
-    # Validation
-    # ------------------------------------------------------------------ #
-    def _validate(self) -> None:
-        matrix = self.matrix
-        num_vertices = len(matrix)
-        if num_vertices != len(self.ops):
-            raise InvalidCellError(
-                f"matrix has {num_vertices} vertices but {len(self.ops)} ops were given"
-            )
-        if num_vertices < 2:
-            raise InvalidCellError("a cell needs at least an input and an output vertex")
-        if num_vertices > MAX_VERTICES:
-            raise InvalidCellError(
-                f"cell has {num_vertices} vertices, the maximum is {MAX_VERTICES}"
-            )
-        if not {value for row in matrix for value in row} <= {0, 1}:
-            raise InvalidCellError("adjacency matrix entries must be 0 or 1")
-        if any(any(row[: index + 1]) for index, row in enumerate(matrix)):
-            raise InvalidCellError(
-                "adjacency matrix must be strictly upper triangular "
-                "(vertices in topological order)"
-            )
-        num_edges = sum(map(sum, matrix))
-        if num_edges > MAX_EDGES:
-            raise InvalidCellError(f"cell has {num_edges} edges, the maximum is {MAX_EDGES}")
-        try:
-            op_vocab.validate_ops(self.ops)
-        except ValueError as exc:
-            raise InvalidCellError(str(exc)) from exc
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -197,40 +244,15 @@ class Cell:
     # ------------------------------------------------------------------ #
     # Connectivity and pruning
     # ------------------------------------------------------------------ #
-    def _reachable_from_input(self) -> list[bool]:
-        """Per vertex: reachable from the input vertex."""
-        matrix = self.matrix
-        n = len(matrix)
-        reach = [False] * n
-        reach[0] = True
-        # Vertices are topologically ordered, so one forward sweep suffices.
-        for v in range(n):
-            if reach[v]:
-                row = matrix[v]
-                for w in range(v + 1, n):
-                    if row[w]:
-                        reach[w] = True
-        return reach
-
-    def _reaches_output(self) -> list[bool]:
-        """Per vertex: the output vertex is reachable from it."""
-        matrix = self.matrix
-        n = len(matrix)
-        reach = [False] * n
-        reach[n - 1] = True
-        for v in range(n - 2, -1, -1):
-            row = matrix[v]
-            reach[v] = any(row[w] and reach[w] for w in range(v + 1, n))
-        return reach
-
     def prune(self) -> "Cell":
         """Return a cell with all extraneous vertices removed (cached).
 
         A vertex is *extraneous* if it is not on any directed path from the
         input vertex to the output vertex; such vertices cannot influence the
-        cell's output and NASBench-101 removes them before de-duplication.
-        The result is computed once per cell, and a pruned cell is its own
-        pruned form, so ``cell.prune() is cell.prune()``.
+        cell's output and NASBench-101 removes them before de-duplication
+        (:func:`prune_rows` is the rule).  The result is computed once per
+        cell, and a pruned cell is its own pruned form, so
+        ``cell.prune() is cell.prune()``.
 
         Raises
         ------
@@ -242,16 +264,13 @@ class Cell:
         cached = self._pruned
         if cached is not None:
             return self if cached is True else cached
-        keep = [f and b for f, b in zip(self._reachable_from_input(), self._reaches_output())]
-        if not keep[0] or not keep[-1]:
+        form = prune_rows(self.matrix, self.ops)
+        if form is None:
             raise InvalidCellError("cell has no path from input to output")
-        if all(keep):
+        if form[0] is self.matrix:
             object.__setattr__(self, "_pruned", True)
             return self
-        indices = [i for i, kept in enumerate(keep) if kept]
-        rows = tuple(tuple(self.matrix[i][j] for j in indices) for i in indices)
-        pruned = Cell._from_rows(rows, [self.ops[i] for i in indices])
-        object.__setattr__(pruned, "_pruned", True)
+        pruned = Cell._from_rows(*form, pruned=True)
         object.__setattr__(self, "_pruned", pruned)
         return pruned
 

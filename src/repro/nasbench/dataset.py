@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .. import obs
 from ..errors import DatasetError
 from .accuracy import SurrogateAccuracyModel
 from .cell import Cell
@@ -75,8 +76,8 @@ def model_record(
     the surrogate on the *macro* fingerprint (so two macros sharing a cell
     still draw independent training noise), reads its structural terms from
     the representative first-stage cell, and counts the parameters of the
-    true staged expansion.  Parameters are summed over the layer rows, so no
-    network is built.
+    true staged expansion.  Parameters are counted from each cell instance's
+    vertex channels, so no network is built and no layer row expanded.
     """
     if isinstance(arch, MacroSpec):
         cell, macro, fingerprint = arch.representative_cell, arch, arch.fingerprint
@@ -160,12 +161,14 @@ class NASBenchDataset:
 
         records: list[ModelRecord] = []
         seen: set[str] = set()
-        for cell in cells:
-            pruned = cell.prune()
-            if pruned.fingerprint in seen:
-                continue
-            seen.add(pruned.fingerprint)
-            records.append(model_record(pruned, len(records), network_config, accuracy_model))
+        with obs.span("nasbench.records", kind="cell") as span:
+            for cell in cells:
+                pruned = cell.prune()
+                if pruned.fingerprint in seen:
+                    continue
+                seen.add(pruned.fingerprint)
+                records.append(model_record(pruned, len(records), network_config, accuracy_model))
+            span.set(models=len(records))
         if not records:
             raise DatasetError("no valid cells were provided")
         return cls(records, network_config)
@@ -188,11 +191,13 @@ class NASBenchDataset:
 
         records: list[ModelRecord] = []
         seen: set[str] = set()
-        for macro in macros:
-            if macro.fingerprint in seen:
-                continue
-            seen.add(macro.fingerprint)
-            records.append(model_record(macro, len(records), network_config, accuracy_model))
+        with obs.span("nasbench.records", kind="macro") as span:
+            for macro in macros:
+                if macro.fingerprint in seen:
+                    continue
+                seen.add(macro.fingerprint)
+                records.append(model_record(macro, len(records), network_config, accuracy_model))
+            span.set(models=len(records))
         if not records:
             raise DatasetError("no valid macro specs were provided")
         return cls(records, network_config)

@@ -16,47 +16,45 @@ Two entry points are provided:
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from .. import obs
 from ..errors import DatasetError
-from .cell import Cell
+from .cell import Cell, prune_rows, validate_rows
 from .ops import INPUT, INTERIOR_OPS, MAX_EDGES, MAX_VERTICES, OUTPUT
 
 
-def _matrix_from_edge_mask(num_vertices: int, mask: int) -> np.ndarray:
-    """Build an upper-triangular adjacency matrix from a bitmask over edges."""
-    matrix = np.zeros((num_vertices, num_vertices), dtype=np.int8)
-    bit = 0
-    for i in range(num_vertices):
-        for j in range(i + 1, num_vertices):
-            if mask >> bit & 1:
-                matrix[i, j] = 1
-            bit += 1
-    return matrix
+def _rows_from_edge_mask(num_vertices: int, mask: int) -> tuple[tuple[int, ...], ...]:
+    """Upper-triangular adjacency rows from a bitmask over the edge slots."""
+    rows = [[0] * num_vertices for _ in range(num_vertices)]
+    for bit, (i, j) in enumerate(_edge_slots(num_vertices)):
+        if mask >> bit & 1:
+            rows[i][j] = 1
+    return tuple(map(tuple, rows))
 
 
-def _is_pruned_form(matrix: np.ndarray) -> bool:
-    """Return True if every vertex lies on some input-to-output path.
+@functools.lru_cache(maxsize=16)
+def _edge_slots(num_vertices: int) -> tuple[tuple[int, int], ...]:
+    """The ``(src, dst)`` slots above the diagonal, in row-major order."""
+    return tuple(itertools.combinations(range(num_vertices), 2))
 
-    Enumeration only labels matrices already in pruned form; cells whose
-    pruned form is smaller are produced by the enumeration at the smaller
-    vertex count, so emitting them here would only create duplicates.
-    """
-    n = matrix.shape[0]
-    reach_fwd = np.zeros(n, dtype=bool)
-    reach_fwd[0] = True
-    for v in range(n):
-        if reach_fwd[v]:
-            reach_fwd |= matrix[v, :].astype(bool)
-    reach_bwd = np.zeros(n, dtype=bool)
-    reach_bwd[n - 1] = True
-    for v in range(n - 1, -1, -1):
-        if reach_bwd[v]:
-            reach_bwd |= matrix[:, v].astype(bool)
-    return bool((reach_fwd & reach_bwd).all())
+
+@functools.lru_cache(maxsize=16)
+def _vertex_cdf(max_vertices: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The vertex counts a draw picks from and their normalized CDF."""
+    vertex_choices = tuple(range(3, max_vertices + 1))
+    if not vertex_choices:
+        raise DatasetError(f"max_vertices must be at least 3 to draw a cell, got {max_vertices}")
+    # Weight ~ 4^(n) so most samples use many vertices, as in the real space.
+    weights = np.array([4.0**n for n in vertex_choices])
+    weights /= weights.sum()
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return vertex_choices, tuple(cdf.tolist())
 
 
 def enumerate_cells(max_vertices: int = MAX_VERTICES, max_edges: int = MAX_EDGES) -> Iterator[Cell]:
@@ -76,17 +74,21 @@ def enumerate_cells(max_vertices: int = MAX_VERTICES, max_edges: int = MAX_EDGES
     for num_vertices in range(2, max_vertices + 1):
         num_slots = num_vertices * (num_vertices - 1) // 2
         num_interior = num_vertices - 2
+        placeholder_ops = (INPUT, *[INTERIOR_OPS[0]] * num_interior, OUTPUT)
         for mask in range(1, 1 << num_slots):
             if bin(mask).count("1") > max_edges:
                 continue
-            matrix = _matrix_from_edge_mask(num_vertices, mask)
-            if not _is_pruned_form(matrix):
+            rows = _rows_from_edge_mask(num_vertices, mask)
+            # Only matrices already in pruned form are labelled: a smaller
+            # pruned form is enumerated at its own vertex count.
+            form = prune_rows(rows, placeholder_ops)
+            if form is None or form[0] is not rows:
                 continue
             # Labelings are iterated lazily (re-generated per matrix) instead
             # of materializing the full 3^(n-2) product up front.
             for labeling in itertools.product(INTERIOR_OPS, repeat=num_interior):
                 ops = (INPUT, *labeling, OUTPUT)
-                cell = Cell(matrix, ops)
+                cell = Cell._from_rows(rows, ops, pruned=True)
                 if cell.fingerprint in seen:
                     continue
                 seen.add(cell.fingerprint)
@@ -98,11 +100,52 @@ def count_unique_cells(max_vertices: int, max_edges: int = MAX_EDGES) -> int:
     return sum(1 for _ in enumerate_cells(max_vertices, max_edges))
 
 
+#: Attempts one draw makes before it gives up (the default of :func:`random_cell`).
+_DRAW_ATTEMPTS = 200
+
+
+def _draw_form(
+    rng: np.random.Generator, max_vertices: int, max_edges: int, max_attempts: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """Draw one random valid cell as its pruned ``(rows, ops)`` form.
+
+    Each attempt's unpruned rows pass :func:`~repro.nasbench.cell.validate_rows`,
+    the check :class:`Cell` runs, so a draw outside the cell space raises the
+    same :class:`InvalidCellError` a ``Cell`` of it would; an attempt whose
+    input cannot reach its output is redrawn.
+    """
+    vertex_choices, cdf = _vertex_cdf(max_vertices)
+    num_ops = len(INTERIOR_OPS)
+    for _ in range(max_attempts):
+        num_vertices = vertex_choices[bisect.bisect_right(cdf, rng.random())]
+        num_slots = num_vertices * (num_vertices - 1) // 2
+        max_usable_edges = min(max_edges, num_slots)
+        min_edges = num_vertices - 1
+        if min_edges > max_usable_edges:
+            continue
+        num_edges = int(rng.integers(min_edges, max_usable_edges + 1))
+        slots = _edge_slots(num_vertices)
+        chosen = rng.choice(num_slots, size=num_edges, replace=False)
+        rows = [[0] * num_vertices for _ in range(num_vertices)]
+        for index in chosen.tolist():
+            i, j = slots[index]
+            rows[i][j] = 1
+        labels = rng.integers(num_ops, size=num_vertices - 2).tolist()
+        ops = (INPUT, *[INTERIOR_OPS[label] for label in labels], OUTPUT)
+        rows = tuple(map(tuple, rows))
+        validate_rows(rows, ops)
+        form = prune_rows(rows, ops)
+        if form is not None:
+            return form
+
+    raise DatasetError(f"failed to draw a valid random cell after {max_attempts} attempts")
+
+
 def random_cell(
     rng: np.random.Generator,
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
-    max_attempts: int = 200,
+    max_attempts: int = _DRAW_ATTEMPTS,
 ) -> Cell:
     """Draw one random valid cell (already pruned).
 
@@ -112,45 +155,11 @@ def random_cell(
 
     The draws consume the generator exactly as ``rng.choice(vertex_choices,
     p=weights)`` and ``rng.choice(INTERIOR_OPS)`` do (one uniform double
-    against the normalized CDF; one bounded integer per label), at a
-    fraction of their per-call cost, so a seed always yields the same cells.
+    against the normalized CDF; one bounded integer per label, all labels of
+    an attempt in one call), at a fraction of their per-call cost, so a seed
+    always yields the same cells.
     """
-    vertex_choices = list(range(3, max_vertices + 1))
-    if not vertex_choices:
-        raise DatasetError(f"max_vertices must be at least 3 to draw a cell, got {max_vertices}")
-    # Weight ~ 4^(n) so most samples use many vertices, as in the real space.
-    weights = np.array([4.0**n for n in vertex_choices])
-    weights /= weights.sum()
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    cdf = cdf.tolist()
-    num_ops = len(INTERIOR_OPS)
-
-    for _ in range(max_attempts):
-        num_vertices = vertex_choices[bisect.bisect_right(cdf, rng.random())]
-        num_slots = num_vertices * (num_vertices - 1) // 2
-        max_usable_edges = min(max_edges, num_slots)
-        min_edges = num_vertices - 1
-        if min_edges > max_usable_edges:
-            continue
-        num_edges = int(rng.integers(min_edges, max_usable_edges + 1))
-        slots = list(itertools.combinations(range(num_vertices), 2))
-        chosen = rng.choice(len(slots), size=num_edges, replace=False)
-        rows = [[0] * num_vertices for _ in range(num_vertices)]
-        for index in chosen.tolist():
-            i, j = slots[index]
-            rows[i][j] = 1
-        ops = (
-            INPUT,
-            *(INTERIOR_OPS[int(rng.integers(num_ops))] for _ in range(num_vertices - 2)),
-            OUTPUT,
-        )
-        cell = Cell._from_rows(tuple(map(tuple, rows)), ops)
-        if not cell.is_valid():
-            continue
-        return cell.prune()
-
-    raise DatasetError(f"failed to draw a valid random cell after {max_attempts} attempts")
+    return Cell._from_rows(*_draw_form(rng, max_vertices, max_edges, max_attempts), pruned=True)
 
 
 def sample_unique_cells(
@@ -176,39 +185,45 @@ def sample_unique_cells(
 
     Notes
     -----
-    Most duplicate draws repeat a pruned ``(matrix, ops)`` form already
-    drawn, and equal forms have equal fingerprints, so such a draw is
-    rejected without hashing it; only a new form is fingerprinted.
+    Each draw is the pruned ``(rows, ops)`` form :func:`random_cell` would
+    wrap.  Most duplicate draws repeat a form already drawn, and equal forms
+    have equal fingerprints, so such a draw is rejected by a tuple lookup
+    before any :class:`Cell` is built; only a new form becomes a ``Cell``
+    and is fingerprinted.  The draw has already validated the form, and a
+    duplicate equals a form admitted before, so skipping its ``Cell``
+    skips no check.
     """
     if count <= 0:
         raise DatasetError("count must be positive")
-    rng = np.random.default_rng(seed)
-    cells: list[Cell] = []
-    seen: set[str] = set()
-    forms: set[tuple] = set()
+    with obs.span("nasbench.sample", models=count) as span:
+        rng = np.random.default_rng(seed)
+        cells: list[Cell] = []
+        seen: set[str] = set()
+        forms: set[tuple] = set()
 
-    def admit(pruned: Cell) -> None:
-        form = (pruned.matrix, pruned.ops)
-        if form in forms:
-            return
-        forms.add(form)
-        if pruned.fingerprint not in seen:
-            seen.add(pruned.fingerprint)
-            cells.append(pruned)
+        def admit(pruned: Cell) -> None:
+            forms.add((pruned.matrix, pruned.ops))
+            if pruned.fingerprint not in seen:
+                seen.add(pruned.fingerprint)
+                cells.append(pruned)
 
-    for cell in extra_cells:
-        admit(cell.prune())
+        for cell in extra_cells:
+            admit(cell.prune())
 
-    attempts = 0
-    max_total_attempts = max(10_000, count * 60)
-    while len(cells) < count:
-        attempts += 1
-        if attempts > max_total_attempts:
-            raise DatasetError(
-                f"could only draw {len(cells)} unique cells out of the requested "
-                f"{count} after {attempts} attempts; the requested sample may be "
-                "larger than the sub-space"
-            )
-        admit(random_cell(rng, max_vertices, max_edges))
+        attempts = new_forms = 0
+        max_total_attempts = max(10_000, count * 60)
+        while len(cells) < count:
+            attempts += 1
+            if attempts > max_total_attempts:
+                raise DatasetError(
+                    f"could only draw {len(cells)} unique cells out of the requested "
+                    f"{count} after {attempts} attempts; the requested sample may be "
+                    "larger than the sub-space"
+                )
+            form = _draw_form(rng, max_vertices, max_edges, _DRAW_ATTEMPTS)
+            if form not in forms:
+                new_forms += 1
+                admit(Cell._from_rows(*form, pruned=True))
+        span.set(draws=attempts, new_forms=new_forms)
 
     return cells[:count]

@@ -23,9 +23,10 @@ bit-for-bit identical layer lists.
 
 The expanded layer rows (:meth:`MacroSpec.layer_blocks`) remain the single
 source of truth: :class:`~repro.nasbench.layer_table.LayerTable` packs them
-for the compiler and the fused grid kernel, parameter counts sum over them,
-and :meth:`MacroSpec.build_layers` is their named
-:class:`~repro.nasbench.network.LayerSpec` view for the scalar oracle.
+for the compiler and the fused grid kernel, and :meth:`MacroSpec.build_layers`
+is their named :class:`~repro.nasbench.network.LayerSpec` view for the scalar
+oracle.  :attr:`MacroSpec.trainable_parameters` walks the same stage schedule
+and counts each cell instance from its vertex channels, without the rows.
 Nothing downstream needs macro awareness beyond plumbing fingerprints
 through dataset records, store keys and sweep manifests.
 """
@@ -36,6 +37,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +53,9 @@ from .network import (
     NetworkConfig,
     NetworkSpec,
     cell_rows,
+    cell_trainable_parameters,
     layer_specs,
+    layer_trainable_parameters,
 )
 
 #: Most stages a macro spec may have (each stage past the first downsamples,
@@ -240,12 +244,41 @@ class MacroSpec:
     @property
     def stage_channels(self) -> list[int]:
         """Channel count of each stage's cells, after its width rescale."""
+        return [channels for _in_channels, channels, _stage in self._stage_walk()]
+
+    @property
+    def trainable_parameters(self) -> int:
+        """Trainable parameters of the expanded network, without expanding it.
+
+        Equal to ``self.build_network().trainable_parameters``: the stem
+        convolution, each stage's cell instances counted per vertex by
+        :func:`~repro.nasbench.network.cell_trainable_parameters`, and the
+        dense head.
+        """
+        total = layer_trainable_parameters(
+            KIND_CONV, self.image_channels, self.stem_channels, 3, True
+        )
         channels = self.stem_channels
-        result = []
+        for in_channels, channels, stage in self._stage_walk():
+            total += cell_trainable_parameters(
+                stage.cell.prune(), in_channels, channels, stage.depth
+            )
+        return total + layer_trainable_parameters(KIND_DENSE, channels, self.num_classes, 1, False)
+
+    def _stage_walk(self) -> Iterator[tuple[int, int, StageSpec]]:
+        """``(in_channels, channels, stage)`` per stage, in order.
+
+        The one stage schedule that :meth:`layer_blocks`,
+        :attr:`trainable_parameters` and :attr:`stage_channels` walk: each
+        stage rescales the running channel count by its width multiplier,
+        and its first cell takes the previous stage's width (the stem's for
+        stage 0).
+        """
+        in_channels = channels = self.stem_channels
         for stage in self.stages:
             channels = max(1, int(round(channels * stage.width_multiplier)))
-            result.append(channels)
-        return result
+            yield in_channels, channels, stage
+            in_channels = channels
 
     # ------------------------------------------------------------------ #
     # Expansion
@@ -268,14 +301,12 @@ class MacroSpec:
             ("stem", height, width, [("conv3x3", KIND_CONV, self.image_channels, channels, 3, 1)])
         ]
 
-        in_channels = channels
-        for stack_index, stage in enumerate(self.stages):
+        for stack_index, (in_channels, channels, stage) in enumerate(self._stage_walk()):
             if stack_index > 0:
                 downsample = ("downsample", KIND_DOWNSAMPLE, in_channels, in_channels, 2, 2)
                 blocks.append((f"stack{stack_index}", height, width, [downsample]))
                 height = math.ceil(height / 2)
                 width = math.ceil(width / 2)
-            channels = max(1, int(round(channels * stage.width_multiplier)))
 
             cell = stage.cell.prune()
             rows = cell_rows(cell, in_channels, channels)
@@ -283,11 +314,10 @@ class MacroSpec:
                 if cell_index == 1 and in_channels != channels:
                     rows = cell_rows(cell, channels, channels)
                 blocks.append((f"stack{stack_index}/cell{cell_index}", height, width, rows))
-            in_channels = channels
 
-        pool = ("global_pool", KIND_GLOBAL_POOL, in_channels, in_channels, 1, 1)
+        pool = ("global_pool", KIND_GLOBAL_POOL, channels, channels, 1, 1)
         blocks.append(("head", height, width, [pool]))
-        blocks.append(("head", 1, 1, [("dense", KIND_DENSE, in_channels, self.num_classes, 1, 1)]))
+        blocks.append(("head", 1, 1, [("dense", KIND_DENSE, channels, self.num_classes, 1, 1)]))
         return blocks
 
     def build_layers(self) -> tuple[LayerSpec, ...]:

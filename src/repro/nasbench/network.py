@@ -11,10 +11,11 @@ cell-input vertex passes through a 1x1 projection convolution.
 This module holds the one expansion rule of a cell instance,
 :func:`cell_rows`, which emits plain layer rows.  The rows are the single
 source of truth: :class:`~repro.nasbench.layer_table.LayerTable` packs them
-straight into its columns for the batch kernels, parameter counts are summed
-over them with :func:`layer_trainable_parameters`, and :func:`layer_specs`
+straight into its columns for the batch kernels, and :func:`layer_specs`
 turns them into the named :class:`LayerSpec` records the scalar simulator
-(the oracle) walks.
+(the oracle) walks.  Parameter counts use :func:`cell_trainable_parameters`,
+the closed form of :func:`layer_trainable_parameters` summed over a cell's
+rows, computed from the vertex channel counts alone.
 """
 
 from __future__ import annotations
@@ -363,6 +364,48 @@ def cell_rows(cell: Cell, input_channels: int, output_channels: int) -> list[Lay
     return rows
 
 
+#: ``k * k`` of each interior operation that carries a convolution kernel.
+_KERNEL_AREA = {op: k * k for op, (_name, kind, k) in _OP_LAYERS.items() if kind in WEIGHTED_KINDS}
+
+
+def cell_trainable_parameters(
+    cell: Cell, input_channels: int, output_channels: int, depth: int
+) -> int:
+    """Trainable parameters of *depth* stacked instances of a (pruned) cell.
+
+    The first instance takes *input_channels*, the others *output_channels*
+    (one stage of the expansion); each emits *output_channels*.  The count
+    equals :func:`layer_trainable_parameters` summed over :func:`cell_rows`,
+    without expanding the rows, vertex by vertex from
+    :func:`compute_vertex_channels`: a vertex of width ``w`` costs
+    ``(9w + 2) * w`` as a 3x3 and ``(w + 2) * w`` as a 1x1 convolution and
+    nothing as a pooling layer, plus ``(cin + 2) * w`` for the projection of
+    the cell input when the input feeds it; the projection on an
+    input-to-output edge (the only layer of a 2-vertex cell) costs
+    ``(cin + 2) * cout``.  Adds and concatenations carry no weights.  The
+    interior widths do not depend on ``cin``, so one channel count serves
+    every instance.
+    """
+    matrix = cell.matrix
+    output = len(matrix) - 1
+    # A 1x1 projection with batch norm costs (cin + 2) per output channel;
+    # the first instance projects input_channels, the others output_channels.
+    projection = input_channels + 2 + (depth - 1) * (output_channels + 2)
+    if output == 1:
+        return projection * output_channels
+    channels = compute_vertex_channels(input_channels, output_channels, matrix)
+    projected = output_channels if matrix[0][output] else 0
+    weights = 0
+    for v in range(1, output):
+        width = channels[v]
+        if matrix[0][v]:
+            projected += width
+        area = _KERNEL_AREA.get(cell.ops[v])
+        if area:
+            weights += (area * width + 2) * width
+    return depth * weights + projection * projected
+
+
 def layer_specs(blocks: Iterable[LayerBlock]) -> list[LayerSpec]:
     """Named :class:`LayerSpec` records of layer blocks (the scalar view)."""
     return [
@@ -380,17 +423,6 @@ def layer_specs(blocks: Iterable[LayerBlock]) -> list[LayerSpec]:
         for prefix, height, width, rows in blocks
         for suffix, kind, in_channels, out_channels, kernel_size, stride in rows
     ]
-
-
-def blocks_trainable_parameters(blocks: Iterable[LayerBlock]) -> int:
-    """Trainable parameters of layer blocks, summed row by row."""
-    return sum(
-        layer_trainable_parameters(
-            kind, in_channels, out_channels, kernel_size, kind in BATCH_NORM_KINDS
-        )
-        for _prefix, _height, _width, rows in blocks
-        for _suffix, kind, in_channels, out_channels, kernel_size, _stride in rows
-    )
 
 
 def build_network(cell: Cell, config: NetworkConfig | None = None) -> NetworkSpec:

@@ -1,10 +1,11 @@
 """Trainable-parameter counting for NASBench networks.
 
 The paper uses the number of trainable parameters as its primary proxy for
-model size (Table 1, Table 6, Table 7, Figure 14).  Counting sums the
-per-layer formula over the expansion's layer rows — the rows the simulator's
-tables are packed from — so the number can never disagree with what the
-simulator sees; this module adds convenience wrappers and the
+model size (Table 1, Table 6, Table 7, Figure 14).  Counting walks the stage
+schedule of the expansion and counts each cell instance from its vertex
+channel counts (:attr:`MacroSpec.trainable_parameters`), without expanding
+the layer rows the simulator's tables are packed from; the tests hold it
+equal to the sum over the expanded network's layers.  This module adds the
 interval-histogram helper used to regenerate Table 1.
 """
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cell import Cell
-from .macro import MacroSpec, architecture_blocks
-from .network import NetworkConfig, blocks_trainable_parameters
+from .macro import MacroSpec
+from .network import NetworkConfig
 
 
 def count_parameters(arch: Cell | MacroSpec, config: NetworkConfig | None = None) -> int:
@@ -24,7 +25,9 @@ def count_parameters(arch: Cell | MacroSpec, config: NetworkConfig | None = None
     A bare cell expands through *config* (the paper's backbone by default);
     a macro spec through its own stages.
     """
-    return blocks_trainable_parameters(architecture_blocks(arch, config))
+    if not isinstance(arch, MacroSpec):
+        arch = MacroSpec.from_network_config(arch, config)
+    return arch.trainable_parameters
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Each fast path is checked against a reference kept here: the numpy cell
 predicate and pruning, ``rng.choice`` sampling, the numpy-built mutation
 primitives, and the ``LayerSpec``-based network expansion that
-:meth:`LayerTable.from_networks` flattens.
+:meth:`LayerTable.from_networks` flattens and whose layers'
+``trainable_parameters`` the vertex-channel count must sum to.
 """
 
 from __future__ import annotations
@@ -110,12 +111,14 @@ def reference_depth_width(rows) -> tuple[int, int]:
     return int(dist[n - 1]), width
 
 
-def reference_random_cell(rng, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
+def reference_random_cell(rng, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES, max_attempts=200):
     """``random_cell`` drawing through ``rng.choice`` for vertices and labels."""
     vertex_choices = list(range(3, max_vertices + 1))
+    if not vertex_choices:
+        raise DatasetError(f"max_vertices must be at least 3 to draw a cell, got {max_vertices}")
     weights = np.array([4.0**n for n in vertex_choices])
     weights /= weights.sum()
-    while True:
+    for _ in range(max_attempts):
         num_vertices = int(rng.choice(vertex_choices, p=weights))
         num_slots = num_vertices * (num_vertices - 1) // 2
         max_usable_edges = min(max_edges, num_slots)
@@ -130,6 +133,7 @@ def reference_random_cell(rng, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES):
         cell = Cell(matrix, (INPUT, *labels, OUTPUT))
         if cell.is_valid():
             return cell.prune()
+    raise DatasetError(f"failed to draw a valid random cell after {max_attempts} attempts")
 
 
 def reference_flip_edge(cell, rng):
@@ -366,13 +370,37 @@ def test_equal_fingerprints_have_equal_sizes_and_ops(data, cells):
 # --------------------------------------------------------------------------- #
 # Sampling streams
 # --------------------------------------------------------------------------- #
+def _drawn(draw, rng, bounds):
+    """The form a draw returns, or the type and message of what it raises."""
+    try:
+        cell = draw(rng, *bounds)
+    except (DatasetError, InvalidCellError) as exc:
+        return type(exc), str(exc)
+    assert cell.prune() is cell
+    return cell.matrix, cell.ops
+
+
 def test_random_cell_draws_the_rng_choice_stream():
-    for seed in range(50):
-        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(4):
-            cell, expected = random_cell(fast), reference_random_cell(reference)
-            assert (cell.matrix, cell.ops) == (expected.matrix, expected.ops)
-        assert fast.random() == reference.random()
+    # Bounds past MAX_VERTICES/MAX_EDGES draw cells outside the space, which
+    # must fail validation on the same draw; (2, 9) has no vertex count to
+    # draw and (3, 1) no satisfiable edge count.
+    for bounds, seeds in [
+        ((MAX_VERTICES, MAX_EDGES), 50),
+        ((5, 6), 20),
+        ((4, 3), 20),
+        ((3, 2), 20),
+        ((6, 12), 20),
+        ((8, 9), 20),
+        ((9, 30), 10),
+        ((2, 9), 5),
+        ((3, 1), 5),
+    ]:
+        for seed in range(seeds):
+            fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                expected = _drawn(reference_random_cell, reference, bounds)
+                assert _drawn(random_cell, fast, bounds) == expected, (bounds, seed)
+            assert fast.random() == reference.random()
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -432,6 +460,21 @@ def test_parameters_from_rows_equal_the_built_network(config):
     for record in dataset:
         network = record.build_network(config)
         assert record.trainable_parameters == network.trainable_parameters
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@settings(max_examples=60, deadline=None)
+@given(cell=valid_cells())
+def test_parameter_count_of_a_cell_equals_its_built_network(config, cell):
+    assert count_parameters(cell, config) == build_network(cell, config).trainable_parameters
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stem_channels=st.integers(1, 256))
+def test_parameter_count_of_a_macro_equals_its_built_network(config, seed, stem_channels):
+    macro = random_macro(np.random.default_rng(seed), stem_channels=stem_channels)
+    assert count_parameters(macro, config) == macro.build_network().trainable_parameters
 
 
 def test_from_architectures_errors_match_from_networks():
