@@ -261,31 +261,9 @@ class TestPredictorEquivalence:
             assert np.array_equal(array, before)
         assert np.array_equal(model.predict_cells(cells[:6]), predictions)
 
-    @pytest.mark.parametrize("missing", ["train_losses", "table_digest"])
-    def test_state_without_an_entry_leaves_the_model_unchanged(self, cells, missing):
-        table = GraphTable.from_cells(cells)
-        targets = np.linspace(1.0, 2.0, len(cells))
-        model = LearnedPerformanceModel("V1", TrainingSettings(epochs=1, seed=0))
-        model.fit_table(table, targets)
-        other = LearnedPerformanceModel("V1", TrainingSettings(epochs=2, seed=1))
-        other.fit_table(table, targets)
-        state = other.export_state()
-        del state[missing]
-        weights = model.model.export_arrays()
-        predictions = model.predict_cells(cells[:6])
-        history = model.history
-
-        with pytest.raises(ModelError, match=missing):
-            model.restore_state(table, state)
-        for array, before in zip(model.model.export_arrays(), weights, strict=True):
-            assert np.array_equal(array, before)
-        assert np.array_equal(model.predict_cells(cells[:6]), predictions)
-        assert model.history is history
-        assert len(model.history.train_losses) == 1
-
     @staticmethod
     def _assert_rejected_unchanged(cells, edit, match):
-        """A state edited by *edit* raises ``ModelError`` and changes nothing."""
+        """A state changed by *edit* raises ``ModelError`` and leaves the model as it was."""
         table = GraphTable.from_cells(cells)
         targets = np.linspace(1.0, 2.0, len(cells))
         model = LearnedPerformanceModel("V1", TrainingSettings(epochs=1, seed=0))
@@ -293,7 +271,7 @@ class TestPredictorEquivalence:
         other = LearnedPerformanceModel("V1", TrainingSettings(epochs=2, seed=1))
         other.fit_table(table, targets)
         state = other.export_state()
-        edit(state, table)
+        edit(state)
         weights = model.model.export_arrays()
         predictions = model.predict_cells(cells[:6])
         history, split = model.history, model.split
@@ -304,6 +282,11 @@ class TestPredictorEquivalence:
             assert np.array_equal(array, before)
         assert np.array_equal(model.predict_cells(cells[:6]), predictions)
         assert model.history is history and model.split is split
+        assert len(model.history.train_losses) == 1
+
+    @pytest.mark.parametrize("missing", ["train_losses", "table_digest"])
+    def test_state_without_an_entry_leaves_the_model_unchanged(self, cells, missing):
+        self._assert_rejected_unchanged(cells, lambda state: state.pop(missing), missing)
 
     @pytest.mark.parametrize(
         "reshape",
@@ -311,17 +294,17 @@ class TestPredictorEquivalence:
         ids=["two", "four", "row"],
     )
     def test_state_with_a_misshapen_normalizer_leaves_the_model_unchanged(self, cells, reshape):
-        def edit(state, _table):
+        def edit(state):
             state["normalizer"] = reshape(np.asarray(state["normalizer"]))
 
         self._assert_rejected_unchanged(cells, edit, "normalizer")
 
     @pytest.mark.parametrize("key", ["split_train", "split_validation", "split_test"])
     def test_split_indices_outside_the_table_leave_the_model_unchanged(self, cells, key):
+        # The table holds one graph per cell, so len(cells) is one past its end.
         for bad in (1_000_000, len(cells), -1):
 
-            def edit(state, table, bad=bad):
-                assert table.num_graphs == len(cells)
+            def edit(state, bad=bad):
                 state[key] = np.append(np.asarray(state[key], dtype=np.int64), bad)
 
             self._assert_rejected_unchanged(cells, edit, key)
