@@ -1,10 +1,11 @@
 """Setuptools configuration.
 
 The project keeps its metadata here (no pyproject.toml yet); the hard
-runtime dependencies are NumPy (compiler/simulator array kernels, analysis)
-and SciPy (the Table 8 correlation metrics in ``repro.core.metrics``, and
-the ``scipy.sparse`` scatter matrices of the learned model's training step
-in ``repro.core.step``).
+runtime dependencies are NumPy (compiler/simulator array kernels, analysis,
+the Table 8 correlation metrics in ``repro.core.metrics``) and SciPy, only
+for the ``scipy.sparse`` scatter matrices of the learned model's training
+step in ``repro.core.step``.  ``scipy.stats`` is the tests' oracle for the
+two correlations and is not imported at run time.
 """
 
 from setuptools import find_packages, setup

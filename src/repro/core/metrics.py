@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ModelError
 
@@ -22,17 +21,55 @@ def estimation_accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def spearman_correlation(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Spearman rank-order correlation between predictions and ground truth."""
+    """Spearman rank-order correlation between predictions and ground truth.
+
+    The Pearson correlation of the two arrays' average ranks: tied values share
+    the mean of the ranks they span, as in ``scipy.stats.spearmanr``.  A
+    constant argument (either one) has no defined correlation and returns
+    ``nan`` without a warning, and so does a ``nan`` in either.
+    """
     predictions, targets = _validate(predictions, targets)
-    value = stats.spearmanr(predictions, targets).statistic
-    return float(value)
+    if np.isnan(predictions).any() or np.isnan(targets).any():
+        return float("nan")  # ranking would give a nan a place of its own
+    return _pearson(_average_ranks(predictions), _average_ranks(targets))
 
 
 def pearson_correlation(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Pearson linear correlation between predictions and ground truth."""
+    """Pearson linear correlation between predictions and ground truth.
+
+    Computed as ``scipy.stats.pearsonr`` computes it, so the two agree to
+    rounding; two samples give exactly ``+1`` or ``-1``.  A constant argument
+    (either one) has no defined correlation and returns ``nan`` without a
+    warning.
+    """
     predictions, targets = _validate(predictions, targets)
-    value = stats.pearsonr(predictions, targets).statistic
-    return float(value)
+    return _pearson(predictions, targets)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of *values*; each run of ties gets the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """The correlation of two equal-length arrays; ``nan`` if either is constant."""
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return float("nan")
+    x_dev = x - x.mean()
+    y_dev = y - y.mean()
+    # Scaling by the largest deviation before the norm keeps it from overflowing.
+    x_max = np.abs(x_dev).max()
+    y_max = np.abs(y_dev).max()
+    x_norm = x_max * np.linalg.norm(x_dev / x_max)
+    y_norm = y_max * np.linalg.norm(y_dev / y_max)
+    r = np.clip(np.dot(x_dev / x_norm, y_dev / y_norm), -1.0, 1.0)
+    return float(np.round(r) if x.size == 2 else r)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,9 @@ def _vertex_cdf(max_vertices: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
     if not vertex_choices:
         raise DatasetError(f"max_vertices must be at least 3 to draw a cell, got {max_vertices}")
     # Weight ~ 4^(n) so most samples use many vertices, as in the real space.
-    weights = np.array([4.0**n for n in vertex_choices])
+    # Dividing every weight by 4^max_vertices is exact (a power of two) and
+    # keeps the largest at 1, where 4.0**n alone overflows from n = 512.
+    weights = np.array([4.0 ** (n - max_vertices) for n in vertex_choices])
     weights /= weights.sum()
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]

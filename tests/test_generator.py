@@ -102,6 +102,14 @@ class TestSamplingFailurePaths:
         with pytest.raises(DatasetError):
             random_cell(np.random.default_rng(0), max_attempts=0)
 
+    @pytest.mark.parametrize("max_vertices", [100, 511, 600])
+    def test_random_cell_over_the_edge_budget_exhausts_attempts(self, max_vertices):
+        # Almost every draw picks a vertex count whose spanning path needs
+        # more edges than the budget of 9, so every attempt is skipped; the
+        # vertex weights must not overflow on the way (4.0**n does from 512).
+        with pytest.raises(DatasetError, match="after 200 attempts"):
+            random_cell(np.random.default_rng(0), max_vertices=max_vertices)
+
     def test_sample_unique_cells_raises_when_subspace_is_exhausted(self):
         # The 3-vertex sub-space only holds 7 unique models; asking for 50
         # must terminate with DatasetError, not spin forever.

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
 from repro.core import (
     Adam,
@@ -159,6 +163,24 @@ class TestTrainingLoop:
         assert predict(model, table).shape == (20,)
 
 
+@st.composite
+def correlation_pairs(draw):
+    """Two non-constant arrays of one length in 2-300, of floats or of small integers.
+
+    The integers take five values, so most arrays hold many ties; no target is
+    zero, which the metrics reject.
+    """
+    size = draw(st.integers(min_value=2, max_value=300))
+    floats = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False).filter(bool)
+    pair = []
+    for _ in range(2):
+        elements = draw(st.sampled_from([floats, st.integers(min_value=1, max_value=5)]))
+        values = draw(st.lists(elements, min_size=size, max_size=size))
+        pair.append(np.array(values, dtype=float))
+    assume(all(np.ptp(values) > 0 for values in pair))
+    return pair
+
+
 class TestMetrics:
     def test_perfect_predictions(self):
         targets = np.array([1.0, 2.0, 3.0])
@@ -190,6 +212,41 @@ class TestMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ModelError):
             pearson_correlation(np.array([1.0]), np.array([1.0, 2.0]))
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(ModelError):
+            spearman_correlation(np.array([1.0]), np.array([1.0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=correlation_pairs())
+    def test_correlations_match_scipy(self, pair):
+        predictions, targets = pair
+        spearman = spearman_correlation(predictions, targets)
+        pearson = pearson_correlation(predictions, targets)
+        expected_spearman = stats.spearmanr(predictions, targets).statistic
+        expected_pearson = stats.pearsonr(predictions, targets).statistic
+        if predictions.size == 2:
+            # Exactly +-1; spearmanr returns 0.9999999999999999 here.
+            assert spearman == np.sign(expected_spearman)
+            assert pearson == np.sign(expected_pearson)
+        else:
+            assert spearman == pytest.approx(expected_spearman, rel=0, abs=1e-14)
+            assert pearson == pytest.approx(expected_pearson, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("flat", ["predictions", "targets"])
+    def test_constant_input_gives_nan_without_a_warning(self, flat):
+        varying, constant = np.array([1.0, 2.0, 4.0]), np.full(3, 2.0)
+        args = (constant, varying) if flat == "predictions" else (varying, constant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(spearman_correlation(*args))
+            assert np.isnan(pearson_correlation(*args))
+
+    def test_nan_input_gives_nan(self):
+        predictions = np.array([1.0, np.nan, 3.0])
+        targets = np.array([1.0, 2.0, 3.0])
+        assert np.isnan(spearman_correlation(predictions, targets))
+        assert np.isnan(pearson_correlation(predictions, targets))
 
 
 class TestLearnedPerformanceModel:
