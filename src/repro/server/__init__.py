@@ -15,8 +15,8 @@ queues.  See DESIGN.md §13 for the architecture.
 * :class:`QueryCache` — the LRU hot-cache (:mod:`repro.server.cache`);
 * :class:`ServiceClient` — the matching stdlib client
   (:mod:`repro.server.client`);
-* :func:`build_service` — rebuild a servable service from a bare store
-  directory (manifest-described stores need nothing else).
+* :func:`build_service` — rebuild a servable service from a store
+  directory through its sweep manifest (it needs nothing else).
 """
 
 from .app import ServerConfig, SweepServer

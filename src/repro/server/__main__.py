@@ -1,13 +1,13 @@
 """``python -m repro.server <store_dir>`` — serve a warm store over HTTP.
 
-The store directory is self-describing: when it holds a sweep manifest
-(written by :meth:`MeasurementStore.publish_manifest` /
-``SweepManifest.save``), the population is rebuilt from the manifest's
-embedded architectures and network configuration — the same standalone
-rebuild a distributed :class:`SweepWorker` performs — so the server needs
-nothing but the directory.  Without a manifest, ``--models``/``--seed``
-regenerate the population the store was swept with (the generator is
-deterministic per seed).
+The store directory must hold a sweep manifest (written by
+:meth:`MeasurementStore.publish_manifest`).  The server opens the store only
+through it: the population is rebuilt from the manifest's embedded
+architectures and network configuration — the same standalone rebuild a
+distributed :class:`SweepWorker` performs — and the store from its layout,
+so the server needs nothing but the directory.  To serve a store swept
+without a manifest, publish one with ``store.publish_manifest(dataset,
+configs)``.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ import signal
 from pathlib import Path
 from typing import Sequence
 
-from ..errors import ServiceError
 from ..nasbench.dataset import NASBenchDataset
 from ..nasbench.macro import MacroSpec
 from ..service.query import SweepService
 from ..service.queue import SweepManifest
-from ..service.store import MeasurementStore
 from .app import ServerConfig, SweepServer
 
 
@@ -33,47 +31,18 @@ def build_service(
     *,
     configs: Sequence[str] | None = None,
     manifest_digest: str | None = None,
-    models: int | None = None,
-    seed: int = 7,
 ) -> SweepService:
-    """A warm :class:`SweepService` over *store_dir*, dataset rebuilt locally.
-
-    Manifest-described stores need no further arguments; manifest-less
-    stores fall back to regenerating ``--models`` cells with ``--seed``.
-    """
-    store_dir = Path(store_dir)
-    manifest = None
-    try:
-        manifest = SweepManifest.find(store_dir, digest=manifest_digest)
-    except ServiceError:
-        if models is None:
-            raise ServiceError(
-                f"{store_dir} has no sweep manifest; pass --models/--seed to "
-                "regenerate the population the store was swept with"
-            ) from None
-    if manifest is not None:
-        archs = [
-            arch
-            for shard in range(manifest.num_shards)
-            for arch in manifest.shard_archs(shard)
-        ]
-        network_config = manifest.network_config()
-        if any(isinstance(arch, MacroSpec) for arch in archs):
-            dataset = NASBenchDataset.from_macros(archs, network_config)
-        else:
-            dataset = NASBenchDataset.from_cells(archs, network_config)
-        store = MeasurementStore(
-            store_dir,
-            shard_size=manifest.shard_size,
-            enable_parameter_caching=manifest.enable_parameter_caching,
-            prefix=manifest.prefix,
-        )
-        if configs is None:
-            configs = [manifest.config(name) for name in manifest.config_names()]
+    """A warm :class:`SweepService` over *store_dir*, opened through its manifest."""
+    manifest = SweepManifest.find(store_dir, digest=manifest_digest)
+    archs = [arch for shard in range(manifest.num_shards) for arch in manifest.shard_archs(shard)]
+    network_config = manifest.network_config()
+    if any(isinstance(arch, MacroSpec) for arch in archs):
+        dataset = NASBenchDataset.from_macros(archs, network_config)
     else:
-        dataset = NASBenchDataset.generate(num_models=models, seed=seed)
-        store = MeasurementStore(store_dir)
-    return SweepService(store, dataset, configs=configs)
+        dataset = NASBenchDataset.from_cells(archs, network_config)
+    if configs is None:
+        configs = [manifest.config(name) for name in manifest.config_names()]
+    return SweepService(manifest.open_store(store_dir), dataset, configs=configs)
 
 
 async def _serve(service: SweepService, config: ServerConfig) -> None:
@@ -115,13 +84,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--manifest", default=None, help="manifest digest (if several)"
     )
     parser.add_argument(
-        "--models",
-        type=int,
-        default=None,
-        help="regenerate an N-model population (manifest-less stores)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
         "--window-ms",
         type=float,
         default=5.0,
@@ -133,11 +95,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     service = build_service(
-        args.store_dir,
-        configs=args.configs,
-        manifest_digest=args.manifest,
-        models=args.models,
-        seed=args.seed,
+        args.store_dir, configs=args.configs, manifest_digest=args.manifest
     )
     config = ServerConfig(
         host=args.host,

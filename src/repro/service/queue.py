@@ -8,11 +8,11 @@ on hosts sharing the store directory over a network filesystem — can drain
 without any coordinator process (an ``extend`` after the drain then loads
 their results and simulates nothing):
 
-* :class:`SweepManifest` — the full pair list of one sweep, content-keyed
-  like the shards themselves (the digest covers the shard fingerprints, the
-  configurations, the network config and the compiler mode).  The manifest
-  embeds the shard *cells*, so a worker needs nothing but the store
-  directory to rebuild and simulate any pair.
+* :class:`SweepManifest` — the full pair list of one sweep, built from the
+  store's own shard walk and content keys.  The manifest embeds each shard's
+  architectures once, so a worker needs nothing but the store directory to
+  rebuild and simulate any pair, and :meth:`SweepManifest.open_store` is how
+  every reader of a published sweep opens its store.
 * **Lease files** — a worker claims a pair by *atomically creating*
   ``queue/<manifest>/lease-<pair>.json`` carrying its owner id, a heartbeat
   timestamp and an expiry window.  Heartbeats are renewed while simulating;
@@ -26,10 +26,11 @@ their results and simulates nothing):
   report files) and detecting completion.  ``python -m repro.service.queue
   <store_dir>`` prints a status snapshot.
 
-Nothing here ever blocks on a lock: every transition is an atomic filesystem
-operation (``link``/``replace``/``unlink``), so a worker dying at *any*
-instruction leaves either a claimable pair, a stealable lease, or a
-completed shard file.
+A pair is done when the store holds it, as a loose file or in a compacted
+file (:meth:`~repro.service.store.MeasurementStore.has_pair`).  Nothing here
+ever blocks on a lock: every transition is an atomic filesystem operation
+(``link``/``replace``/``unlink``), so a worker dying at *any* instruction
+leaves either a claimable pair, a stealable lease, or a completed pair.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ from ..errors import ServiceError
 from ..nasbench.cell import Cell
 from ..nasbench.macro import MacroSpec, architecture_from_dict, architecture_to_dict
 from ..nasbench.network import NetworkConfig
-from .store import STORE_FORMAT_VERSION, stable_digest
+from .store import STORE_FORMAT_VERSION, MeasurementStore, atomic_write, stable_digest
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nasbench.dataset import NASBenchDataset
-    from .store import MeasurementStore
 
 #: Bump when the manifest/lease on-disk format changes.
 QUEUE_FORMAT_VERSION = 1
@@ -66,11 +66,9 @@ QUEUE_DIR_NAME = "queue"
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
-    """Write *payload* as JSON via a unique temp name plus atomic replace."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    tmp.replace(path)
+    """Publish *payload* as compact JSON through the store's :func:`atomic_write`."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    atomic_write(path, lambda handle: handle.write(text.encode()))
 
 
 def _read_json(path: Path) -> dict | None:
@@ -130,11 +128,13 @@ class SweepPair:
 class SweepManifest:
     """The complete, content-keyed pair list of one sweep.
 
-    Everything a worker needs is embedded: the shard cells (JSON form), the
-    accelerator configurations (full field dicts, so grid-generated configs
-    outside ``STUDIED_CONFIGS`` work), the network config, the compiler mode
-    and the per-pair shard keys.  The manifest digest covers all of it, so
-    two manifests describe the same sweep iff they share a digest.
+    Everything a worker needs is embedded: each shard's architectures (tagged
+    JSON form, once each), the accelerator configurations (full field dicts,
+    so grid-generated configs outside ``STUDIED_CONFIGS`` work), the network
+    config, the store's layout (shard size, compiler mode, prefix) and the
+    per-pair shard keys.  The digest covers the pair list, whose keys encode
+    the shard content, so two manifests describe the same sweep iff they
+    share a digest.
     """
 
     def __init__(self, payload: dict):
@@ -157,50 +157,34 @@ class SweepManifest:
     @classmethod
     def build(
         cls,
+        store: MeasurementStore,
         dataset: "NASBenchDataset",
         configs: Sequence[AcceleratorConfig],
-        shard_size: int,
-        enable_parameter_caching: bool = True,
-        prefix: str = "shard",
     ) -> "SweepManifest":
-        """Describe the sweep of *dataset* × *configs* as claimable pairs."""
-        from .store import MeasurementStore  # deferred: store imports us lazily
-
+        """Describe the sweep of *dataset* × *configs* in *store* as claimable pairs."""
         if not configs:
             raise ServiceError("a sweep manifest needs at least one configuration")
-        store = MeasurementStore(
-            Path("."),  # layout helpers only; never touches the filesystem
-            shard_size=shard_size,
-            enable_parameter_caching=enable_parameter_caching,
-            prefix=prefix,
-        )
         shards = []
         pairs = []
-        for shard_index, (start, stop) in enumerate(store.shard_ranges(len(dataset))):
-            records = dataset.records[start:stop]
-            prints = [record.fingerprint for record in records]
+        for shard in store.shards(dataset, [config.name for config in configs]):
+            records = dataset.records[shard.start : shard.stop]
             shards.append(
                 {
-                    "fingerprints": prints,
-                    "cells": [record.cell.to_dict() for record in records],
+                    "fingerprints": shard.fingerprints,
                     "archs": [architecture_to_dict(record.architecture) for record in records],
                 }
             )
-            for config in configs:
-                pairs.append(
-                    {
-                        "shard": shard_index,
-                        "config": config.name,
-                        "key": store.shard_key(prints, config.name),
-                    }
-                )
+            pairs.extend(
+                {"shard": shard.index, "config": config.name, "key": shard.keys[config.name]}
+                for config in configs
+            )
         content = {
             "kind": "sweep-manifest",
             "version": QUEUE_FORMAT_VERSION,
             "store_version": STORE_FORMAT_VERSION,
-            "prefix": prefix,
-            "shard_size": int(shard_size),
-            "parameter_caching": bool(enable_parameter_caching),
+            "prefix": store.prefix,
+            "shard_size": store.shard_size,
+            "parameter_caching": store.enable_parameter_caching,
             "network_config": {
                 "stem_channels": dataset.network_config.stem_channels,
                 "num_stacks": dataset.network_config.num_stacks,
@@ -217,8 +201,8 @@ class SweepManifest:
             {
                 "kind": "sweep-manifest",
                 "version": QUEUE_FORMAT_VERSION,
-                "prefix": prefix,
-                "parameter_caching": bool(enable_parameter_caching),
+                "prefix": store.prefix,
+                "parameter_caching": store.enable_parameter_caching,
                 "pairs": [(entry["shard"], entry["config"], entry["key"]) for entry in pairs],
             }
         )
@@ -244,7 +228,10 @@ class SweepManifest:
             return cls.load(root / f"manifest-{digest}.json")
         candidates = sorted(root.glob("manifest-*.json"))
         if not candidates:
-            raise ServiceError(f"no sweep manifest found in {root}")
+            raise ServiceError(
+                f"no sweep manifest found in {root}; publish one with "
+                "MeasurementStore.publish_manifest(dataset, configs)"
+            )
         if len(candidates) > 1:
             names = ", ".join(path.name for path in candidates)
             raise ServiceError(
@@ -297,23 +284,24 @@ class SweepManifest:
     def shard_fingerprints(self, shard_index: int) -> list[str]:
         return list(self._payload["shards"][shard_index]["fingerprints"])
 
-    def shard_cells(self, shard_index: int) -> list[Cell]:
-        return [Cell.from_dict(entry) for entry in self._payload["shards"][shard_index]["cells"]]
-
     def shard_archs(self, shard_index: int) -> list[Cell | MacroSpec]:
         """Architectures of one shard — macro specs when the sweep used them.
 
-        Prefers the tagged ``archs`` entries; manifests written before the
-        macro-space release carry only ``cells`` and fall back to them.
+        Manifests written before the macro-space release carry untagged
+        ``cells`` instead of ``archs``; both read through the same decoder.
         """
         shard = self._payload["shards"][shard_index]
-        if "archs" in shard:
-            return [architecture_from_dict(entry) for entry in shard["archs"]]
-        return [Cell.from_dict(entry) for entry in shard["cells"]]
+        entries = shard["archs"] if "archs" in shard else shard["cells"]
+        return [architecture_from_dict(entry) for entry in entries]
 
-    def pair_path(self, store_dir: str | Path, pair: SweepPair) -> Path:
-        """Shard file the pair completes into (the store's naming scheme)."""
-        return Path(store_dir) / f"{self.prefix}-{pair.config_name}-{pair.key}.npz"
+    def open_store(self, store_dir: str | Path) -> MeasurementStore:
+        """The store this manifest describes (shard size, compiler mode, prefix)."""
+        return MeasurementStore(
+            store_dir,
+            shard_size=self.shard_size,
+            enable_parameter_caching=self.enable_parameter_caching,
+            prefix=self.prefix,
+        )
 
 
 def _config_to_dict(config: AcceleratorConfig) -> dict:
@@ -370,6 +358,7 @@ class WorkQueue:
         self.manifest = manifest
         self.expiry_seconds = float(expiry_seconds)
         self.queue_dir = self.store_dir / QUEUE_DIR_NAME / manifest.digest
+        self.store = manifest.open_store(self.store_dir)
 
     # ------------------------------------------------------------------ #
     # Pair state
@@ -378,8 +367,8 @@ class WorkQueue:
         return self.queue_dir / f"lease-{pair.pair_id}.json"
 
     def is_done(self, pair: SweepPair) -> bool:
-        """A pair is complete iff its content-keyed shard file exists."""
-        return self.manifest.pair_path(self.store_dir, pair).exists()
+        """A pair is complete iff the store holds it, loose or compacted."""
+        return self.store.has_pair(pair.config_name, pair.key)
 
     def lease_state(self, pair: SweepPair, now: float | None = None) -> str:
         """``"free"``, ``"leased"`` or ``"orphaned"`` (ignoring completion)."""
@@ -450,7 +439,7 @@ class WorkQueue:
         return True
 
     def release(self, lease: PairLease) -> None:
-        """Drop the lease (after the shard file is durably in place).
+        """Drop the lease (after the pair file is durably in place).
 
         Releases only a lease we still own: if a thief replaced it between
         the last heartbeat and now, unlinking would silently drop *their*

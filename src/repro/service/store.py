@@ -27,6 +27,12 @@ A store object also keeps its own copy of every pair it wrote until a
 compaction merges it, so its later reads of those pairs (and the compaction
 itself) never re-open the files it just wrote.
 
+This module is the one owner of what a pair is: :meth:`shards` walks a
+sweep's shards and pair keys, :meth:`shard_path` names a pair's file,
+:meth:`write_pair` writes it, :meth:`has_pair` says whether the store holds
+it (loose or compacted), and :func:`atomic_write` publishes every file the
+store and the lease queue write.
+
 :meth:`extend` is the single write path (the drjit-style "record once,
 replay over shards" discipline): it loads what exists, simulates what does
 not through a :class:`~repro.simulator.batch.BatchSimulator`, and returns
@@ -46,7 +52,7 @@ import uuid
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,9 +83,29 @@ def stable_digest(payload: object) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Atomic npz I/O (shared by the store's pair files and the sweep service's
-# cached predictor weights)
+# Atomic file I/O (shared by the store's pair and compacted files, the lease
+# queue's JSON files and the sweep service's cached predictor weights)
 # --------------------------------------------------------------------------- #
+def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> Path:
+    """Publish *path* atomically: *write* fills a temp file beside it, then ``replace()``.
+
+    Concurrent writers race only on the rename, never on the bytes.  On an
+    ``OSError`` the temp file is removed and a :class:`ServiceError` names
+    *path*, so a failed write leaves nothing behind.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
+    try:
+        with open(tmp, "wb") as handle:
+            write(handle)
+        tmp.replace(path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ServiceError(f"failed to write {path}: {exc}") from exc
+    return path
+
+
 def read_npz(path: Path) -> dict[str, np.ndarray] | None:
     """Load an npz artifact; a missing or corrupt file is ``None`` (a miss).
 
@@ -116,38 +142,24 @@ def read_npz(path: Path) -> dict[str, np.ndarray] | None:
 
 
 def write_npz(path: Path, payload: dict[str, np.ndarray]) -> Path:
-    """Atomically persist *payload* as an uncompressed npz at *path*.
+    """Persist *payload* as an uncompressed npz at *path* through :func:`atomic_write`.
 
-    Written via a unique temporary name plus ``replace()``, so concurrent
-    writers race only on the atomic rename, never on the bytes.
-    :func:`read_npz` loads compressed and uncompressed archives alike.
+    Written through an open handle, so numpy appends no suffix to the temp
+    name.  :func:`read_npz` loads compressed and uncompressed archives alike.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}.npz")
-    try:
-        np.savez(tmp, **payload)
-        tmp.replace(path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise ServiceError(f"failed to write artifact {path}: {exc}") from exc
-    return path
+    return atomic_write(path, lambda handle: np.savez(handle, **payload))
 
 
-def _pair_payload(
-    fingerprints: Sequence[str], latency: np.ndarray, energy: np.ndarray
-) -> dict[str, np.ndarray]:
-    """The arrays one (shard, configuration) pair file holds.
+@dataclass(frozen=True)
+class Shard:
+    """One shard of a sweep: its model range, fingerprints and pair keys."""
 
-    Shared by every writer of pair files (:class:`MeasurementStore` and the
-    sweep worker); the latency and energy arrays are fresh copies, so the
-    payload never aliases a caller's arrays.
-    """
-    return {
-        "fingerprints": np.asarray(fingerprints),
-        "latency": np.array(latency, dtype=float),
-        "energy": np.array(energy, dtype=float),
-    }
+    index: int
+    start: int
+    stop: int
+    fingerprints: list[str]
+    #: Configuration name → the :meth:`MeasurementStore.shard_key` of its pair.
+    keys: dict[str, str]
 
 
 @dataclass
@@ -273,6 +285,23 @@ class MeasurementStore:
         """File path of one (shard, configuration) pair."""
         return self.root / f"{self.prefix}-{config_name}-{key}.npz"
 
+    def shards(self, dataset: NASBenchDataset, config_names: Sequence[str]) -> Iterator[Shard]:
+        """Walk *dataset*'s shards in order, each with its pair keys.
+
+        The one enumeration of a sweep's pairs (shards first, then
+        configurations): every pair's key is computed once per walk.
+        """
+        for index, (start, stop) in enumerate(self.shard_ranges(len(dataset))):
+            prints = [record.fingerprint for record in dataset.records[start:stop]]
+            keys = {name: self.shard_key(prints, name) for name in config_names}
+            yield Shard(index, start, stop, prints, keys)
+
+    def has_pair(self, config_name: str, key: str) -> bool:
+        """Whether the store holds a pair, loose or compacted; reads no pair file."""
+        if (config_name, key) in self._compaction_entries():
+            return True
+        return self.shard_path(config_name, key).exists()
+
     def available_configs(self) -> list[str]:
         """Configuration names with at least one shard on disk.
 
@@ -324,12 +353,11 @@ class MeasurementStore:
             return MeasurementSet(dataset, latencies, energies)
 
         with obs.span("store.extend", configs=len(config_list), models=total):
-            for start, stop in self.shard_ranges(total):
-                shard_prints = [record.fingerprint for record in dataset.records[start:stop]]
-                shard_keys = {c.name: self.shard_key(shard_prints, c.name) for c in config_list}
+            for shard in self.shards(dataset, [config.name for config in config_list]):
+                start, stop = shard.start, shard.stop
                 missing: list[AcceleratorConfig] = []
                 for config in config_list:
-                    pair = self._load_pair(shard_prints, config.name, shard_keys[config.name])
+                    pair = self._load_pair(shard.fingerprints, config.name, shard.keys[config.name])
                     if pair is None:
                         missing.append(config)
                         obs.count("store.pair_misses")
@@ -351,8 +379,12 @@ class MeasurementStore:
                         )
                     for index, config in enumerate(missing):
                         latency, energy = grid_latency[index], grid_energy[index]
-                        self._save_pair(
-                            shard_prints, config.name, shard_keys[config.name], latency, energy
+                        key = shard.keys[config.name]
+                        payload = self.write_pair(
+                            shard.fingerprints, config.name, key, latency, energy
+                        )
+                        self._written[(config.name, key)] = (
+                            shard.fingerprints, payload["latency"], payload["energy"]
                         )
                         latencies[config.name][start:stop] = latency
                         energies[config.name][start:stop] = energy
@@ -380,25 +412,17 @@ class MeasurementStore:
         total = len(dataset)
         latencies = {name: np.empty(total, dtype=float) for name in config_names}
         energies = {name: np.full(total, np.nan, dtype=float) for name in config_names}
-        ranges = self.shard_ranges(total)
         missing: list[tuple[int, str]] = []
-        for shard_index, (start, stop) in enumerate(ranges):
-            shard_prints = [record.fingerprint for record in dataset.records[start:stop]]
-            for name in config_names:
-                pair = self._load_pair(shard_prints, name, self.shard_key(shard_prints, name))
-                if pair is None:
-                    missing.append((shard_index, name))
-                    continue
-                latencies[name][start:stop] = pair[0]
-                energies[name][start:stop] = pair[1]
-                self._tally(pairs_loaded=1, models_loaded=stop - start)
+        for shard, name, pair in self._stored_pairs(dataset, config_names):
+            if pair is None:
+                missing.append((shard.index, name))
+                continue
+            latencies[name][shard.start : shard.stop] = pair[0]
+            energies[name][shard.start : shard.stop] = pair[1]
+            self._tally(pairs_loaded=1, models_loaded=shard.stop - shard.start)
         if missing:
-            shown = ", ".join(f"(shard {i}, {name})" for i, name in missing[:5])
-            raise ServiceError(
-                f"measurement store at {self.root} is missing "
-                f"{len(missing)} of {len(ranges) * len(config_names)} "
-                f"(shard, configuration) pairs (e.g. {shown}); run "
-                "MeasurementStore.extend() to simulate them"
+            raise self._missing_error(
+                missing, total, config_names, "run MeasurementStore.extend() to simulate them"
             )
         return MeasurementSet(dataset, latencies, energies)
 
@@ -411,15 +435,8 @@ class MeasurementStore:
 
         A pure query — no stats are counted and nothing is simulated.
         """
-        config_names = self._config_names(configs)
-        missing = []
-        for shard_index, (start, stop) in enumerate(self.shard_ranges(len(dataset))):
-            shard_prints = [record.fingerprint for record in dataset.records[start:stop]]
-            for name in config_names:
-                key = self.shard_key(shard_prints, name)
-                if self._load_pair(shard_prints, name, key, count_stats=False) is None:
-                    missing.append((shard_index, name))
-        return missing
+        stored = self._stored_pairs(dataset, self._config_names(configs), count_stats=False)
+        return [(shard.index, name) for shard, name, pair in stored if pair is None]
 
     # ------------------------------------------------------------------ #
     # Compaction (O(files) loose stores → O(open) memory-mapped loads)
@@ -451,39 +468,34 @@ class MeasurementStore:
         place.
         """
         config_names = self._config_names(configs)
-        ranges = self.shard_ranges(len(dataset))
         entries: list[dict] = []
         latency_parts: list[np.ndarray] = []
         energy_parts: list[np.ndarray] = []
         missing: list[tuple[int, str]] = []
         offset = 0
-        for shard_index, (start, stop) in enumerate(ranges):
-            prints = [record.fingerprint for record in dataset.records[start:stop]]
-            for name in config_names:
-                key = self.shard_key(prints, name)
-                pair = self._load_pair(prints, name, key, count_stats=False)
-                if pair is None:
-                    missing.append((shard_index, name))
-                    continue
-                length = stop - start
-                entries.append(
-                    {
-                        "config": name,
-                        "key": key,
-                        "offset": offset,
-                        "length": length,
-                        "fingerprints": prints,
-                    }
-                )
-                latency_parts.append(pair[0])
-                energy_parts.append(pair[1])
-                offset += length
+        for shard, name, pair in self._stored_pairs(dataset, config_names, count_stats=False):
+            if pair is None:
+                missing.append((shard.index, name))
+                continue
+            length = shard.stop - shard.start
+            entries.append(
+                {
+                    "config": name,
+                    "key": shard.keys[name],
+                    "offset": offset,
+                    "length": length,
+                    "fingerprints": shard.fingerprints,
+                }
+            )
+            latency_parts.append(pair[0])
+            energy_parts.append(pair[1])
+            offset += length
         if missing:
-            shown = ", ".join(f"(shard {i}, {name})" for i, name in missing[:5])
-            raise ServiceError(
-                f"compaction requires a finished sweep; {len(missing)} of "
-                f"{len(ranges) * len(config_names)} (shard, configuration) "
-                f"pairs are missing (e.g. {shown}); run extend() first"
+            raise self._missing_error(
+                missing,
+                len(dataset),
+                config_names,
+                "compaction requires a finished sweep; run extend() first",
             )
         digest = stable_digest(
             {
@@ -499,28 +511,19 @@ class MeasurementStore:
         np.concatenate(energy_parts, out=data[1])
         data_path = self.root / f"{self.prefix}-compact-{digest}.npy"
         index_path = self.root / f"{self.prefix}-compact-{digest}.json"
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = data_path.with_name(f".{data_path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        try:
-            with open(tmp, "wb") as handle:
-                np.save(handle, data)
-            tmp.replace(data_path)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise ServiceError(f"failed to write compacted data {data_path}: {exc}") from exc
-        index_payload = {
-            "kind": "compacted-index",
-            "version": STORE_FORMAT_VERSION,
-            "prefix": self.prefix,
-            "parameter_caching": self.enable_parameter_caching,
-            "data": data_path.name,
-            "entries": entries,
-        }
-        tmp_index = index_path.with_name(
-            f".{index_path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        atomic_write(data_path, lambda handle: np.save(handle, data))
+        index_text = json.dumps(
+            {
+                "kind": "compacted-index",
+                "version": STORE_FORMAT_VERSION,
+                "prefix": self.prefix,
+                "parameter_caching": self.enable_parameter_caching,
+                "data": data_path.name,
+                "entries": entries,
+            },
+            sort_keys=True,
         )
-        tmp_index.write_text(json.dumps(index_payload, sort_keys=True))
-        tmp_index.replace(index_path)
+        atomic_write(index_path, lambda handle: handle.write(index_text.encode()))
 
         loose_removed = 0
         for entry in entries:
@@ -562,15 +565,7 @@ class MeasurementStore:
         """
         from .queue import SweepManifest  # deferred: queue imports our helpers
 
-        config_list = self._config_objects(configs)
-        manifest = SweepManifest.build(
-            dataset,
-            config_list,
-            shard_size=self.shard_size,
-            enable_parameter_caching=self.enable_parameter_caching,
-            prefix=self.prefix,
-        )
-        self.root.mkdir(parents=True, exist_ok=True)
+        manifest = SweepManifest.build(self, dataset, self._config_objects(configs))
         manifest.save(self.root)
         return manifest
 
@@ -666,26 +661,55 @@ class MeasurementStore:
             return None
         return np.asarray(latency, dtype=float), np.asarray(energy, dtype=float)
 
-    def _save_pair(
+    def write_pair(
         self,
         fingerprints: Sequence[str],
         config_name: str,
         key: str,
         latency: np.ndarray,
         energy: np.ndarray,
-    ) -> Path:
-        """Persist one pair under its :meth:`shard_key` *key* and keep its copy."""
-        payload = _pair_payload(fingerprints, latency, energy)
-        with obs.span(
-            "store.save_pair", config=config_name, models=len(fingerprints)
-        ) as span:
+    ) -> dict[str, np.ndarray]:
+        """Persist one pair under its :meth:`shard_key` *key*; returns the payload.
+
+        The one writer of pair files, for :meth:`extend` and the sweep worker
+        alike.  The payload's latency and energy arrays are fresh copies, so
+        it never aliases the caller's arrays.
+        """
+        payload = {
+            "fingerprints": np.asarray(fingerprints),
+            "latency": np.array(latency, dtype=float),
+            "energy": np.array(energy, dtype=float),
+        }
+        with obs.span("store.save_pair", config=config_name, models=len(fingerprints)) as span:
             path = write_npz(self.shard_path(config_name, key), payload)
             if obs.enabled():
                 span.set(bytes=path.stat().st_size)
-        self._written[(config_name, key)] = (
-            list(fingerprints), payload["latency"], payload["energy"]
+        return payload
+
+    def _stored_pairs(
+        self, dataset: NASBenchDataset, config_names: Sequence[str], count_stats: bool = True
+    ) -> Iterator[tuple[Shard, str, tuple[np.ndarray, np.ndarray] | None]]:
+        """Each pair of the sweep with its stored arrays, or ``None`` if absent."""
+        for shard in self.shards(dataset, config_names):
+            for name in config_names:
+                yield shard, name, self._load_pair(
+                    shard.fingerprints, name, shard.keys[name], count_stats=count_stats
+                )
+
+    def _missing_error(
+        self,
+        missing: list[tuple[int, str]],
+        num_models: int,
+        config_names: Sequence[str],
+        remedy: str,
+    ) -> ServiceError:
+        """The error naming the pairs :meth:`load` or :meth:`compact` lacks."""
+        total = len(self.shard_ranges(num_models)) * len(config_names)
+        shown = ", ".join(f"(shard {i}, {name})" for i, name in missing[:5])
+        return ServiceError(
+            f"measurement store at {self.root} is missing {len(missing)} of {total} "
+            f"(shard, configuration) pairs (e.g. {shown}); {remedy}"
         )
-        return path
 
     @staticmethod
     def _config_objects(

@@ -9,13 +9,14 @@ losing the sweep:
 * **before claiming** — nothing happened; the pair stays free;
 * **while holding a lease** — the heartbeat stops, the lease passes its
   expiry window, and another worker steals it and re-simulates the pair;
-* **mid-write** — :func:`~repro.service.store.write_npz` publishes via an
+* **mid-write** — the store's pair writer
+  (:meth:`~repro.service.store.MeasurementStore.write_pair`) publishes via an
   atomic rename, so a partial temp file is garbage (never read) and the pair
   reads as missing; a truncated file that somehow lands at the final name
   (non-atomic network filesystem) is quarantined by
   :func:`~repro.service.store.read_npz` and re-simulated;
-* **after the write, before the release** — the shard file exists, so every
-  scan counts the pair done; the stale lease is ignored (done pairs are
+* **after the write, before the release** — the store holds the pair, so
+  every scan counts it done; the stale lease is ignored (done pairs are
   never claimed) and costs nothing.
 
 Workers renew their lease heartbeat from a background thread while the
@@ -35,6 +36,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .. import obs
+from ..errors import ServiceError
 from ..nasbench.layer_table import LayerTable
 from ..simulator.batch import BatchSimulator
 from .queue import (
@@ -44,7 +46,6 @@ from .queue import (
     WorkQueue,
     iter_pairs_rotated,
 )
-from .store import _pair_payload, write_npz
 
 
 @dataclass
@@ -137,15 +138,22 @@ class SweepWorker:
         Every scan claims what it can; when nothing is claimable but pairs
         remain (all leased by live workers), the loop sleeps *poll_seconds*
         and rescans — a crashed peer's lease expires into a steal, a live
-        peer's completion finishes the sweep.
+        peer's completion finishes the sweep.  The limit is checked before
+        each claim, so ``max_pairs=0`` claims nothing (the worker still
+        writes its report).
         """
+        if max_pairs is not None and max_pairs < 0:
+            raise ServiceError(f"max_pairs must be non-negative, got {max_pairs}")
+        limit = float("inf") if max_pairs is None else max_pairs
         result = WorkerResult(owner=self.owner)
         start = time.perf_counter()
         self._write_report(result)
-        while True:
+        while result.pairs_simulated < limit:
             remaining = 0
             claimed_any = False
             for pair in iter_pairs_rotated(self.manifest.pairs, self.owner):
+                if result.pairs_simulated >= limit:
+                    break
                 if self.queue.is_done(pair):
                     continue
                 remaining += 1
@@ -154,10 +162,6 @@ class SweepWorker:
                     continue
                 claimed_any = True
                 self._complete_pair(pair, lease, result)
-                if max_pairs is not None and result.pairs_simulated >= max_pairs:
-                    result.elapsed_seconds = time.perf_counter() - start
-                    self._write_report(result)
-                    return result
             if remaining == 0:
                 break
             if not claimed_any:
@@ -192,9 +196,8 @@ class SweepWorker:
                     time.sleep(self.throttle_seconds)
                 table = self._shard_table(pair.shard_index)
                 latency, energy = self._simulator.evaluate_table_grid(table, [config])
-            write_npz(
-                self.manifest.pair_path(self.store_dir, pair),
-                _pair_payload(fingerprints, latency[0], energy[0]),
+            self.queue.store.write_pair(
+                fingerprints, pair.config_name, pair.key, latency[0], energy[0]
             )
         obs.observe("worker.pair_ms", (time.perf_counter() - pair_start) * 1e3)
         result.pairs_simulated += 1

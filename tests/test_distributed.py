@@ -9,15 +9,19 @@ three ``python -m repro.service.worker`` processes against one store and
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.arch import get_config
@@ -111,38 +115,39 @@ class TestSweepManifest:
             start, stop = ranges[pair.shard_index]
             prints = [record.fingerprint for record in queue_dataset.records[start:stop]]
             assert pair.key == store.shard_key(prints, pair.config_name)
-            assert manifest.pair_path(tmp_path, pair) == store.shard_path(
-                pair.config_name, pair.key
-            )
+        opened = manifest.open_store(tmp_path)
+        assert (opened.root, opened.shard_size, opened.prefix) == (tmp_path, SHARD, store.prefix)
+        assert opened.enable_parameter_caching == store.enable_parameter_caching
 
     def test_shard_cells_rebuild_the_population(self, tmp_path, queue_dataset):
         _, manifest = publish(tmp_path, queue_dataset)
-        cells = manifest.shard_cells(1)
+        cells = manifest.shard_archs(1)
         originals = [record.cell for record in queue_dataset.records[SHARD : 2 * SHARD]]
         assert [cell.to_dict() for cell in cells] == [cell.to_dict() for cell in originals]
 
     def test_digest_covers_the_pair_list(self, tmp_path, queue_dataset):
-        _, manifest = publish(tmp_path, queue_dataset)
+        store, manifest = publish(tmp_path, queue_dataset)
         other = SweepManifest.build(
+            store,
             queue_dataset,
             [get_config("V1")],  # different grid → different sweep
-            shard_size=SHARD,
         )
         assert other.digest != manifest.digest
 
     def test_find_requires_exactly_one_manifest(self, tmp_path, queue_dataset):
         with pytest.raises(ServiceError, match="no sweep manifest"):
             SweepManifest.find(tmp_path)
-        _, first = publish(tmp_path, queue_dataset)
-        second = SweepManifest.build(queue_dataset, [get_config("V1")], shard_size=SHARD)
+        store, first = publish(tmp_path, queue_dataset)
+        second = SweepManifest.build(store, queue_dataset, [get_config("V1")])
         second.save(tmp_path)
         with pytest.raises(ServiceError, match="multiple sweep manifests"):
             SweepManifest.find(tmp_path)
         assert SweepManifest.find(tmp_path, digest=first.digest).digest == first.digest
 
-    def test_build_rejects_empty_grid(self, queue_dataset):
+    def test_build_rejects_empty_grid(self, tmp_path, queue_dataset):
+        store = MeasurementStore(tmp_path, shard_size=SHARD)
         with pytest.raises(ServiceError, match="at least one configuration"):
-            SweepManifest.build(queue_dataset, [], shard_size=SHARD)
+            SweepManifest.build(store, queue_dataset, [])
 
 
 class TestWorkQueue:
@@ -213,7 +218,7 @@ class TestWorkQueue:
     def test_done_pairs_are_detected_from_shard_files(self, queue, tmp_path):
         pair = queue.manifest.pairs[0]
         assert not queue.is_done(pair)
-        queue.manifest.pair_path(tmp_path, pair).write_bytes(b"placeholder")
+        queue.store.shard_path(pair.config_name, pair.key).write_bytes(b"placeholder")
         assert queue.is_done(pair)
 
     def test_rotation_covers_every_pair_once(self, queue):
@@ -307,6 +312,22 @@ class TestSweepWorker:
         assert result.pairs_simulated == len(manifest.pairs) - 1
         assert result.leases_stolen == 0
 
+    def test_max_pairs_zero_claims_nothing(self, tmp_path, queue_dataset):
+        _, manifest = publish(tmp_path, queue_dataset)
+        result = SweepWorker(tmp_path, owner="idle", poll_seconds=0.05).run(max_pairs=0)
+        assert result.pairs_simulated == 0 and result.pairs_completed == []
+        queue = WorkQueue(tmp_path, manifest)
+        assert not any(queue.is_done(pair) for pair in manifest.pairs)
+        assert not list(queue.queue_dir.glob("lease-*.json"))
+        assert [report["owner"] for report in queue.worker_reports()] == ["idle"]
+
+    def test_negative_max_pairs_is_refused(self, tmp_path, queue_dataset):
+        _, manifest = publish(tmp_path, queue_dataset)
+        with pytest.raises(ServiceError, match="max_pairs must be non-negative"):
+            SweepWorker(tmp_path, owner="negative", poll_seconds=0.05).run(max_pairs=-1)
+        queue = WorkQueue(tmp_path, manifest)
+        assert not any(queue.is_done(pair) for pair in manifest.pairs)
+
     def test_manifest_naming_a_grid_strategy_still_drains(self, tmp_path, queue_dataset, reference):
         # Manifests written while the grid kernel was selectable carry
         # "strategy": "fused".  The key is outside the digest, so the file
@@ -362,6 +383,110 @@ class TestSweepWorker:
         )
 
 
+class TestCompactedSweep:
+    """A pair is done for the queue iff the store holds it, loose or compacted."""
+
+    ALL = ("V1", "V2", "V3")
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        return NASBenchDataset.generate(num_models=30, seed=13)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        models=st.integers(min_value=1, max_value=30),
+        shard_size=st.integers(min_value=1, max_value=12),
+        configs=st.lists(st.sampled_from(ALL), min_size=1, max_size=3, unique=True),
+    )
+    def test_done_pairs_are_the_stored_pairs(self, population, models, shard_size, configs):
+        dataset = NASBenchDataset(population.records[:models], population.network_config)
+        with tempfile.TemporaryDirectory() as root:
+            store = MeasurementStore(root, shard_size=shard_size)
+            manifest = store.publish_manifest(dataset, configs=self.ALL)
+
+            def assert_done_means_stored():
+                queue = WorkQueue(root, manifest)
+                done = {pair for pair in manifest.pairs if queue.is_done(pair)}
+                missing = set(store.missing_pairs(dataset, configs=self.ALL))
+                stored = {
+                    pair
+                    for pair in manifest.pairs
+                    if (pair.shard_index, pair.config_name) not in missing
+                }
+                assert done == stored
+
+            store.extend(dataset, configs=configs)
+            assert_done_means_stored()
+            store.compact(dataset, configs=configs)
+            assert_done_means_stored()
+            store.extend(dataset, configs=self.ALL)
+            assert_done_means_stored()
+
+    def test_status_cli_and_a_worker_see_a_finished_compacted_sweep(
+        self, tmp_path, queue_dataset
+    ):
+        store = MeasurementStore(tmp_path, shard_size=SHARD)
+        store.extend(queue_dataset, configs=CONFIGS)
+        store.compact(queue_dataset, configs=CONFIGS)
+        manifest = store.publish_manifest(queue_dataset, configs=CONFIGS)
+        status = subprocess.run(
+            [sys.executable, "-m", "repro.service.queue", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert status.returncode == 0, status.stdout + status.stderr
+        total = len(manifest.pairs)
+        assert f"{total}/{total} done" in status.stdout
+        result = SweepWorker(tmp_path, owner="late", poll_seconds=0.05).run()
+        assert result.pairs_simulated == 0
+
+
+class TestAtomicWrites:
+    """A write that fails at its rename removes its temp file and names its target."""
+
+    @staticmethod
+    def fail_replace(monkeypatch, suffix):
+        """Make every ``Path.replace`` onto a *suffix* file fail as a full disk would."""
+        replace = Path.replace
+
+        def failing(self, target):
+            if Path(target).suffix == suffix:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", failing)
+
+    @staticmethod
+    def assert_no_temp_file(root):
+        assert [path.name for path in Path(root).rglob("*") if ".tmp-" in path.name] == []
+
+    def test_pair_write(self, tmp_path, queue_dataset, monkeypatch):
+        store = MeasurementStore(tmp_path, shard_size=SHARD)
+        self.fail_replace(monkeypatch, ".npz")
+        with pytest.raises(ServiceError, match=r"shard-V1-[0-9a-f]{16}\.npz"):
+            store.extend(queue_dataset, configs=("V1",))
+        self.assert_no_temp_file(tmp_path)
+
+    def test_compacted_index_write(self, tmp_path, queue_dataset, monkeypatch):
+        store = MeasurementStore(tmp_path, shard_size=SHARD)
+        store.extend(queue_dataset, configs=CONFIGS)
+        self.fail_replace(monkeypatch, ".json")
+        with pytest.raises(ServiceError, match=r"shard-compact-[0-9a-f]{16}\.json"):
+            store.compact(queue_dataset, configs=CONFIGS)
+        self.assert_no_temp_file(tmp_path)
+
+    def test_lease_write(self, tmp_path, queue_dataset, monkeypatch):
+        _, manifest = publish(tmp_path, queue_dataset)
+        queue = WorkQueue(tmp_path, manifest)
+        lease = queue.try_claim(manifest.pairs[0], "alice")
+        self.fail_replace(monkeypatch, ".json")
+        with pytest.raises(ServiceError, match=queue.lease_path(lease.pair).name):
+            queue.renew(lease)
+        self.assert_no_temp_file(tmp_path)
+
+
 class TestMacroManifest:
     """Macro sweeps round-trip through the manifest and rebuild standalone."""
 
@@ -397,7 +522,9 @@ class TestMacroManifest:
         # Manifests written before the macro release only carry "cells";
         # shard_archs must fall back to them.
         _, manifest = publish(tmp_path, queue_dataset)
-        for shard in manifest._payload["shards"]:
+        for index, shard in enumerate(manifest._payload["shards"]):
+            records = queue_dataset.records[index * SHARD : (index + 1) * SHARD]
+            shard["cells"] = [record.cell.to_dict() for record in records]
             del shard["archs"]
         archs = manifest.shard_archs(0)
         assert [arch.to_dict() for arch in archs] == [

@@ -547,8 +547,8 @@ class TestBuildService:
         assert rebuilt.store_digest == service.store_digest
         assert rebuilt.query(TopKRequest(k=3)).result == service.query(TopKRequest(k=3)).result
 
-    def test_manifest_less_store_needs_models_argument(self, tmp_path):
+    def test_manifest_less_store_is_refused(self, tmp_path):
         from repro.errors import ServiceError
 
-        with pytest.raises(ServiceError, match="--models"):
+        with pytest.raises(ServiceError, match="publish_manifest"):
             build_service(tmp_path)
