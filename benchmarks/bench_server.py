@@ -30,7 +30,7 @@ import numpy as np
 from repro.core import TrainingSettings
 from repro.nasbench import NASBenchDataset
 from repro.server import ServerBusy, ServerConfig, ServiceClient, SweepServer
-from repro.service import MeasurementStore, SweepService
+from repro.service import MeasurementStore, MetricRequest, PredictRequest, SweepService
 
 from _reporting import report, report_json
 
@@ -97,7 +97,7 @@ async def _predict_arm(service, cells, window_ms: float) -> dict:
         cell = cells[index % len(cells)]
         got = []
         for _ in range(SERVER_REQUESTS):
-            response = await client.predict([cell], CONFIG)
+            response = await client.query(PredictRequest((cell,), CONFIG))
             got.append(response.result["values"][0])
         values[index] = got
 
@@ -142,7 +142,7 @@ async def _qps_level(service, offered_qps: int) -> dict:
         fingerprint = dataset[index % len(dataset)].fingerprint
         started = time.perf_counter()
         try:
-            await client.metric_of(fingerprint, CONFIG, "latency")
+            await client.query(MetricRequest(fingerprint, CONFIG, "latency"))
         except ServerBusy:
             rejected += 1
             return

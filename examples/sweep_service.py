@@ -37,6 +37,7 @@ import time
 
 from repro import (
     MeasurementStore,
+    MetricRequest,
     ParetoRequest,
     PredictRequest,
     SweepService,
@@ -46,7 +47,6 @@ from repro import (
 )
 from repro.core import TrainingSettings
 from repro.nasbench import NASBenchDataset, cell_fingerprint, sample_unique_cells
-from repro.service import EnergyRequest, LatencyRequest
 
 STORE_DIR = os.environ.get("REPRO_STORE_DIR", ".repro-store")
 
@@ -90,8 +90,8 @@ def main(num_models: int = 300) -> None:
     front = service.query(ParetoRequest("V2")).result["points"]
     print(f"\nV2 accuracy/latency Pareto frontier: {len(front)} points")
     best = top[0]["fingerprint"]
-    latency = service.query(LatencyRequest(best, "V2")).result["value"]
-    energy = service.query(EnergyRequest(best, "V1")).result["value"]
+    latency = service.query(MetricRequest(best, "V2", "latency")).result["value"]
+    energy = service.query(MetricRequest(best, "V1", "energy")).result["value"]
     print(
         f"lookup by fingerprint {best[:12]}: "
         f"latency V2 = {latency:.3f} ms, energy V1 = {energy:.3f} mJ"
@@ -123,8 +123,8 @@ def main(num_models: int = 300) -> None:
     for line in summary.lines()[:6]:
         print(f"  {line}")
 
-    # 5. The same service over HTTP: every endpoint routes through the typed
-    #    SweepService.query() dispatch, so served answers equal direct calls.
+    # 5. The same service over HTTP: POST /v1/query decodes the same typed
+    #    requests into SweepService.query(), so served answers equal direct calls.
     asyncio.run(_serve_and_query(service, best))
 
 
@@ -135,15 +135,16 @@ async def _serve_and_query(service: SweepService, fingerprint: str) -> None:
     await server.start()
     print(f"\nserving on 127.0.0.1:{server.port} (store digest {service.store_digest}):")
     async with ServiceClient(port=server.port) as client:
-        top = await client.top_k(3)
+        top = await client.query(TopKRequest(k=3))
         print(f"  top_k(k=3)            -> {len(top.result['entries'])} entries")
-        latency = await client.query(LatencyRequest(fingerprint, "V2"))
-        assert latency.result == service.query(LatencyRequest(fingerprint, "V2")).result
+        request = MetricRequest(fingerprint, "V2", "latency")
+        latency = await client.query(request)
+        assert latency.result == service.query(request).result
         print(
             f"  latency(V2)           -> {latency.result['value']:.3f} ms "
             f"(served from {latency.served_from})"
         )
-        again = await client.query(LatencyRequest(fingerprint, "V2"))
+        again = await client.query(request)
         print(f"  latency(V2) repeat    -> served from {again.served_from}")
         health = await client.health()
         print(f"  GET /healthz          -> {health['status']}")

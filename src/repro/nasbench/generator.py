@@ -140,7 +140,10 @@ def _draw_form(
         if form is not None:
             return form
 
-    raise DatasetError(f"failed to draw a valid random cell after {max_attempts} attempts")
+    raise DatasetError(
+        f"failed to draw a valid random cell after {max_attempts} attempts "
+        f"(max_vertices={max_vertices}, max_edges={max_edges})"
+    )
 
 
 def random_cell(

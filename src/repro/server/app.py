@@ -6,21 +6,17 @@ with a small HTTP surface (stdlib asyncio only):
 ==========================  =====================================================
 ``GET /healthz``            liveness + store digest
 ``GET /v1/stats``           cache / batching / admission counters
-``GET /v1/top_k``           ``k`` — most accurate models (paper Figure 9)
-``GET /v1/pareto``          ``config``, ``min_accuracy`` — frontier (Figure 5)
-``GET /v1/latency``         ``fingerprint``, ``config`` — measured latency
-``GET /v1/energy``          ``fingerprint``, ``config`` — measured energy
-``GET /v1/metric``          the symmetric lookup (``metric=latency|energy``)
 ``POST /v1/query``          any :mod:`repro.service.api` request, wire-form
-``POST /v1/predict``        predict wire-form (micro-batched)
 ==========================  =====================================================
 
-Handlers are pure decode → :meth:`SweepService.query` → encode; there is no
-query logic in this module.  Store-backed answers sit behind the LRU
-hot-cache (:mod:`repro.server.cache`); predictions flow through the
-micro-batcher (:mod:`repro.server.batching`); both the batched forward pass
-and uncached store queries run on a single-worker executor so the event
-loop never blocks on numpy.
+Every question reaches the service one way: ``POST /v1/query`` decodes its
+body with :func:`~repro.service.api.request_from_dict` and hands the typed
+request to :meth:`SweepService.query`; there is no query logic in this
+module.  Store-backed answers sit behind the LRU hot-cache
+(:mod:`repro.server.cache`); predictions flow through the micro-batcher
+(:mod:`repro.server.batching`); both the batched forward pass and uncached
+store queries run on a single-worker executor so the event loop never
+blocks on numpy.
 
 **Admission control.**  At most ``max_inflight`` requests are being
 answered at once; past that the server fails fast with ``429`` and a
@@ -46,20 +42,21 @@ from dataclasses import dataclass
 from .. import obs
 from ..errors import DatasetError, ReproError
 from ..service.api import (
-    EnergyRequest,
-    LatencyRequest,
-    MetricRequest,
-    ParetoRequest,
     PredictRequest,
     QueryRequest,
     QueryResponse,
-    TopKRequest,
     cache_key,
     request_from_dict,
 )
 from .batching import MicroBatcher, ServerSaturated
 from .cache import QueryCache
 from .protocol import HttpRequest, ProtocolError, encode_response, read_request
+
+#: The header of every 429 and 503 answer: retry after one second.
+RETRY_AFTER = {"Retry-After": "1"}
+
+#: The routes the server answers, path → method.
+_ROUTES = {"/healthz": "GET", "/v1/stats": "GET", "/v1/query": "POST"}
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,6 @@ class ServerConfig:
     max_pending: int = 4096
     cache_size: int = 256
     max_inflight: int = 128
-    retry_after: float = 1.0
 
 
 class SweepServer:
@@ -98,7 +94,6 @@ class SweepServer:
             window_ms=self.config.window_ms,
             max_batch=self.config.max_batch,
             max_pending=self.config.max_pending,
-            retry_after=self.config.retry_after,
         )
         self._server: asyncio.AbstractServer | None = None
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
@@ -195,7 +190,6 @@ class SweepServer:
 
     async def _respond(self, request: HttpRequest) -> bytes:
         """Admission control + dispatch + error mapping, to response bytes."""
-        retry = {"Retry-After": str(max(1, int(self.config.retry_after)))}
         if self._draining:
             self.requests_rejected += 1
             obs.count("server.rejected_draining")
@@ -203,7 +197,7 @@ class SweepServer:
                 503,
                 {"error": "server is draining"},
                 keep_alive=False,
-                extra_headers=retry,
+                extra_headers=RETRY_AFTER,
             )
         if self._inflight >= self.config.max_inflight:
             self.requests_rejected += 1
@@ -216,31 +210,32 @@ class SweepServer:
                         f"(bound {self.config.max_inflight})"
                     )
                 },
-                extra_headers=retry,
+                extra_headers=RETRY_AFTER,
             )
         self._inflight += 1
         self._idle.clear()
         started = time.perf_counter()
         endpoint = request.path
+        headers = None
         try:
-            status, payload, headers = await self._dispatch(request)
+            status, payload = await self._dispatch(request)
         except ProtocolError as exc:
-            status, payload, headers = exc.status, {"error": str(exc)}, None
+            status, payload = exc.status, {"error": str(exc)}
         except ServerSaturated as exc:
             obs.count("server.rejected_saturated")
             self.requests_rejected += 1
-            status, payload, headers = 429, {"error": str(exc)}, retry
+            status, payload, headers = 429, {"error": str(exc)}, RETRY_AFTER
         except DatasetError as exc:
-            status, payload, headers = 404, {"error": str(exc)}, None
+            status, payload = 404, {"error": str(exc)}
         except ReproError as exc:
-            status, payload, headers = 400, {"error": str(exc)}, None
+            status, payload = 400, {"error": str(exc)}
         except Exception as exc:  # never crash the loop on a handler bug
             obs.log(
                 "server.handler_error",
                 f"{type(exc).__name__} answering {endpoint}: {exc}",
                 level="error",
             )
-            status, payload, headers = 500, {"error": "internal server error"}, None
+            status, payload = 500, {"error": "internal server error"}
         finally:
             self._inflight -= 1
             if self._inflight == 0:
@@ -257,29 +252,18 @@ class SweepServer:
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    async def _dispatch(self, request: HttpRequest):
+    async def _dispatch(self, request: HttpRequest) -> tuple[int, dict]:
         method, path = request.method, request.path
-        if path == "/healthz" and method == "GET":
-            return 200, {"status": "ok", "store_digest": self._store_digest}, None
-        if path == "/v1/stats" and method == "GET":
-            return 200, self.stats(), None
-        if path == "/v1/query" and method == "POST":
-            query = request_from_dict(request.json())
-        elif path == "/v1/predict" and method == "POST":
-            payload = request.json()
-            if isinstance(payload, dict):
-                payload.setdefault("kind", "predict")
-            query = request_from_dict(payload)
-            if not isinstance(query, PredictRequest):
-                raise ProtocolError("/v1/predict only accepts predict requests")
-        elif method == "GET" and path in _GET_ROUTES:
-            query = _GET_ROUTES[path](request)
-        elif path in _GET_ROUTES or path in ("/v1/query", "/v1/predict"):
-            return 405, {"error": f"method {method} not allowed for {path}"}, None
-        else:
-            return 404, {"error": f"no route for {method} {path}"}, None
-        response = await self._answer(query)
-        return 200, response.to_dict(), None
+        if path not in _ROUTES:
+            return 404, {"error": f"no route for {method} {path}"}
+        if method != _ROUTES[path]:
+            return 405, {"error": f"method {method} not allowed for {path}"}
+        if path == "/healthz":
+            return 200, {"status": "ok", "store_digest": self._store_digest}
+        if path == "/v1/stats":
+            return 200, self.stats()
+        response = await self._answer(request_from_dict(request.json()))
+        return 200, response.to_dict()
 
     async def _answer(self, query: QueryRequest) -> QueryResponse:
         """One typed request → one envelope, through batcher or cache."""
@@ -311,38 +295,5 @@ class SweepServer:
             "batching": self.batcher.stats(),
         }
 
-
-def _parse_top_k(request: HttpRequest) -> TopKRequest:
-    try:
-        k = int(request.query.get("k", "5"))
-    except ValueError as exc:
-        raise ProtocolError(f"k must be an integer, got {request.query['k']!r}") from exc
-    return TopKRequest(k=k)
-
-
-def _parse_pareto(request: HttpRequest) -> ParetoRequest:
-    raw = request.query.get("min_accuracy", "0.70")
-    try:
-        min_accuracy = float(raw)
-    except ValueError as exc:
-        raise ProtocolError(f"min_accuracy must be a number, got {raw!r}") from exc
-    return ParetoRequest(request.param("config"), min_accuracy)
-
-
-def _parse_metric(request: HttpRequest) -> MetricRequest:
-    return MetricRequest(
-        request.param("fingerprint"),
-        request.param("config"),
-        metric=request.query.get("metric", "latency"),
-    )
-
-
-_GET_ROUTES = {
-    "/v1/top_k": _parse_top_k,
-    "/v1/pareto": _parse_pareto,
-    "/v1/metric": _parse_metric,
-    "/v1/latency": lambda r: LatencyRequest(r.param("fingerprint"), r.param("config")),
-    "/v1/energy": lambda r: EnergyRequest(r.param("fingerprint"), r.param("config")),
-}
 
 __all__ = ["ServerConfig", "SweepServer"]

@@ -37,10 +37,6 @@ from ..service.api import PredictRequest, QueryResponse
 class ServerSaturated(ReproError):
     """The server's bounded queue is full; retry after backing off."""
 
-    def __init__(self, message: str, retry_after: float = 1.0):
-        super().__init__(message)
-        self.retry_after = retry_after
-
 
 class _Group:
     """Requests waiting to be flushed for one ``(config, metric)`` model."""
@@ -68,14 +64,12 @@ class MicroBatcher:
         window_ms: float = 5.0,
         max_batch: int = 256,
         max_pending: int = 4096,
-        retry_after: float = 1.0,
     ):
         self._service = service
         self._executor = executor
         self.window_ms = float(window_ms)
         self.max_batch = int(max_batch)
         self.max_pending = int(max_pending)
-        self.retry_after = float(retry_after)
         self._groups: dict[tuple[str, str], _Group] = {}
         self._pending_cells = 0
         self._inflight: set[asyncio.Task] = set()
@@ -90,13 +84,12 @@ class MicroBatcher:
     async def submit(self, request: PredictRequest) -> QueryResponse:
         """Enqueue one predict request; resolves with this caller's slice."""
         if self._closed:
-            raise ServerSaturated("server is draining", retry_after=self.retry_after)
+            raise ServerSaturated("server is draining")
         size = len(request.cells)
         if self._pending_cells and self._pending_cells + size > self.max_pending:
             raise ServerSaturated(
                 f"predict queue is full ({self._pending_cells} cells pending, "
-                f"bound {self.max_pending})",
-                retry_after=self.retry_after,
+                f"bound {self.max_pending})"
             )
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()

@@ -1,8 +1,8 @@
 """Asyncio client for the query server (stdlib only).
 
 :class:`ServiceClient` keeps one HTTP/1.1 connection alive and speaks the
-typed wire format of :mod:`repro.service.api`: convenience methods build
-the request variants, POST them to ``/v1/query``, and decode the
+typed wire format of :mod:`repro.service.api`: :meth:`ServiceClient.query`
+POSTs one request variant to ``/v1/query`` and decodes the
 :class:`QueryResponse` envelope back — so a client-side answer is the same
 object an in-process ``SweepService.query`` call would have produced.
 Backpressure statuses (429/503) surface as :class:`ServerBusy` carrying the
@@ -19,17 +19,7 @@ import asyncio
 import json
 
 from ..errors import ReproError
-from ..nasbench.cell import Cell
-from ..service.api import (
-    EnergyRequest,
-    LatencyRequest,
-    MetricRequest,
-    ParetoRequest,
-    PredictRequest,
-    QueryRequest,
-    QueryResponse,
-    TopKRequest,
-)
+from ..service.api import QueryRequest, QueryResponse
 from .protocol import MAX_HEAD_BYTES
 
 
@@ -147,34 +137,6 @@ class ServiceClient:
                 (payload or {}).get("error", f"server answered {status}"), status
             )
         return QueryResponse.from_dict(payload)
-
-    async def top_k(self, k: int = 5) -> QueryResponse:
-        return await self.query(TopKRequest(k=k))
-
-    async def pareto(self, config_name: str, min_accuracy: float = 0.70) -> QueryResponse:
-        return await self.query(ParetoRequest(config_name, min_accuracy))
-
-    async def metric_of(
-        self, fingerprint: str, config_name: str, metric: str = "latency"
-    ) -> float | None:
-        response = await self.query(MetricRequest(fingerprint, config_name, metric))
-        return response.result["value"]
-
-    async def latency_of(self, fingerprint: str, config_name: str) -> float:
-        response = await self.query(LatencyRequest(fingerprint, config_name))
-        return response.result["value"]
-
-    async def energy_of(self, fingerprint: str, config_name: str) -> float | None:
-        response = await self.query(EnergyRequest(fingerprint, config_name))
-        return response.result["value"]
-
-    async def predict(
-        self, cells, config_name: str, metric: str = "latency"
-    ) -> QueryResponse:
-        cells = tuple(cells if isinstance(cells, (list, tuple)) else [cells])
-        if cells and not isinstance(cells[0], Cell):
-            raise ReproError("predict expects Cell instances")
-        return await self.query(PredictRequest(cells, config_name, metric))
 
     async def stats(self) -> dict:
         status, _, payload = await self.request("GET", "/v1/stats")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import unquote, urlsplit
 
 from ..errors import ReproError
 
@@ -46,11 +46,14 @@ class ProtocolError(ReproError):
 
 @dataclass
 class HttpRequest:
-    """One parsed request: method, split target, lowercase headers, raw body."""
+    """One parsed request: method, target path, lowercase headers, raw body.
+
+    The target's query string is dropped: every request parameter travels in
+    the JSON body of ``POST /v1/query``.
+    """
 
     method: str
     path: str
-    query: dict[str, str] = field(default_factory=dict)
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
 
@@ -68,13 +71,6 @@ class HttpRequest:
             return json.loads(self.body.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
-
-    def param(self, name: str) -> str:
-        """A required query-string parameter (``400`` when missing)."""
-        value = self.query.get(name)
-        if value is None or value == "":
-            raise ProtocolError(f"missing required query parameter {name!r}")
-        return value
 
 
 async def read_request(reader) -> HttpRequest | None:
@@ -115,7 +111,6 @@ async def read_request(reader) -> HttpRequest | None:
         split = urlsplit(target)
     except ValueError as exc:  # e.g. an unclosed IPv6 host: "http://[::1/"
         raise ProtocolError(f"malformed request target {target!r}") from exc
-    query = {key: value for key, value in parse_qsl(split.query, keep_blank_values=True)}
     body = b""
     raw_length = headers.get("content-length")
     if raw_length is not None:
@@ -135,7 +130,6 @@ async def read_request(reader) -> HttpRequest | None:
     return HttpRequest(
         method=method.upper(),
         path=unquote(split.path) or "/",
-        query=query,
         headers=headers,
         body=body,
     )

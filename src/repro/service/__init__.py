@@ -30,8 +30,6 @@ queries from the result:
 from .api import (
     QUERY_METRICS,
     SERVED_FROM,
-    EnergyRequest,
-    LatencyRequest,
     MetricRequest,
     ParetoRequest,
     PredictRequest,
@@ -85,8 +83,6 @@ __all__ = [
     "CompactionResult",
     "DEFAULT_LEASE_EXPIRY",
     "DEFAULT_SHARD_SIZE",
-    "EnergyRequest",
-    "LatencyRequest",
     "MeasurementStore",
     "MetricRequest",
     "ParetoRequest",

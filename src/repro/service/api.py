@@ -7,8 +7,7 @@ service's one query surface instead:
 
 * **Request variants** — one frozen dataclass per query kind
   (:class:`TopKRequest`, :class:`ParetoRequest`, :class:`MetricRequest` —
-  the symmetric latency/energy lookup, with :func:`LatencyRequest` /
-  :func:`EnergyRequest` constructors — and :class:`PredictRequest`), each
+  the symmetric latency/energy lookup — and :class:`PredictRequest`), each
   eagerly validated and JSON round-trippable via ``to_dict`` /
   :func:`request_from_dict`.
 * **Response envelope** — :class:`QueryResponse` wraps every answer with the
@@ -19,11 +18,11 @@ service's one query surface instead:
   JSON form of a request (dict-order invariant), and :func:`cache_key`
   scopes it by store digest; this is the LRU hot-cache key of
   :mod:`repro.server`.
-* **Config normalization** — :func:`resolve_configs` is the one place
-  configuration arguments (names or :class:`AcceleratorConfig` objects) are
-  normalized, shared by :class:`~repro.service.query.SweepService` and the
-  server's CLI/config parsing; unknown names fail eagerly, naming the
-  offenders.
+* **Config normalization** — :func:`resolve_configs` normalizes the
+  configuration arguments (names or :class:`AcceleratorConfig` objects) of
+  :class:`~repro.service.query.SweepService` and the server's CLI by the
+  store's name rule (:func:`~repro.service.store.canonical_names`); unknown
+  names fail eagerly, naming the offenders.
 
 ``SweepService.query(request)`` dispatches on these types straight into the
 analysis kernels, so every front-end — in-process calls, the asyncio server,
@@ -38,7 +37,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence, Union
 from ..arch.config import STUDIED_CONFIGS, AcceleratorConfig
 from ..errors import ServiceError
 from ..nasbench.cell import Cell
-from .store import stable_digest
+from .store import canonical_names, stable_digest
 
 #: Metrics a point lookup / prediction can dispatch on.
 QUERY_METRICS = ("latency", "energy")
@@ -107,10 +106,9 @@ class ParetoRequest:
 class MetricRequest:
     """One measured metric of one cell, looked up by isomorphism fingerprint.
 
-    The ``metric`` field is what makes the latency and energy lookups one
-    request shape instead of two near-duplicate methods; use
-    :func:`LatencyRequest` / :func:`EnergyRequest` for the spelled-out
-    constructors.
+    ``metric`` selects latency (ms) or energy (mJ; ``None`` when the
+    configuration has no energy model), so the two lookups are one request
+    shape.
     """
 
     kind: ClassVar[str] = "metric"
@@ -140,16 +138,6 @@ class MetricRequest:
             "config_name": self.config_name,
             "metric": self.metric,
         }
-
-
-def LatencyRequest(fingerprint: str, config_name: str) -> MetricRequest:
-    """Measured latency (ms) of one cell — a ``metric="latency"`` lookup."""
-    return MetricRequest(fingerprint, config_name, metric="latency")
-
-
-def EnergyRequest(fingerprint: str, config_name: str) -> MetricRequest:
-    """Measured energy (mJ) of one cell — a ``metric="energy"`` lookup."""
-    return MetricRequest(fingerprint, config_name, metric="energy")
 
 
 @dataclass(frozen=True)
@@ -312,32 +300,21 @@ def resolve_configs(
 ) -> list[str]:
     """Normalize a configuration argument to a list of canonical names.
 
-    ``None`` means the paper's studied configurations.  Strings naming a
-    studied configuration are case-normalized (``"v1"`` → ``"V1"``);
-    :class:`AcceleratorConfig` objects contribute their own name (they carry
-    their definition, so they are always resolvable).  With *available*
+    The names follow the store's rule (:func:`~repro.service.store.canonical_names`):
+    ``None`` means the paper's studied configurations, a studied name in any
+    case is its canonical name (``"v1"`` → ``"V1"``), any other name passes
+    through, and an :class:`AcceleratorConfig` contributes its own name (it
+    carries its definition, so it is always resolvable).  With *available*
     given — the names a store or measurement set can actually serve — any
     string that is neither a studied configuration nor available raises
     :class:`ServiceError` naming **all** offenders at once, instead of the
     late, less specific missing-shards failure a bad name used to produce.
     """
-    if configs is None:
-        names = [config.name for config in STUDIED_CONFIGS.values()]
-        object_names: set[str] = set()
-    else:
-        names = []
-        object_names = set()
-        for entry in configs:
-            if isinstance(entry, AcceleratorConfig):
-                names.append(entry.name)
-                object_names.add(entry.name)
-            else:
-                name = str(entry)
-                names.append(name.upper() if name.upper() in STUDIED_CONFIGS else name)
-        if not names:
-            raise ServiceError("no accelerator configurations were provided")
+    configs = None if configs is None else list(configs)
+    names = canonical_names(configs)
     if available is not None:
-        known = set(available) | set(STUDIED_CONFIGS) | object_names
+        objects = {entry.name for entry in configs or () if isinstance(entry, AcceleratorConfig)}
+        known = set(available) | set(STUDIED_CONFIGS) | objects
         unknown = sorted({name for name in names if name not in known})
         if unknown:
             raise ServiceError(

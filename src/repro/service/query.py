@@ -16,8 +16,6 @@ straight into the :mod:`repro.analysis` kernels and returning a
 is JSON-serializable — the exact bytes :mod:`repro.server` puts on the wire.
 Beside it:
 
-* :meth:`metric_of` — one measured metric of a cell by its isomorphism
-  fingerprint, the lookup :class:`MetricRequest` dispatches into;
 * :meth:`model` — the learned model of one (configuration, metric), trained
   on the stored measurements once and restored from weights cached as npz
   next to the shards (keyed by population content digest × configuration ×
@@ -49,7 +47,7 @@ from ..core.predictor import (
 )
 from ..errors import ModelError, ServiceError
 from ..nasbench.cell import Cell
-from ..nasbench.dataset import ModelRecord, NASBenchDataset
+from ..nasbench.dataset import NASBenchDataset
 from ..simulator.runner import MeasurementSet
 from .api import (
     MetricRequest,
@@ -61,6 +59,7 @@ from .api import (
     resolve_configs,
 )
 from .store import (
+    FILE_PREFIX,
     STORE_FORMAT_VERSION,
     MeasurementStore,
     read_npz,
@@ -198,8 +197,9 @@ class SweepService:
         """Answer one typed request; the single dispatch every front-end uses.
 
         The ``result`` payload is JSON-serializable: the
-        :mod:`repro.analysis` kernel's answer (or :meth:`metric_of` /
-        :meth:`predict`'s), encoded field by field.
+        :mod:`repro.analysis` kernel's answer, the measured value of a
+        :class:`MetricRequest`'s cell, or :meth:`predict`'s, encoded field by
+        field.
         """
         if isinstance(request, TopKRequest):
             entries = top_models_by_accuracy(self._measurements, request.k)
@@ -213,7 +213,12 @@ class SweepService:
             result = {"points": [self._encode_pareto_point(p) for p in points]}
             served_from = "store"
         elif isinstance(request, MetricRequest):
-            value = self.metric_of(request.fingerprint, request.config_name, request.metric)
+            self._require_config(request.config_name)
+            record = self._dataset.find(request.fingerprint)
+            if request.metric == "latency":
+                value = self._measurements.latency_of(record, request.config_name)
+            else:
+                value = self._measurements.energy_of(record, request.config_name)
             result = {"value": None if value is None else float(value)}
             served_from = "store"
         elif isinstance(request, PredictRequest):
@@ -253,30 +258,6 @@ class SweepService:
             "model_index": int(point.model_index),
             "fingerprint": self._dataset[point.model_index].fingerprint,
         }
-
-    # ------------------------------------------------------------------ #
-    # Point lookups by fingerprint
-    # ------------------------------------------------------------------ #
-    def record_of(self, fingerprint: str) -> ModelRecord:
-        """The dataset record with the given isomorphism fingerprint."""
-        return self._dataset.find(fingerprint)
-
-    def metric_of(self, fingerprint: str, config_name: str, metric: str) -> float | None:
-        """One measured metric of one cell, looked up by fingerprint.
-
-        ``metric`` selects latency (ms) or energy (mJ; ``None`` when the
-        configuration has no energy model).  The request layer dispatches
-        :class:`MetricRequest` straight into it.
-        """
-        self._require_config(config_name)
-        record = self.record_of(fingerprint)
-        if metric == "latency":
-            return self._measurements.latency_of(record, config_name)
-        if metric == "energy":
-            return self._measurements.energy_of(record, config_name)
-        raise ServiceError(
-            f"unknown metric {metric!r}; expected one of ('latency', 'energy')"
-        )
 
     # ------------------------------------------------------------------ #
     # Predictions for unseen cells
@@ -339,7 +320,7 @@ class SweepService:
                 "parameter_caching": self._store.enable_parameter_caching,
             }
         )
-        return self._store.root / "models" / f"{self._store.prefix}-{key}.npz"
+        return self._store.root / "models" / f"{FILE_PREFIX}-{key}.npz"
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -50,7 +50,13 @@ from ..errors import ServiceError
 from ..nasbench.cell import Cell
 from ..nasbench.macro import MacroSpec, architecture_from_dict, architecture_to_dict
 from ..nasbench.network import NetworkConfig
-from .store import STORE_FORMAT_VERSION, MeasurementStore, atomic_write, stable_digest
+from .store import (
+    FILE_PREFIX,
+    STORE_FORMAT_VERSION,
+    MeasurementStore,
+    atomic_write,
+    stable_digest,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nasbench.dataset import NASBenchDataset
@@ -131,8 +137,8 @@ class SweepManifest:
     Everything a worker needs is embedded: each shard's architectures (tagged
     JSON form, once each), the accelerator configurations (full field dicts,
     so grid-generated configs outside ``STUDIED_CONFIGS`` work), the network
-    config, the store's layout (shard size, compiler mode, prefix) and the
-    per-pair shard keys.  The digest covers the pair list, whose keys encode
+    config, the store's layout (shard size, compiler mode) and the per-pair
+    shard keys.  The digest covers the pair list, whose keys encode
     the shard content, so two manifests describe the same sweep iff they
     share a digest.
     """
@@ -182,7 +188,7 @@ class SweepManifest:
             "kind": "sweep-manifest",
             "version": QUEUE_FORMAT_VERSION,
             "store_version": STORE_FORMAT_VERSION,
-            "prefix": store.prefix,
+            "prefix": FILE_PREFIX,
             "shard_size": store.shard_size,
             "parameter_caching": store.enable_parameter_caching,
             "network_config": {
@@ -201,7 +207,7 @@ class SweepManifest:
             {
                 "kind": "sweep-manifest",
                 "version": QUEUE_FORMAT_VERSION,
-                "prefix": store.prefix,
+                "prefix": FILE_PREFIX,
                 "parameter_caching": store.enable_parameter_caching,
                 "pairs": [(entry["shard"], entry["config"], entry["key"]) for entry in pairs],
             }
@@ -254,10 +260,6 @@ class SweepManifest:
         return self._payload["digest"]
 
     @property
-    def prefix(self) -> str:
-        return self._payload["prefix"]
-
-    @property
     def shard_size(self) -> int:
         return self._payload["shard_size"]
 
@@ -295,12 +297,11 @@ class SweepManifest:
         return [architecture_from_dict(entry) for entry in entries]
 
     def open_store(self, store_dir: str | Path) -> MeasurementStore:
-        """The store this manifest describes (shard size, compiler mode, prefix)."""
+        """The store this manifest describes (shard size, compiler mode)."""
         return MeasurementStore(
             store_dir,
             shard_size=self.shard_size,
             enable_parameter_caching=self.enable_parameter_caching,
-            prefix=self.prefix,
         )
 
 
@@ -438,17 +439,22 @@ class WorkQueue:
         _write_json_atomic(lease.path, lease.payload())
         return True
 
-    def release(self, lease: PairLease) -> None:
+    def release(self, lease: PairLease) -> bool:
         """Drop the lease (after the pair file is durably in place).
 
-        Releases only a lease we still own: if a thief replaced it between
-        the last heartbeat and now, unlinking would silently drop *their*
-        claim.
+        Releases only a lease we still own: if a thief replaced it after the
+        last heartbeat, unlinking would silently drop *their* claim.  Returns
+        whether the lease still named us: a steal after the last renewal is
+        seen here or nowhere.  A lease that is gone or unreadable names us
+        no more than it does for :meth:`renew`: a thief finished and released
+        it, or a new claim is being written.
         """
         current = _read_json(lease.path)
-        if current is None or current.get("owner") == lease.owner:
-            lease.path.unlink(missing_ok=True)
-            obs.log("queue.release", pair=lease.pair.pair_id, owner=lease.owner)
+        if current is None or current.get("owner") != lease.owner:
+            return False
+        lease.path.unlink(missing_ok=True)
+        obs.log("queue.release", pair=lease.pair.pair_id, owner=lease.owner)
+        return True
 
     # ------------------------------------------------------------------ #
     # Worker reports

@@ -75,11 +75,41 @@ DEFAULT_SHARD_SIZE = 128
 #: Hex characters of the shard content digest kept in file names.
 _DIGEST_CHARS = 16
 
+#: First word of every pair, compacted and cached-model file name, and part
+#: of the compaction and manifest digests.
+FILE_PREFIX = "shard"
+
+#: A loose pair file's name; group 1 is its configuration name.
+_PAIR_FILE = re.compile(rf"{FILE_PREFIX}-(.+)-[0-9a-f]{{{_DIGEST_CHARS}}}\.npz$")
+
 
 def stable_digest(payload: object) -> str:
     """Short stable SHA-256 digest of a JSON-serializable payload."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:_DIGEST_CHARS]
+
+
+def canonical_names(configs: Iterable[AcceleratorConfig | str] | None) -> list[str]:
+    """The configuration names a configuration argument stands for.
+
+    The one name rule of every store path, read or write: ``None`` is the
+    paper's studied configurations, a studied name in any case is its
+    canonical name (``"v1"`` → ``"V1"``, as :func:`get_config` resolves it),
+    any other name passes through unchanged, and an
+    :class:`AcceleratorConfig` contributes its own name.
+    """
+    if configs is None:
+        return list(STUDIED_CONFIGS)
+    names = []
+    for config in configs:
+        if isinstance(config, AcceleratorConfig):
+            names.append(config.name)
+        else:
+            name = str(config)
+            names.append(name.upper() if name.upper() in STUDIED_CONFIGS else name)
+    if not names:
+        raise ServiceError("no accelerator configurations were provided")
+    return names
 
 
 # --------------------------------------------------------------------------- #
@@ -208,10 +238,6 @@ class MeasurementStore:
     enable_parameter_caching:
         Compiler mode the stored measurements were produced with; part of
         every shard key, so the two modes can never be confused.
-    prefix:
-        File-name prefix of this store's shards (defaults to ``"shard"``).
-        Lets several logical stores — e.g. one per search strategy — share
-        a flat directory.
     """
 
     def __init__(
@@ -219,14 +245,12 @@ class MeasurementStore:
         root: str | Path,
         shard_size: int = DEFAULT_SHARD_SIZE,
         enable_parameter_caching: bool = True,
-        prefix: str = "shard",
     ):
         if shard_size < 1:
             raise ServiceError(f"shard_size must be positive, got {shard_size}")
         self.root = Path(root)
         self.shard_size = int(shard_size)
         self.enable_parameter_caching = bool(enable_parameter_caching)
-        self.prefix = prefix
         self.stats = StoreStats()
         self._simulator = BatchSimulator(enable_parameter_caching=enable_parameter_caching)
         #: (config, key) → (data path, offset, length, fingerprints); ``None``
@@ -283,7 +307,7 @@ class MeasurementStore:
 
     def shard_path(self, config_name: str, key: str) -> Path:
         """File path of one (shard, configuration) pair."""
-        return self.root / f"{self.prefix}-{config_name}-{key}.npz"
+        return self.root / f"{FILE_PREFIX}-{config_name}-{key}.npz"
 
     def shards(self, dataset: NASBenchDataset, config_names: Sequence[str]) -> Iterator[Shard]:
         """Walk *dataset*'s shards in order, each with its pair keys.
@@ -297,10 +321,19 @@ class MeasurementStore:
             yield Shard(index, start, stop, prints, keys)
 
     def has_pair(self, config_name: str, key: str) -> bool:
-        """Whether the store holds a pair, loose or compacted; reads no pair file."""
+        """Whether the store holds a pair, loose or compacted; reads no pair file.
+
+        Before it answers no, it reads the compacted indices again: another
+        process may have compacted the pair since this object last read them.
+        A compaction publishes its index before it deletes the loose files,
+        so a pair that is held is always found in one or the other.
+        """
         if (config_name, key) in self._compaction_entries():
             return True
-        return self.shard_path(config_name, key).exists()
+        if self.shard_path(config_name, key).exists():
+            return True
+        self._compact_entries = None
+        return (config_name, key) in self._compaction_entries()
 
     def available_configs(self) -> list[str]:
         """Configuration names with at least one shard on disk.
@@ -310,10 +343,9 @@ class MeasurementStore:
         """
         if not self.root.is_dir():
             return []
-        pattern = re.compile(re.escape(self.prefix) + r"-(.+)-[0-9a-f]{%d}\.npz$" % _DIGEST_CHARS)
         names = set()
         for path in self.root.iterdir():
-            match = pattern.match(path.name)
+            match = _PAIR_FILE.match(path.name)
             if match:
                 names.add(match.group(1))
         names.update(config for config, _key in self._compaction_entries())
@@ -408,7 +440,7 @@ class MeasurementStore:
         Never simulates: raises :class:`ServiceError` naming the missing
         (shard, configuration) pairs when the store is not warm.
         """
-        config_names = self._config_names(configs)
+        config_names = canonical_names(configs)
         total = len(dataset)
         latencies = {name: np.empty(total, dtype=float) for name in config_names}
         energies = {name: np.full(total, np.nan, dtype=float) for name in config_names}
@@ -435,7 +467,7 @@ class MeasurementStore:
 
         A pure query — no stats are counted and nothing is simulated.
         """
-        stored = self._stored_pairs(dataset, self._config_names(configs), count_stats=False)
+        stored = self._stored_pairs(dataset, canonical_names(configs), count_stats=False)
         return [(shard.index, name) for shard, name, pair in stored if pair is None]
 
     # ------------------------------------------------------------------ #
@@ -467,7 +499,7 @@ class MeasurementStore:
         generation — are deleted once the new consolidated file is durably in
         place.
         """
-        config_names = self._config_names(configs)
+        config_names = canonical_names(configs)
         entries: list[dict] = []
         latency_parts: list[np.ndarray] = []
         energy_parts: list[np.ndarray] = []
@@ -501,7 +533,7 @@ class MeasurementStore:
             {
                 "kind": "compacted-store",
                 "version": STORE_FORMAT_VERSION,
-                "prefix": self.prefix,
+                "prefix": FILE_PREFIX,
                 "parameter_caching": self.enable_parameter_caching,
                 "pairs": [(entry["config"], entry["key"]) for entry in entries],
             }
@@ -509,14 +541,14 @@ class MeasurementStore:
         data = np.empty((2, offset), dtype=float)
         np.concatenate(latency_parts, out=data[0])
         np.concatenate(energy_parts, out=data[1])
-        data_path = self.root / f"{self.prefix}-compact-{digest}.npy"
-        index_path = self.root / f"{self.prefix}-compact-{digest}.json"
+        data_path = self.root / f"{FILE_PREFIX}-compact-{digest}.npy"
+        index_path = self.root / f"{FILE_PREFIX}-compact-{digest}.json"
         atomic_write(data_path, lambda handle: np.save(handle, data))
         index_text = json.dumps(
             {
                 "kind": "compacted-index",
                 "version": STORE_FORMAT_VERSION,
-                "prefix": self.prefix,
+                "prefix": FILE_PREFIX,
                 "parameter_caching": self.enable_parameter_caching,
                 "data": data_path.name,
                 "entries": entries,
@@ -533,7 +565,7 @@ class MeasurementStore:
                 loose_removed += 1
             except OSError:
                 pass
-        for stale in self.root.glob(f"{self.prefix}-compact-*"):
+        for stale in self.root.glob(f"{FILE_PREFIX}-compact-*"):
             if stale.name not in (data_path.name, index_path.name):
                 stale.unlink(missing_ok=True)
         self._compact_entries = None
@@ -574,7 +606,7 @@ class MeasurementStore:
         if self._compact_entries is None:
             entries: dict[tuple[str, str], tuple[Path, int, int, list[str]]] = {}
             if self.root.is_dir():
-                for index_path in sorted(self.root.glob(f"{self.prefix}-compact-*.json")):
+                for index_path in sorted(self.root.glob(f"{FILE_PREFIX}-compact-*.json")):
                     try:
                         payload = json.loads(index_path.read_text())
                     except (OSError, json.JSONDecodeError):
@@ -715,7 +747,9 @@ class MeasurementStore:
     def _config_objects(
         configs: Iterable[AcceleratorConfig | str] | None,
     ) -> list[AcceleratorConfig]:
-        """Resolve the configurations to simulate (names via ``get_config``)."""
+        """Resolve the configurations to simulate (names via ``get_config``,
+        which resolves a studied name in any case as :func:`canonical_names`
+        does)."""
         if configs is None:
             return list(STUDIED_CONFIGS.values())
         resolved = [
@@ -725,18 +759,3 @@ class MeasurementStore:
         if not resolved:
             raise ServiceError("no accelerator configurations were provided")
         return resolved
-
-    @staticmethod
-    def _config_names(
-        configs: Iterable[AcceleratorConfig | str] | None,
-    ) -> list[str]:
-        """Resolve configuration *names* (read paths never need the objects)."""
-        if configs is None:
-            return [config.name for config in STUDIED_CONFIGS.values()]
-        names = [
-            config.name if isinstance(config, AcceleratorConfig) else str(config)
-            for config in configs
-        ]
-        if not names:
-            raise ServiceError("no accelerator configurations were provided")
-        return names

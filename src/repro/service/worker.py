@@ -17,7 +17,10 @@ losing the sweep:
   :func:`~repro.service.store.read_npz` and re-simulated;
 * **after the write, before the release** — the store holds the pair, so
   every scan counts it done; the stale lease is ignored (done pairs are
-  never claimed) and costs nothing.
+  never claimed) and costs nothing;
+* **after the release, before the report** — the pair is done but recorded
+  by no worker; a worker records a pair only once its release has shown
+  that the lease still named it, so no pair is recorded twice.
 
 Workers renew their lease heartbeat from a background thread while the
 simulation kernel runs, and record every completion in an atomically-updated
@@ -204,24 +207,23 @@ class SweepWorker:
         result.models_simulated += len(fingerprints)
         obs.count("worker.pairs_simulated")
         obs.count("worker.models_simulated", len(fingerprints))
-        if lease.lost:
-            # Someone stole the lease mid-simulation (e.g. a paused VM past
-            # its expiry).  The write above is idempotent and correct, but the
-            # thief will record this pair — don't double-count it, and leave
-            # the lease file alone (it is the thief's now).
+        if lease.lost or not self.queue.release(lease):
+            # Someone stole the lease (e.g. a paused VM past its expiry), seen
+            # by the heartbeat or, after the last renewal, by the release.
+            # The write above is idempotent and correct, but the thief will
+            # record this pair — don't double-count it, and leave the lease
+            # file alone (it is the thief's now).
             result.leases_lost += 1
             obs.count("worker.leases_lost")
             obs.log(
                 "worker.lease_lost",
-                f"lease for {pair.pair_id} was stolen mid-simulation; "
-                "the thief records this pair",
+                f"lease for {pair.pair_id} was stolen; the thief records this pair",
                 level="warning",
                 pair=pair.pair_id,
             )
             return
         result.pairs_completed.append(pair.pair_id)
         self._write_report(result)
-        self.queue.release(lease)
 
     def _shard_table(self, shard_index: int) -> LayerTable:
         """LayerTable of one shard, cached so consecutive configurations of

@@ -12,8 +12,6 @@ from repro.errors import InvalidCellError, ServiceError
 from repro.nasbench import NASBenchDataset, sample_unique_cells
 from repro.service import MeasurementStore, SweepService
 from repro.service.api import (
-    EnergyRequest,
-    LatencyRequest,
     MetricRequest,
     ParetoRequest,
     PredictRequest,
@@ -57,8 +55,8 @@ class TestRequestRoundTrips:
         return [
             TopKRequest(k=3),
             ParetoRequest("V1", 0.65),
-            LatencyRequest("fp-a", "V1"),
-            EnergyRequest("fp-b", "V2"),
+            MetricRequest("fp-a", "V1"),
+            MetricRequest("fp-b", "V2", metric="energy"),
             MetricRequest("fp-c", "V3", metric="energy"),
             PredictRequest(cells, "V1", "latency"),
         ]
@@ -122,7 +120,7 @@ class TestRequestRoundTrips:
         with pytest.raises(ServiceError, match="at least one cell"):
             PredictRequest((), "V1")
         with pytest.raises(ServiceError, match="non-empty fingerprint"):
-            LatencyRequest("", "V1")
+            MetricRequest("", "V1")
 
 
 class TestCanonicalKeys:
@@ -142,8 +140,8 @@ class TestCanonicalKeys:
                 TopKRequest(k=4),
                 ParetoRequest("V1"),
                 ParetoRequest("V2"),
-                LatencyRequest("fp", "V1"),
-                EnergyRequest("fp", "V1"),
+                MetricRequest("fp", "V1"),
+                MetricRequest("fp", "V1", metric="energy"),
             )
         }
         assert len(keys) == 6
@@ -222,16 +220,15 @@ class TestQueryDispatch:
     def test_metric_equivalence_and_symmetry(self, service, api_dataset):
         record = api_dataset[0]
         fingerprint = record.fingerprint
-        latency = service.query(LatencyRequest(fingerprint, "V1")).result["value"]
+        latency = service.query(MetricRequest(fingerprint, "V1")).result["value"]
         assert latency == service.measurements.latency_of(record, "V1")
-        assert latency == service.metric_of(fingerprint, "V1", "latency")
-        energy = service.query(EnergyRequest(fingerprint, "V1")).result["value"]
+        energy = service.query(MetricRequest(fingerprint, "V1", "energy")).result["value"]
         assert energy == service.measurements.energy_of(record, "V1")
-        # V3 has no energy model: the request and the lookup agree on None.
-        assert service.query(EnergyRequest(fingerprint, "V3")).result["value"] is None
-        assert service.metric_of(fingerprint, "V3", "energy") is None
+        # V3 has no energy model: the request and the measurements agree on None.
+        assert service.measurements.energy_of(record, "V3") is None
+        assert service.query(MetricRequest(fingerprint, "V3", "energy")).result["value"] is None
         with pytest.raises(ServiceError, match="unknown metric"):
-            service.metric_of(fingerprint, "V1", "throughput")
+            service.query(MetricRequest(fingerprint, "V1", "throughput"))
 
     def test_predict_equivalence(self, service):
         cells = sample_unique_cells(3, seed=77)

@@ -100,7 +100,6 @@ class TestSweepManifest:
 
         found = SweepManifest.find(tmp_path)
         assert found.digest == manifest.digest
-        assert found.prefix == store.prefix
         assert found.shard_size == SHARD
         assert found.config_names() == list(CONFIGS)
         # Configurations and the network config round-trip exactly.
@@ -116,7 +115,7 @@ class TestSweepManifest:
             prints = [record.fingerprint for record in queue_dataset.records[start:stop]]
             assert pair.key == store.shard_key(prints, pair.config_name)
         opened = manifest.open_store(tmp_path)
-        assert (opened.root, opened.shard_size, opened.prefix) == (tmp_path, SHARD, store.prefix)
+        assert (opened.root, opened.shard_size) == (tmp_path, SHARD)
         assert opened.enable_parameter_caching == store.enable_parameter_caching
 
     def test_shard_cells_rebuild_the_population(self, tmp_path, queue_dataset):
@@ -167,7 +166,7 @@ class TestWorkQueue:
     def test_release_frees_the_pair(self, queue):
         pair = queue.manifest.pairs[0]
         lease = queue.try_claim(pair, "alice")
-        queue.release(lease)
+        assert queue.release(lease)
         assert queue.lease_state(pair) == "free"
         assert queue.try_claim(pair, "bob") is not None
 
@@ -198,7 +197,7 @@ class TestWorkQueue:
         pair = queue.manifest.pairs[0]
         lease = queue.try_claim(pair, "alice")
         forge_lease(queue, pair, "thief", heartbeat=time.time())
-        queue.release(lease)
+        assert not queue.release(lease)
         assert queue.lease_path(pair).exists()  # the thief's claim survives
         assert json.loads(queue.lease_path(pair).read_text())["owner"] == "thief"
 
@@ -298,6 +297,37 @@ class TestSweepWorker:
         assert result.pairs_simulated == len(manifest.pairs)
         assert result.leases_stolen == 1
         assert_store_matches_reference(tmp_path, queue_dataset, reference)
+
+    @pytest.mark.parametrize("thief_done", [False, True], ids=["thief-holds", "thief-released"])
+    def test_a_steal_after_the_last_renewal_is_not_recorded(
+        self, tmp_path, queue_dataset, monkeypatch, thief_done
+    ):
+        # The heartbeat renews every 10 s, so it never runs during this pair:
+        # only the release can see the thief that took the lease before the
+        # pair was written, and that may already have released it.
+        _, manifest = publish(tmp_path, queue_dataset)
+        worker = SweepWorker(tmp_path, owner="owner", poll_seconds=0.05)
+        store = worker.queue.store
+        write_pair = store.write_pair
+        stolen = []
+
+        def steal_then_write(fingerprints, config_name, key, *arrays):
+            pair = next(p for p in manifest.pairs if (p.config_name, p.key) == (config_name, key))
+            forge_lease(worker.queue, pair, "thief", heartbeat=time.time())
+            if thief_done:
+                worker.queue.lease_path(pair).unlink()
+            stolen.append(pair)
+            return write_pair(fingerprints, config_name, key, *arrays)
+
+        monkeypatch.setattr(store, "write_pair", steal_then_write)
+        result = worker.run(max_pairs=1)
+        assert (result.pairs_simulated, result.leases_lost) == (1, 1)
+        assert result.pairs_completed == []
+        [pair] = stolen
+        assert worker.queue.is_done(pair)
+        lease = worker.queue.lease_path(pair)
+        assert not lease.exists() if thief_done else json.loads(lease.read_text())["owner"] == "thief"
+        assert [report["completed"] for report in worker.queue.worker_reports()] == [[]]
 
     def test_done_pairs_are_never_resimulated(self, tmp_path, queue_dataset):
         # Crash *after the write, before the release*: the shard file exists
@@ -441,6 +471,22 @@ class TestCompactedSweep:
         assert f"{total}/{total} done" in status.stdout
         result = SweepWorker(tmp_path, owner="late", poll_seconds=0.05).run()
         assert result.pairs_simulated == 0
+
+    def test_a_compaction_by_another_store_object_is_seen(self, tmp_path, queue_dataset):
+        # The coordinator and the worker read the (empty) compacted index
+        # before a second store object compacts the finished sweep.
+        store = MeasurementStore(tmp_path, shard_size=SHARD)
+        manifest = store.publish_manifest(queue_dataset, configs=CONFIGS)
+        store.extend(queue_dataset, configs=CONFIGS)
+        coordinator = SweepCoordinator(tmp_path, manifest=manifest)
+        worker = SweepWorker(tmp_path, owner="late", poll_seconds=0.05)
+        total = len(manifest.pairs)
+        assert coordinator.progress().pairs_done == total
+        assert all(worker.queue.is_done(pair) for pair in manifest.pairs)
+        MeasurementStore(tmp_path, shard_size=SHARD).compact(queue_dataset, configs=CONFIGS)
+        assert coordinator.progress().pairs_done == total
+        assert coordinator.is_complete()
+        assert worker.run().pairs_simulated == 0
 
 
 class TestAtomicWrites:

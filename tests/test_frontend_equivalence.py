@@ -133,7 +133,10 @@ def reference_random_cell(rng, max_vertices=MAX_VERTICES, max_edges=MAX_EDGES, m
         cell = Cell(matrix, (INPUT, *labels, OUTPUT))
         if cell.is_valid():
             return cell.prune()
-    raise DatasetError(f"failed to draw a valid random cell after {max_attempts} attempts")
+    raise DatasetError(
+        f"failed to draw a valid random cell after {max_attempts} attempts "
+        f"(max_vertices={max_vertices}, max_edges={max_edges})"
+    )
 
 
 def reference_flip_edge(cell, rng):

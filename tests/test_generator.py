@@ -107,7 +107,8 @@ class TestSamplingFailurePaths:
         # Almost every draw picks a vertex count whose spanning path needs
         # more edges than the budget of 9, so every attempt is skipped; the
         # vertex weights must not overflow on the way (4.0**n does from 512).
-        with pytest.raises(DatasetError, match="after 200 attempts"):
+        bounds = rf"after 200 attempts \(max_vertices={max_vertices}, max_edges=9\)"
+        with pytest.raises(DatasetError, match=bounds):
             random_cell(np.random.default_rng(0), max_vertices=max_vertices)
 
     def test_sample_unique_cells_raises_when_subspace_is_exhausted(self):

@@ -25,7 +25,13 @@ from repro.server import (
 )
 from repro.server.protocol import MAX_HEAD_BYTES, ProtocolError
 from repro.service import MeasurementStore, SweepService
-from repro.service.api import QueryResponse, TopKRequest
+from repro.service.api import (
+    MetricRequest,
+    ParetoRequest,
+    PredictRequest,
+    QueryResponse,
+    TopKRequest,
+)
 
 SHARD = 8
 CONFIGS = ("V1", "V3")
@@ -126,7 +132,6 @@ class TestProtocol:
             request = await read_request(feed(raw))
             assert request.method == "POST"
             assert request.path == "/v1/query"
-            assert request.query == {"trace": "1", "label": "a b"}
             assert request.json() == {"k": 3}
             assert not request.keep_alive
             assert await read_request(feed(b"")) is None
@@ -203,7 +208,7 @@ class TestQueryCache:
 class TestServerEquivalence:
     @pytest.mark.parametrize("cache_size", [0, 32])
     def test_store_endpoints_match_direct_calls(self, service, server_dataset, cache_size):
-        fingerprint = server_dataset[0].fingerprint
+        record = server_dataset[0]
 
         async def scenario():
             server = await serve(service, cache_size=cache_size)
@@ -211,53 +216,22 @@ class TestServerEquivalence:
                 async with ServiceClient(port=server.port) as client:
                     assert (await client.health())["store_digest"] == service.store_digest
 
-                    wire = await client.top_k(3)
+                    wire = await client.query(TopKRequest(k=3))
                     direct = service.query(TopKRequest(k=3))
                     assert wire.result == direct.result
                     assert wire.store_digest == direct.store_digest
 
-                    wire = await client.pareto("V1", 0.6)
-                    from repro.service.api import ParetoRequest
-
+                    wire = await client.query(ParetoRequest("V1", 0.6))
                     assert wire.result == service.query(ParetoRequest("V1", 0.6)).result
 
-                    assert (await client.latency_of(fingerprint, "V1")) == (
-                        service.metric_of(fingerprint, "V1", "latency")
-                    )
-                    assert (await client.energy_of(fingerprint, "V1")) == (
-                        service.metric_of(fingerprint, "V1", "energy")
-                    )
-                    assert (await client.energy_of(fingerprint, "V3")) is None
-                    assert (await client.metric_of(fingerprint, "V1", "latency")) == (
-                        service.metric_of(fingerprint, "V1", "latency")
-                    )
-            finally:
-                await server.stop()
-
-        run(scenario())
-
-    def test_get_routes_match_post_query(self, service, server_dataset):
-        fingerprint = server_dataset[0].fingerprint
-
-        async def scenario():
-            server = await serve(service)
-            try:
-                async with ServiceClient(port=server.port) as client:
-                    status, _, via_get = await client.request(
-                        "GET", f"/v1/latency?fingerprint={fingerprint}&config=V1"
-                    )
-                    assert status == 200
-                    via_post = await client.latency_of(fingerprint, "V1")
-                    assert via_get["result"]["value"] == via_post
-
-                    status, _, top = await client.request("GET", "/v1/top_k?k=2")
-                    assert status == 200
-                    # Same canonical request via POST: identical payload, and
-                    # the shared cache key makes the second answer a hit.
-                    via_post = (await client.top_k(2)).to_dict()
-                    assert top["result"] == via_post["result"]
-                    assert top["store_digest"] == via_post["store_digest"]
-                    assert via_post["served_from"] == "cache"
+                    measured = service.measurements
+                    for config, metric, value in (
+                        ("V1", "latency", measured.latency_of(record, "V1")),
+                        ("V1", "energy", measured.energy_of(record, "V1")),
+                        ("V3", "energy", None),
+                    ):
+                        request = MetricRequest(record.fingerprint, config, metric)
+                        assert (await client.query(request)).result["value"] == value
             finally:
                 await server.stop()
 
@@ -268,8 +242,8 @@ class TestServerEquivalence:
             server = await serve(service, cache_size=8)
             try:
                 async with ServiceClient(port=server.port) as client:
-                    first = await client.top_k(4)
-                    second = await client.top_k(4)
+                    first = await client.query(TopKRequest(k=4))
+                    second = await client.query(TopKRequest(k=4))
                     assert first.served_from == "store"
                     assert second.served_from == "cache"
                     assert second.result == first.result
@@ -291,7 +265,7 @@ class TestMicroBatching:
             try:
                 clients = [ServiceClient(port=server.port) for _ in cells]
                 responses = await asyncio.gather(
-                    *[c.predict([cell], "V1") for c, cell in zip(clients, cells)]
+                    *[c.query(PredictRequest((cell,), "V1")) for c, cell in zip(clients, cells)]
                 )
                 for client in clients:
                     await client.close()
@@ -315,7 +289,8 @@ class TestMicroBatching:
             try:
                 async with ServiceClient(port=server.port) as client:
                     for cell in cells:
-                        wire = (await client.predict([cell], "V1")).result["values"][0]
+                        response = await client.query(PredictRequest((cell,), "V1"))
+                        wire = response.result["values"][0]
                         direct = float(service.predict([cell], "V1", "latency")[0])
                         assert wire == direct
                 assert server.batcher.stats()["batches"] == len(cells)
@@ -332,9 +307,9 @@ class TestMicroBatching:
             try:
                 clients = [ServiceClient(port=server.port) for _ in range(3)]
                 v1, v3, energy = await asyncio.gather(
-                    clients[0].predict([cell], "V1"),
-                    clients[1].predict([cell], "V3"),
-                    clients[2].predict([cell], "V1", metric="energy"),
+                    clients[0].query(PredictRequest((cell,), "V1")),
+                    clients[1].query(PredictRequest((cell,), "V3")),
+                    clients[2].query(PredictRequest((cell,), "V1", "energy")),
                 )
                 for client in clients:
                     await client.close()
@@ -375,7 +350,7 @@ class TestBackpressure:
             try:
                 clients = [ServiceClient(port=server.port) for _ in range(5)]
                 outcomes = await asyncio.gather(
-                    *[client.top_k(k + 1) for k, client in enumerate(clients)],
+                    *[client.query(TopKRequest(k=k + 1)) for k, client in enumerate(clients)],
                     return_exceptions=True,
                 )
                 for client in clients:
@@ -404,10 +379,10 @@ class TestBackpressure:
             try:
                 first = ServiceClient(port=server.port)
                 second = ServiceClient(port=server.port)
-                task = asyncio.ensure_future(first.predict(cells[:4], "V1"))
+                task = asyncio.ensure_future(first.query(PredictRequest(tuple(cells[:4]), "V1")))
                 await asyncio.sleep(0.05)  # first request parks in the window
                 with pytest.raises(ServerBusy) as excinfo:
-                    await second.predict(cells[4:], "V1")
+                    await second.query(PredictRequest(tuple(cells[4:]), "V1"))
                 assert excinfo.value.status == 429
                 response = await task  # the parked batch still completes
                 assert len(response.result["values"]) == 4
@@ -426,7 +401,7 @@ class TestBackpressure:
                     assert (await client.health())["status"] == "ok"
                     server._draining = True  # enter the drain state
                     with pytest.raises(ServerBusy) as excinfo:
-                        await client.top_k(2)
+                        await client.query(TopKRequest(k=2))
                     assert excinfo.value.status == 503
                     assert excinfo.value.retry_after >= 1.0
             finally:
@@ -437,42 +412,74 @@ class TestBackpressure:
 
 class TestErrorMapping:
     def test_status_codes(self, service, server_dataset):
+        fingerprint = server_dataset[0].fingerprint
+
         async def scenario():
             server = await serve(service, cache_size=0)
             try:
                 client = ServiceClient(port=server.port)
+
+                async def ask(**payload):
+                    status, _, body = await client.request("POST", "/v1/query", payload)
+                    return status, body
+
                 # Unknown fingerprint → 404 (DatasetError).
-                status, _, body = await client.request(
-                    "GET", "/v1/latency?fingerprint=nope&config=V1"
-                )
+                status, body = await ask(kind="metric", fingerprint="nope", config_name="V1")
                 assert status == 404 and "nope" in body["error"]
                 # Config not served → 400 (ServiceError).
-                fingerprint = server_dataset[0].fingerprint
-                status, _, _ = await client.request(
-                    "GET", f"/v1/latency?fingerprint={fingerprint}&config=V9"
-                )
+                status, _ = await ask(kind="metric", fingerprint=fingerprint, config_name="V9")
                 assert status == 400
                 # Bad metric name → 400 before any lookup.
-                status, _, body = await client.request(
-                    "GET", f"/v1/metric?fingerprint={fingerprint}&config=V1&metric=flops"
+                status, body = await ask(
+                    kind="metric", fingerprint=fingerprint, config_name="V1", metric="flops"
                 )
                 assert status == 400 and "flops" in body["error"]
-                # Missing required parameter → 400.
-                status, _, _ = await client.request("GET", "/v1/pareto")
+                # Missing required field → 400.
+                status, _ = await ask(kind="pareto")
                 assert status == 400
                 # Unknown route → 404; wrong method → 405.
                 status, _, _ = await client.request("GET", "/v1/nothing")
                 assert status == 404
                 status, _, _ = await client.request("GET", "/v1/query")
                 assert status == 405
-                # Unknown request kind over POST → 400.
-                status, _, _ = await client.request(
-                    "POST", "/v1/query", {"kind": "frontier"}
-                )
+                # Unknown request kind → 400.
+                status, _ = await ask(kind="frontier")
                 assert status == 400
                 # The connection survived every error above (keep-alive).
                 assert (await client.health())["status"] == "ok"
                 await client.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "method, target",
+        [
+            ("GET", "/v1/top_k?k=2"),
+            ("GET", "/v1/pareto?config=V1"),
+            ("GET", "/v1/metric?fingerprint={fp}&config=V1&metric=energy"),
+            ("GET", "/v1/latency?fingerprint={fp}&config=V1"),
+            ("GET", "/v1/energy?fingerprint={fp}&config=V1"),
+            ("POST", "/v1/predict"),
+        ],
+        ids=["top_k", "pareto", "metric", "latency", "energy", "predict"],
+    )
+    def test_only_post_query_asks_the_service(self, service, server_dataset, method, target):
+        record = server_dataset[0]
+        body = {"cells": [record.cell.to_dict()], "config_name": "V1"}
+
+        async def scenario():
+            server = await serve(service, cache_size=0)
+            try:
+                async with ServiceClient(port=server.port) as client:
+                    status, _, answer = await client.request(
+                        method,
+                        target.format(fp=record.fingerprint),
+                        body if method == "POST" else None,
+                    )
+                    assert status == 404, answer
+                    assert "no route" in answer["error"]
             finally:
                 await server.stop()
 

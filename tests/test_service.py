@@ -18,9 +18,8 @@ from repro.core import LearnedPerformanceModel, TrainingSettings
 from repro.errors import DatasetError, ServiceError
 from repro.nasbench import NASBenchDataset, sample_unique_cells
 from repro.service import (
-    EnergyRequest,
-    LatencyRequest,
     MeasurementStore,
+    MetricRequest,
     ParetoRequest,
     SweepService,
     TopKRequest,
@@ -160,6 +159,15 @@ class TestMeasurementStore:
         missing = store.missing_pairs(store_dataset, configs=CONFIGS)
         assert len(missing) == 8
         assert all(name in ("V1", "V3") for _, name in missing)
+
+    def test_read_paths_resolve_names_like_the_write_path(self, tmp_path, store_dataset):
+        # extend simulates "v1" as V1; every read path must find those pairs.
+        written = make_store(tmp_path).extend(store_dataset, configs=["v1"])
+        assert written.config_names == ["V1"]
+        assert make_store(tmp_path).missing_pairs(store_dataset, configs=["v1"]) == []
+        assert_identical(make_store(tmp_path).load(store_dataset, configs=["v1"]), written, ("V1",))
+        assert make_store(tmp_path).compact(store_dataset, configs=["v1"]).pairs == 4
+        assert_identical(make_store(tmp_path).load(store_dataset, configs=["v1"]), written, ("V1",))
 
     def test_corrupt_shard_degrades_to_resimulation(self, tmp_path, store_dataset):
         make_store(tmp_path).extend(store_dataset, configs=("V1",))
@@ -478,18 +486,19 @@ class TestSweepService:
         assert [point["model_index"] for point in front] == list(indices)
 
         record = expected[0]
-        latency = service.query(LatencyRequest(record.fingerprint, "V2")).result["value"]
+        latency = service.query(MetricRequest(record.fingerprint, "V2")).result["value"]
         assert latency == pytest.approx(direct_measurements.latency_of(record, "V2"))
-        energy = service.query(EnergyRequest(record.fingerprint, "V1")).result["value"]
+        energy = service.query(MetricRequest(record.fingerprint, "V1", "energy")).result["value"]
         assert energy == pytest.approx(direct_measurements.energy_of(record, "V1"))
-        assert service.query(EnergyRequest(record.fingerprint, "V3")).result["value"] is None
+        energy = service.query(MetricRequest(record.fingerprint, "V3", "energy"))
+        assert energy.result["value"] is None
 
     def test_unknown_fingerprint_and_config_raise(self, warm_root, store_dataset, no_simulation):
         service = SweepService(make_store(warm_root), store_dataset, configs=CONFIGS)
         with pytest.raises(DatasetError):
-            service.query(LatencyRequest("not-a-fingerprint", "V1"))
+            service.query(MetricRequest("not-a-fingerprint", "V1"))
         with pytest.raises(ServiceError, match="not served"):
-            service.query(LatencyRequest(store_dataset[0].fingerprint, "V9"))
+            service.query(MetricRequest(store_dataset[0].fingerprint, "V9"))
 
     def test_cold_store_is_an_error_not_a_sweep(self, tmp_path, store_dataset, no_simulation):
         with pytest.raises(ServiceError, match="missing"):
